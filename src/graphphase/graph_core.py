@@ -54,7 +54,8 @@ class Graph:
         weights: dense symmetric weight matrix, zero diagonal.
         degrees: weighted degrees ``weights.sum(axis=1)``, all positive.
         degrees_r: cached ``degrees**r`` (the vertex measure).
-        edges: canonical edge list, tuples ``(i, j, w)`` with ``i < j``.
+        edge_i, edge_j, edge_w: the edges in canonical order, ``i < j``
+            ascending, as arrays of endpoints and weights.
     """
 
     num_vertices: int
@@ -62,7 +63,16 @@ class Graph:
     weights: np.ndarray
     degrees: np.ndarray
     degrees_r: np.ndarray
-    edges: tuple = field(repr=False)
+    edge_i: np.ndarray = field(repr=False)
+    edge_j: np.ndarray = field(repr=False)
+    edge_w: np.ndarray = field(repr=False)
+
+    @property
+    def edges(self) -> tuple:
+        """Canonical edge list, tuples ``(i, j, w)`` with ``i < j``."""
+        return tuple(
+            zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist())
+        )
 
     def check_field(self, u: np.ndarray) -> np.ndarray:
         """Validate a vertex function: right length, finite entries."""
@@ -92,7 +102,6 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
 
     w = np.zeros((num_vertices, num_vertices))
     canonical = []
-    seen = set()
     for entry in edges:
         i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
         if not (0 <= i < num_vertices and 0 <= j < num_vertices):
@@ -102,9 +111,8 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
         if weight <= 0 or not np.isfinite(weight):
             raise NonPositiveWeight(f"edge ({i}, {j}) has weight {weight}")
         key = (min(i, j), max(i, j))
-        if key in seen:
+        if w[i, j] != 0.0:
             raise DuplicateEdge(f"edge {key} listed twice")
-        seen.add(key)
         canonical.append((key[0], key[1], weight))
         w[i, j] = weight
         w[j, i] = weight
@@ -112,15 +120,19 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     _check_connected(w)
 
     degrees = w.sum(axis=1)
+    canonical.sort()
     graph = Graph(
         num_vertices=num_vertices,
         r=float(r),
         weights=w,
         degrees=degrees,
         degrees_r=degrees**r,
-        edges=tuple(sorted(canonical)),
+        edge_i=np.array([e[0] for e in canonical], dtype=int),
+        edge_j=np.array([e[1] for e in canonical], dtype=int),
+        edge_w=np.array([e[2] for e in canonical], dtype=float),
     )
-    for arr in (graph.weights, graph.degrees, graph.degrees_r):
+    for arr in (graph.weights, graph.degrees, graph.degrees_r, graph.edge_i,
+                graph.edge_j, graph.edge_w):
         arr.setflags(write=False)
     return graph
 
@@ -180,11 +192,8 @@ def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
     routes cross-check each other: the value equals ``<u, Lu> / 2``.
     """
     u = g.check_field(u)
-    total = 0.0
-    for i, j, w in g.edges:
-        diff = u[i] - u[j]
-        total += w * diff * diff
-    return 0.5 * total
+    diff = u[g.edge_i] - u[g.edge_j]
+    return 0.5 * float(g.edge_w @ (diff * diff))
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,6 @@ __all__ = [
     "main",
 ]
 
-THREADS_ENV = "GRAPH_PHASE_THREADS"
-
 MODES = (
     "sd",
     "mbo",
@@ -361,15 +359,8 @@ def _cmd_sweep(config: RunConfig) -> int:
     g = parse_graph_file(config.graph_path)
     s = spectral_decompose(g)
     u0 = parse_field_file(config.init_path, g)
-    workers = _thread_cap()
     rows = sweep_lambda(
-        u0,
-        g,
-        s,
-        config.tau,
-        config.lambda_list,
-        group_tol=config.group_tol,
-        max_workers=workers,
+        u0, g, s, config.tau, config.lambda_list, group_tol=config.group_tol
     )
     table = {
         _fmt(row.lam): {"sup_distance_to_mbo": row.sup_distance_to_mbo}
@@ -484,21 +475,6 @@ def _params_dict(config: RunConfig) -> dict:
     if config.taus:
         out["taus"] = list(config.taus)
     return out
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
 
 
 def _print_error(exc: BaseException):

@@ -19,6 +19,8 @@ Vertices sharing a diffused value always receive the same new value, so steps
 preserve the symmetries of the input exactly.
 """
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,7 +34,7 @@ from .errors import (
     LambdaIsOne,
     MassOutOfRange,
 )
-from .graph_core import Graph, Spectrum, diffuse, inner_product, mass
+from .graph_core import Graph, Spectrum, diffuse, dirichlet_energy, inner_product, mass
 
 __all__ = [
     "SchemeParams",
@@ -190,37 +192,33 @@ def threshold_levels(
     """
     diffused = g.check_field(diffused)
     order = np.argsort(diffused, kind="stable")
+    ordered = diffused[order]
+    # the gap is taken to the previous value, not to the level's first one,
+    # so a chain of small gaps stays one level
+    starts = np.concatenate([[True], np.diff(ordered) > group_tol])
+    sorted_labels = np.cumsum(starts) - 1
     labels = np.empty(g.num_vertices, dtype=int)
-    values = []
-    weights = []
-    previous = None
-    for idx in order:
-        x = float(diffused[idx])
-        if previous is None or x - previous > group_tol:
-            values.append(x)
-            weights.append(0.0)
-        labels[idx] = len(values) - 1
-        weights[-1] += g.degrees_r[idx]
-        previous = x
+    labels[order] = sorted_labels
     return ThresholdLevels(
-        values=np.asarray(values), weights=np.asarray(weights), labels=labels
+        values=ordered[starts],
+        weights=np.bincount(sorted_labels, weights=g.degrees_r[order]),
+        labels=labels,
     )
 
 
 def _threshold_fill(levels: ThresholdLevels, target_mass: float):
     """Pick the unique level ``k`` whose partial fill meets the mass.
 
-    Requires ``0 < target_mass <= total``.  Returns ``(k, fill, suffix)``
-    where ``suffix[j]`` is the weight of levels ``j`` and above; everything
-    above ``k`` is full, everything below empty, and level ``k`` carries
-    ``fill`` in (0, 1].
+    Requires ``0 < target_mass <= total``.  Returns ``(k, fill)``: every
+    level above ``k`` is full, every level below empty, and level ``k``
+    carries ``fill`` in (0, 1].
     """
     weights = levels.weights
     suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
     # last index whose suffix weight still covers the target
     k = int(np.searchsorted(-suffix[:-1], -target_mass, side="right")) - 1
     fill = (target_mass - suffix[k + 1]) / weights[k]
-    return k, min(fill, 1.0), suffix
+    return k, min(fill, 1.0)
 
 
 def _fill_profile(num_levels: int, k: int, fill: float) -> np.ndarray:
@@ -240,12 +238,12 @@ def _clip_midpoint(lo: float, hi: float, lam: float) -> float:
     return 0.5 * (lo_c + hi_c)
 
 
-def _invert_segment(points: np.ndarray, rhs: np.ndarray, i: int, m: float) -> float:
-    """Solve the affine piece of the balance equation on segment ``i``."""
-    if rhs[i] == rhs[i + 1] or points[i + 1] == points[i]:
-        return float(points[i + 1] if rhs[i] > m else points[i])
-    t = (rhs[i] - m) / (rhs[i] - rhs[i + 1])
-    return float(points[i] + min(max(t, 0.0), 1.0) * (points[i + 1] - points[i]))
+def _invert_segment(p0: float, p1: float, r0: float, r1: float, m: float) -> float:
+    """Solve the affine piece of the balance between breakpoints ``p0 <= p1``."""
+    if r0 == r1 or p1 == p0:
+        return float(p1 if r0 > m else p0)
+    t = (r0 - m) / (r0 - r1)
+    return float(p0 + min(max(t, 0.0), 1.0) * (p1 - p0))
 
 
 def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
@@ -257,6 +255,8 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
     ``1 - lam`` whenever the threshold profile is already consistent, which
     keeps the near-threshold regime exact; otherwise the fractional levels
     get a single uniform mass repair so the step conserves mass to rounding.
+    The balance is evaluated at O(log L) of the 2L breakpoints, found by
+    bisection, so the solve costs O(L log L).
     """
     alphas = levels.values
     weights = levels.weights
@@ -271,7 +271,7 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
         lo, hi = -math.inf, float(alphas[0]) - s
         return _clip_midpoint(lo, hi, lam), lo, hi, np.ones(count)
 
-    k, fill, _ = _threshold_fill(levels, target_mass)
+    k, fill = _threshold_fill(levels, target_mass)
     below_ok = k == 0 or alphas[k] - alphas[k - 1] >= s * fill
     above_ok = k == count - 1 or alphas[k + 1] - alphas[k] >= s * (1.0 - fill)
     if below_ok and above_ok:
@@ -284,13 +284,30 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
         return nu, lo, hi, values
 
     points = np.sort(np.concatenate([alphas - s, alphas]))
-    rhs = np.array(
-        [float(np.clip((alphas - b) / s, 0.0, 1.0) @ weights) for b in points]
+
+    @functools.cache
+    def balance(j: int) -> float:
+        # non-increasing in j in floating point too: every clipped term is,
+        # and the dot product sums them in the same order at every j
+        return float(np.clip((alphas - points[j]) / s, 0.0, 1.0) @ weights)
+
+    def first(predicate) -> int:
+        return bisect.bisect_left(range(points.size), True, key=predicate)
+
+    above_end = first(lambda j: balance(j) <= target_mass)
+    if above_end == 0:
+        # rounding put the target at or past the balance of the first
+        # breakpoint, below which every level is full
+        lo, hi = -math.inf, float(points[0])
+        return _clip_midpoint(lo, hi, lam), lo, hi, np.ones(count)
+    j1 = above_end - 1                              # last balance above target
+    j0 = first(lambda j: balance(j) < target_mass)  # first balance below it
+    lo = _invert_segment(
+        points[j1], points[j1 + 1], balance(j1), balance(j1 + 1), target_mass
     )
-    j0 = int(np.argmax(rhs < target_mass))          # first rhs below target
-    j1 = rhs.size - 1 - int(np.argmax(rhs[::-1] > target_mass))  # last above
-    lo = _invert_segment(points, rhs, j1, target_mass)
-    hi = _invert_segment(points, rhs, j0 - 1, target_mass)
+    hi = _invert_segment(
+        points[j0 - 1], points[j0], balance(j0 - 1), balance(j0), target_mass
+    )
     hi = max(hi, lo)
     nu = _clip_midpoint(lo, hi, lam)
 
@@ -433,54 +450,82 @@ def _residual_from_diffused(diffused, u_next, beta, g, params):
     return float(np.abs(defect).max())
 
 
+def _diffused_state(u_n, g, s, tau, diffused=None):
+    """``u_n`` boxed, its mass, and its diffusion, reusing ``diffused`` if given."""
+    u_n = _check_box(u_n, g)
+    if diffused is None:
+        diffused = diffuse(u_n, tau, s)
+    return u_n, mass(u_n, g), g.check_field(diffused)
+
+
+def _step_result(diffused, u_next, multiplier, mass_in, g, params) -> StepResult:
+    beta = recover_subgradient(diffused, u_next, multiplier, params)
+    return StepResult(
+        u_next=u_next,
+        multiplier=multiplier,
+        subgradient=beta,
+        residual=_residual_from_diffused(diffused, u_next, beta, g, params),
+        mass_in=mass_in,
+        mass_out=mass(u_next, g),
+    )
+
+
+def _relaxed_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
+    """Relaxed step (``0 < lam < 1``) from the grouped diffused values."""
+    nu, _, _, level_values = _solve_profile(levels, mass_in, params.lam)
+    return _step_result(diffused, level_values[levels.labels], nu, mass_in, g, params)
+
+
+def _threshold_from_levels(diffused, levels, mass_in, g, tau) -> StepResult:
+    """Threshold step (``lam = 1``) from the grouped diffused values."""
+    total = float(levels.weights.sum())
+    if mass_in <= 0.0:
+        k, fill = 0, 0.0
+        level_values = np.zeros(levels.num_levels)
+    elif mass_in >= total:
+        k, fill = 0, 1.0
+        level_values = np.ones(levels.num_levels)
+    else:
+        k, fill = _threshold_fill(levels, mass_in)
+        level_values = _fill_profile(levels.num_levels, k, fill)
+
+    u_next = level_values[levels.labels]
+    multiplier = MboMultiplier(
+        level=k, threshold=float(levels.values[k]), fill=float(fill)
+    )
+    params = SchemeParams.from_lambda(tau=tau, lam=1.0)
+    return _step_result(diffused, u_next, multiplier, mass_in, g, params)
+
+
 def semi_discrete_step(
     u_n: np.ndarray,
     g: Graph,
     s: Spectrum,
     params: SchemeParams,
     group_tol: float = GROUP_TOL,
+    *,
+    diffused: np.ndarray | None = None,
 ) -> StepResult:
     """One relaxed mass-conserving step (``lam < 1``).
 
     Diffuses, solves the multiplier equation exactly, assigns each threshold
     level its solved value, and recovers the subgradient certificate.  With
-    ``lam = 0`` the step is plain diffusion.  Raises
+    ``lam = 0`` the step is plain diffusion.  ``diffused``, if given, must be
+    ``diffuse(u_n, params.tau, s)`` and replaces the step's own.  Raises
     :class:`~graphphase.errors.LambdaIsOne` for ``lam = 1`` (use
     :func:`mbo_step`) and :class:`~graphphase.errors.DomainViolation` for
     states outside [0, 1].
     """
     if params.lam == 1.0:
         raise LambdaIsOne("semi_discrete_step requires lam < 1")
-    u_n = _check_box(u_n, g)
-    mass_in = mass(u_n, g)
-    diffused = diffuse(u_n, params.tau, s)
+    u_n, mass_in, diffused = _diffused_state(u_n, g, s, params.tau, diffused)
 
     if params.lam == 0.0:
         u_next = np.clip(diffused, 0.0, 1.0)
-        beta = np.zeros_like(u_next)
-        residual = _residual_from_diffused(diffused, u_next, beta, g, params)
-        return StepResult(
-            u_next=u_next,
-            multiplier=0.0,
-            subgradient=beta,
-            residual=residual,
-            mass_in=mass_in,
-            mass_out=mass(u_next, g),
-        )
+        return _step_result(diffused, u_next, 0.0, mass_in, g, params)
 
     levels = threshold_levels(diffused, g, group_tol)
-    nu, _, _, level_values = _solve_profile(levels, mass_in, params.lam)
-    u_next = level_values[levels.labels]
-    beta = _snap_subgradient(_beta_relaxed(diffused, u_next, nu, params.lam), u_next)
-    residual = _residual_from_diffused(diffused, u_next, beta, g, params)
-    return StepResult(
-        u_next=u_next,
-        multiplier=nu,
-        subgradient=beta,
-        residual=residual,
-        mass_in=mass_in,
-        mass_out=mass(u_next, g),
-    )
+    return _relaxed_from_levels(diffused, levels, mass_in, g, params)
 
 
 def mbo_step(
@@ -489,52 +534,27 @@ def mbo_step(
     s: Spectrum,
     tau: float,
     group_tol: float = GROUP_TOL,
+    *,
+    diffused: np.ndarray | None = None,
 ) -> StepResult:
     """One mass-conserving threshold step (``lam = 1``).
 
     Fills diffused levels from the top until the mass budget is spent; the
     boundary level is filled uniformly with the leftover fraction.
+    ``diffused``, if given, must be ``diffuse(u_n, tau, s)``.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    u_n = _check_box(u_n, g)
-    mass_in = mass(u_n, g)
-    diffused = diffuse(u_n, tau, s)
+    u_n, mass_in, diffused = _diffused_state(u_n, g, s, tau, diffused)
     levels = threshold_levels(diffused, g, group_tol)
-    total = float(levels.weights.sum())
-
-    if mass_in <= 0.0:
-        k, fill = 0, 0.0
-        level_values = np.zeros(levels.num_levels)
-    elif mass_in >= total:
-        k, fill = 0, 1.0
-        level_values = np.ones(levels.num_levels)
-    else:
-        k, fill, _ = _threshold_fill(levels, mass_in)
-        level_values = _fill_profile(levels.num_levels, k, fill)
-
-    u_next = level_values[levels.labels]
-    multiplier = MboMultiplier(
-        level=k, threshold=float(levels.values[k]), fill=float(fill)
-    )
-    beta = _snap_subgradient(multiplier.threshold - diffused, u_next)
-    params = SchemeParams.from_lambda(tau=tau, lam=1.0)
-    residual = _residual_from_diffused(diffused, u_next, beta, g, params)
-    return StepResult(
-        u_next=u_next,
-        multiplier=multiplier,
-        subgradient=beta,
-        residual=residual,
-        mass_in=mass_in,
-        mass_out=mass(u_next, g),
-    )
+    return _threshold_from_levels(diffused, levels, mass_in, g, tau)
 
 
 def _profile_is_unique(levels: ThresholdLevels, target_mass: float) -> bool:
     total = float(levels.weights.sum())
     if target_mass <= 0.0 or target_mass >= total:
         return True
-    k, fill, _ = _threshold_fill(levels, target_mass)
+    k, fill = _threshold_fill(levels, target_mass)
     if fill >= 1.0 - 1e-12:
         return True
     return int(levels.level_sizes()[k]) == 1
@@ -554,22 +574,26 @@ def mbo_is_unique(
     admits a continuum of equally good fills and :func:`mbo_step` returns the
     uniform one.
     """
-    u_n = _check_box(u_n, g)
-    diffused = diffuse(u_n, tau, s)
-    levels = threshold_levels(diffused, g, group_tol)
-    return _profile_is_unique(levels, mass(u_n, g))
+    _, mass_in, diffused = _diffused_state(u_n, g, s, tau)
+    return _profile_is_unique(threshold_levels(diffused, g, group_tol), mass_in)
 
 
 def lyapunov_energy(
-    u: np.ndarray, g: Graph, s: Spectrum, params: SchemeParams
+    u: np.ndarray,
+    g: Graph,
+    s: Spectrum,
+    params: SchemeParams,
+    *,
+    diffused: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Descent functional of the stepping scheme and its ``1/(2 tau)`` scaling.
 
     Nonnegative, non-increasing along both step types; the scaled form
     converges to the Ginzburg-Landau energy as ``tau`` shrinks.
+    ``diffused``, if given, must be ``diffuse(u, params.tau, s)``.
     """
-    u = _check_box(u, g)
-    smooth = inner_product(u, u - diffuse(u, params.tau, s), g)
+    u, _, diffused = _diffused_state(u, g, s, params.tau, diffused)
+    smooth = inner_product(u, u - diffused, g)
     obstacle = params.lam * inner_product(u, 1.0 - u, g)
     value = obstacle + smooth
     return value, value / (2.0 * params.tau)
@@ -586,14 +610,11 @@ def ginzburg_landau(u: np.ndarray, g: Graph, epsilon: float) -> float:
     if u.min() < -BOX_TOL or u.max() > 1.0 + BOX_TOL:
         return math.inf
     u = np.clip(u, 0.0, 1.0)
-    smooth = 0.0
-    for i, j, w in g.edges:
-        diff = u[i] - u[j]
-        smooth += w * diff * diff
+    smooth = dirichlet_energy(u, g)
     well = 0.5 * float(np.dot(g.degrees_r, u * (1.0 - u)))
     if math.isinf(epsilon):
-        return 0.5 * smooth
-    return 0.5 * smooth + well / epsilon
+        return smooth
+    return smooth + well / epsilon
 
 
 def lyapunov_gradient(

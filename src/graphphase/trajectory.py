@@ -8,14 +8,15 @@ and a step-size refinement study checking self-convergence, energy descent
 along the limit candidate, and the Lipschitz/Hoelder regularity bounds.
 """
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LambdaIsOne, TauExceedsEpsilon
+from . import scheme
+from .errors import GraphTooLarge, LambdaIsOne, TauExceedsEpsilon
 from .graph_core import Graph, Spectrum, average, mass, norm
 from .multiclass import (
     SimplexField,
@@ -28,6 +29,9 @@ from .scheme import (
     MboMultiplier,
     SchemeParams,
     _check_box,
+    _diffused_state,
+    _relaxed_from_levels,
+    _threshold_from_levels,
     ginzburg_landau,
     lyapunov_energy,
     mbo_step,
@@ -162,32 +166,27 @@ def run_trajectory(
     stride = _choose_stride(g.num_vertices, max_steps, snapshot_stride)
 
     def diagnostics(u):
-        H, H_tau = lyapunov_energy(u, g, s, params)
-        return H, H_tau, ginzburg_landau(u, g, params.epsilon)
+        # one diffusion per state serves its log entry and the step leaving it
+        _, _, diffused = _diffused_state(u, g, s, params.tau)
+        H, H_tau = lyapunov_energy(u, g, s, params, diffused=diffused)
+        return diffused, H, H_tau, ginzburg_landau(u, g, params.epsilon)
 
-    H, H_tau, GL = diagnostics(current)
+    diffused, H, H_tau, GL = diagnostics(current)
     states = [current.copy()]
     log = [LogEntry(0, float(mass(current, g)), H, H_tau, GL, None, None)]
     reason = "max_steps"
     for step in range(1, max_steps + 1):
         if params.lam == 1.0:
-            result = mbo_step(current, g, s, params.tau, group_tol=group_tol)
+            result = mbo_step(current, g, s, params.tau, group_tol, diffused=diffused)
         else:
-            result = semi_discrete_step(current, g, s, params, group_tol=group_tol)
+            result = semi_discrete_step(
+                current, g, s, params, group_tol=group_tol, diffused=diffused
+            )
         change = float(np.abs(result.u_next - current).max())
         current = result.u_next
-        H, H_tau, GL = diagnostics(current)
-        log.append(
-            LogEntry(
-                step,
-                result.mass_out,
-                H,
-                H_tau,
-                GL,
-                change,
-                _scalar_multiplier(result.multiplier),
-            )
-        )
+        diffused, H, H_tau, GL = diagnostics(current)
+        multiplier = _scalar_multiplier(result.multiplier)
+        log.append(LogEntry(step, result.mass_out, H, H_tau, GL, change, multiplier))
         if step % stride == 0:
             states.append(current.copy())
         if change <= fixed_point_tol:
@@ -278,14 +277,13 @@ def sweep_lambda(
     tau: float,
     lambdas,
     group_tol: float = GROUP_TOL,
-    max_workers: int | None = None,
 ) -> tuple:
     """One relaxed step per lambda, each measured against the threshold step.
 
     Distances collapse to 0 once lambda passes an instance-dependent
     threshold below 1: the relaxed minimizer stops moving and equals the
-    thresholding output exactly.  Rows keep the input order; passing
-    ``max_workers`` > 1 evaluates entries concurrently (results identical).
+    thresholding output exactly.  Rows keep the input order.  All steps
+    start from ``u0``, so its diffusion and level grouping are done once.
     """
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
@@ -293,19 +291,14 @@ def sweep_lambda(
             raise LambdaIsOne(f"sweep requires lambda < 1, got {lam}")
         if lam <= 0.0:
             raise ValueError(f"sweep requires lambda > 0, got {lam}")
-    u0 = _check_box(u0, g)
-    reference = mbo_step(u0, g, s, tau, group_tol=group_tol).u_next
-
-    def one(lam: float) -> SweepRow:
+    u0, mass_in, diffused = _diffused_state(u0, g, s, tau)
+    levels = scheme.threshold_levels(diffused, g, group_tol)
+    reference = _threshold_from_levels(diffused, levels, mass_in, g, tau).u_next
+    rows = []
+    for lam in lambdas:
         params = SchemeParams.from_lambda(tau=tau, lam=lam)
-        out = semi_discrete_step(u0, g, s, params, group_tol=group_tol).u_next
-        return SweepRow(lam, float(np.abs(out - reference).max()))
-
-    if max_workers is not None and max_workers > 1 and len(lambdas) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(one, lambdas))
-    else:
-        rows = [one(lam) for lam in lambdas]
+        out = _relaxed_from_levels(diffused, levels, mass_in, g, params).u_next
+        rows.append(SweepRow(lam, float(np.abs(out - reference).max())))
     return tuple(rows)
 
 
@@ -363,12 +356,19 @@ def converge_tau(
         raise ValueError(f"need at least two sample times, got {grid_points}")
 
     u0 = _check_box(u0, g)
+    # the matched-time and Lipschitz checks index every state: none is dropped
+    step_counts = [math.ceil(t_final / tau - 1e-12) for tau in taus]
+    entries = g.num_vertices * (step_counts[-1] + 1)
+    if entries > STATE_BUDGET:
+        raise GraphTooLarge(
+            f"the finest run keeps {entries} state entries, over {STATE_BUDGET}"
+        )
     runs = []
-    for tau in taus:
+    for tau, steps in zip(taus, step_counts):
         params = SchemeParams.from_epsilon(epsilon=epsilon, tau=tau)
-        steps = math.ceil(t_final / tau - 1e-12)
         runs.append(
-            run_trajectory(u0, g, s, params, max_steps=steps, fixed_point_tol=0.0)
+            run_trajectory(u0, g, s, params, max_steps=steps,
+                           fixed_point_tol=0.0, snapshot_stride=1)
         )
 
     # sample at multiples of the coarsest step (plus t_final) so the matched
@@ -406,13 +406,6 @@ def converge_tau(
     grid_states = [_state_at(finest, t, finest_tau) for t in grid]
     gl_grid = [ginzburg_landau(u, g, epsilon) for u in grid_states]
 
-    min_slack = math.inf
-    for a in range(len(grid)):
-        for b in range(a + 1, len(grid)):
-            dt = grid[b] - grid[a]
-            drop = gl_grid[a] - gl_grid[b]
-            quad = norm(grid_states[a] - grid_states[b], g) ** 2 / (2.0 * dt)
-            min_slack = min(min_slack, drop - quad)
     gl_log = [entry.GL for entry in finest.log]
     gl_max_rise = max(
         (later - earlier for earlier, later in zip(gl_log, gl_log[1:])),
@@ -428,24 +421,24 @@ def converge_tau(
     quotient = 0.0
     for earlier, later in zip(finest.states, finest.states[1:]):
         quotient = max(quotient, norm(later - earlier, g) / finest_tau)
-    for a in range(len(grid)):
-        for b in range(a + 1, len(grid)):
-            quotient = max(
-                quotient,
-                norm(grid_states[a] - grid_states[b], g) / (grid[b] - grid[a]),
-            )
 
+    # energy descent, Lipschitz and Hoelder quotients over every grid pair
+    min_slack = math.inf
     hoelder_coefficient = math.sqrt(2.0 * gl_grid[0])
     hoelder_ratio = 0.0
-    for a in range(len(grid)):
-        for b in range(a + 1, len(grid)):
-            distance = norm(grid_states[a] - grid_states[b], g)
-            if distance == 0.0:
-                continue
-            scale = hoelder_coefficient * math.sqrt(grid[b] - grid[a])
-            hoelder_ratio = max(
-                hoelder_ratio, distance / scale if scale > 0 else math.inf
-            )
+    for a, b in itertools.combinations(range(len(grid)), 2):
+        dt = grid[b] - grid[a]
+        distance = norm(grid_states[a] - grid_states[b], g)
+        min_slack = min(
+            min_slack, gl_grid[a] - gl_grid[b] - distance**2 / (2.0 * dt)
+        )
+        quotient = max(quotient, distance / dt)
+        if distance == 0.0:
+            continue
+        scale = hoelder_coefficient * math.sqrt(dt)
+        hoelder_ratio = max(
+            hoelder_ratio, distance / scale if scale > 0 else math.inf
+        )
 
     gaps = []
     bounds = []

@@ -1,0 +1,195 @@
+"""The bisected multiplier solve and the vectorised level grouping against the
+full breakpoint scan and the per-vertex loop they replaced.
+
+Both fast paths evaluate the same floating-point expressions as the code they
+replaced, so every output must match exactly, not to a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from graphphase import random_connected_graph
+from graphphase import scheme
+from graphphase.scheme import GROUP_TOL, ThresholdLevels, threshold_levels
+
+LAMS = (0.25, 0.9, 0.99, 0.999, 0.9999)
+INSTANCES = 1200
+
+
+def loop_threshold_levels(diffused, g, group_tol):
+    """Reference: one pass over the sorted vertices, one level at a time."""
+    order = np.argsort(diffused, kind="stable")
+    labels = np.empty(g.num_vertices, dtype=int)
+    values = []
+    weights = []
+    previous = None
+    for idx in order:
+        x = float(diffused[idx])
+        if previous is None or x - previous > group_tol:
+            values.append(x)
+            weights.append(0.0)
+        labels[idx] = len(values) - 1
+        weights[-1] += g.degrees_r[idx]
+        previous = x
+    return ThresholdLevels(
+        values=np.asarray(values), weights=np.asarray(weights), labels=labels
+    )
+
+
+def scan_solve_profile(levels, target_mass, lam):
+    """Reference: the balance evaluated at every one of the 2L breakpoints.
+
+    Returns the solve and whether it reached the breakpoint scan.  The scan
+    raises IndexError when no breakpoint's balance exceeds the target.
+    """
+    alphas = levels.values
+    weights = levels.weights
+    count = levels.num_levels
+    s = 1.0 - lam
+    total = float(weights.sum())
+
+    if target_mass <= 0.0:
+        lo, hi = float(alphas[-1]), math.inf
+        return (scheme._clip_midpoint(lo, hi, lam), lo, hi, np.zeros(count)), False
+    if target_mass >= total:
+        lo, hi = -math.inf, float(alphas[0]) - s
+        return (scheme._clip_midpoint(lo, hi, lam), lo, hi, np.ones(count)), False
+
+    k, fill = scheme._threshold_fill(levels, target_mass)
+    below_ok = k == 0 or alphas[k] - alphas[k - 1] >= s * fill
+    above_ok = k == count - 1 or alphas[k + 1] - alphas[k] >= s * (1.0 - fill)
+    if below_ok and above_ok:
+        values = scheme._fill_profile(count, k, fill)
+        if fill < 1.0:
+            nu = lo = hi = float(alphas[k] - s * fill)
+        else:
+            lo, hi = float(alphas[k - 1]), float(alphas[k] - s)
+            nu = scheme._clip_midpoint(lo, hi, lam)
+        return (nu, lo, hi, values), False
+
+    def invert(points, rhs, i, m):
+        if rhs[i] == rhs[i + 1] or points[i + 1] == points[i]:
+            return float(points[i + 1] if rhs[i] > m else points[i])
+        t = (rhs[i] - m) / (rhs[i] - rhs[i + 1])
+        return float(points[i] + min(max(t, 0.0), 1.0) * (points[i + 1] - points[i]))
+
+    points = np.sort(np.concatenate([alphas - s, alphas]))
+    rhs = np.array(
+        [float(np.clip((alphas - b) / s, 0.0, 1.0) @ weights) for b in points]
+    )
+    j0 = int(np.argmax(rhs < target_mass))
+    j1 = rhs.size - 1 - int(np.argmax(rhs[::-1] > target_mass))
+    lo = invert(points, rhs, j1, target_mass)
+    hi = invert(points, rhs, j0 - 1, target_mass)
+    hi = max(hi, lo)
+    nu = scheme._clip_midpoint(lo, hi, lam)
+
+    values = np.clip((alphas - nu) / s, 0.0, 1.0)
+    near_zero = values <= scheme.SNAP_TOL
+    near_one = values >= 1.0 - scheme.SNAP_TOL
+    fractional = ~near_zero & ~near_one
+    if fractional.any():
+        values[near_zero] = 0.0
+        values[near_one] = 1.0
+        deficit = target_mass - float(values @ weights)
+        values[fractional] += deficit / float(weights[fractional].sum())
+        np.clip(values, 0.0, 1.0, out=values)
+    return (nu, lo, hi, values), True
+
+
+def _diffused(rng, n, lam):
+    """Values in [0, 1] with exact ties, sub-tolerance chains and clusters.
+
+    Clusters are spread over about ``1 - lam`` so the threshold profile is
+    often inconsistent and the solve has to reach the breakpoint search.
+    """
+    u = rng.uniform(0.0, 1.0, size=n)
+    spread = (1.0 - lam) * rng.uniform(0.5, 4.0)
+    cluster = rng.random(n) < 0.5
+    u[cluster] = 0.5 + spread * rng.random(cluster.sum())
+    ties = rng.random(n) < 0.2
+    u[ties] = rng.choice(u, size=ties.sum())
+    # a chain of gaps just under the tolerance, anywhere in the vector
+    chain = rng.choice(n, size=min(n, int(rng.integers(2, 8))), replace=False)
+    u[chain] = u[chain[0]] + GROUP_TOL * 0.999 * np.arange(chain.size)
+    return u
+
+
+def _ulps_from(x, direction, count):
+    for _ in range(count):
+        x = float(np.nextafter(x, direction))
+    return x
+
+
+def _targets(rng, levels, lam):
+    weights = levels.weights
+    total = float(weights.sum())
+    s = 1.0 - lam
+    # the balance at the first breakpoint, where every level is full, and
+    # the running sum of the weights from the top can both sit an ulp or two
+    # off the plain sum; targets between them reach the breakpoint search
+    first = float(
+        np.clip((levels.values - (levels.values[0] - s)) / s, 0.0, 1.0) @ weights
+    )
+    from_top = float(np.cumsum(weights[::-1])[-1])
+    return [
+        *(total * rng.random(3)),
+        _ulps_from(0.0, 1.0, int(rng.integers(1, 4))),
+        _ulps_from(total, 0.0, int(rng.integers(1, 4))),
+        first,
+        _ulps_from(first, math.inf, 1),
+        _ulps_from(from_top, math.inf, 1),
+    ]
+
+
+@pytest.fixture(scope="module")
+def instances():
+    rng = np.random.default_rng(20261018)
+    graphs = [
+        random_connected_graph(n, rng, r=r)
+        for n, r in [(6, 0.0), (11, 0.5), (17, 1.0), (24, 0.5), (40, 0.0)]
+    ]
+    cases = []
+    for index in range(INSTANCES):
+        g = graphs[index % len(graphs)]
+        lam = LAMS[index // len(graphs) % len(LAMS)]
+        cases.append((g, _diffused(rng, g.num_vertices, lam), lam))
+    return rng, cases
+
+
+def test_threshold_levels_match_loop(instances):
+    _, cases = instances
+    for g, diffused, _ in cases:
+        for group_tol in (GROUP_TOL, 0.0):
+            fast = threshold_levels(diffused, g, group_tol)
+            slow = loop_threshold_levels(diffused, g, group_tol)
+            assert np.array_equal(fast.values, slow.values)
+            assert np.array_equal(fast.weights, slow.weights)
+            assert np.array_equal(fast.labels, slow.labels)
+
+
+def test_solve_profile_matches_scan(instances):
+    rng, cases = instances
+    scanned = degenerate = 0
+    for g, diffused, lam in cases:
+        levels = threshold_levels(diffused, g)
+        for target in _targets(rng, levels, lam):
+            nu, lo, hi, values = scheme._solve_profile(levels, target, lam)
+            try:
+                (ref_nu, ref_lo, ref_hi, ref_values), was_scan = (
+                    scan_solve_profile(levels, target, lam)
+                )
+            except IndexError:
+                # no breakpoint balance above the target: everything is full
+                degenerate += 1
+                assert lo == -math.inf
+                assert hi == float(np.min(levels.values - (1.0 - lam)))
+                assert np.array_equal(values, np.ones(levels.num_levels))
+                continue
+            scanned += was_scan
+            assert (nu, lo, hi) == (ref_nu, ref_lo, ref_hi)
+            assert np.array_equal(values, ref_values)
+    assert scanned >= INSTANCES
+    assert degenerate >= 10

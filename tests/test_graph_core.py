@@ -104,6 +104,12 @@ def test_dirichlet_energy_matches_laplacian_pairing(p2, triangle, random_graphs)
         u = rng.standard_normal(g.num_vertices)
         pairing = 0.5 * inner_product(u, laplacian_apply(u, g), g)
         assert_allclose(dirichlet_energy(u, g), pairing, rtol=1e-10, atol=1e-12)
+        # the per-edge loop it replaced; only the summation order differs
+        loop = 0.0
+        for i, j, w in g.edges:
+            loop += w * (u[i] - u[j]) ** 2
+        assert_allclose(dirichlet_energy(u, g), 0.5 * loop, rtol=1e-12)
+        assert not g.edge_w.flags.writeable
 
 
 def test_spectrum_p2(p2_spectrum):

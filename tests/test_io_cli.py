@@ -300,21 +300,6 @@ def test_oracle_check_reports_pass_count(capsys):
     assert "oracle-check passed 12/12" in capsys.readouterr().out
 
 
-def test_thread_cap_env(tmp_path, monkeypatch, capsys):
-    graph, init = _p2_files(tmp_path)
-    args = ["sweep-lambda", "--graph", graph, "--init", init,
-            "--tau", "0.3", "--lambdas", "0.2,0.5,0.8"]
-    assert cli_main(args + ["--out", str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("GRAPH_PHASE_THREADS", "2")
-    assert cli_main(args + ["--out", str(tmp_path / "capped")]) == 0
-    assert (tmp_path / "serial" / "report.json").read_bytes() == (
-        tmp_path / "capped" / "report.json"
-    ).read_bytes()
-    monkeypatch.setenv("GRAPH_PHASE_THREADS", "zero")
-    assert cli_main(args + ["--out", str(tmp_path / "bad")]) == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
-
-
 def test_write_outputs_rejects_unwritable_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -8,17 +8,21 @@ from numpy.testing import assert_allclose
 
 from graphphase import (
     DomainViolation,
+    GraphTooLarge,
     LambdaIsOne,
     SchemeParams,
     SimplexField,
     TauExceedsEpsilon,
     converge_tau,
+    mbo_step,
     norm,
     run_multiclass_trajectory,
     run_trajectory,
+    semi_discrete_step,
     spectral_decompose,
     sweep_lambda,
 )
+from graphphase import scheme, trajectory
 from graphphase.oracles import random_connected_graph
 
 TAU_P2 = 0.5 * math.log(2.0)
@@ -89,6 +93,34 @@ def test_snapshot_stride_keeps_ends(p2, p2_spectrum):
     assert_allclose(traj.states[0], u0, atol=0)
 
 
+@pytest.mark.parametrize("lam", [0.4, 1.0])
+def test_trajectory_diffuses_each_state_once(monkeypatch, lam):
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(12, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=12)
+    params = SchemeParams.from_lambda(tau=0.3, lam=lam)
+    calls = []
+    diffuse = scheme.diffuse
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return diffuse(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "diffuse", counted)
+    traj = run_trajectory(u0, g, s, params, max_steps=5, fixed_point_tol=-1.0)
+    assert calls == [params.tau] * 6
+    # the shared diffusion gives the steps exactly what their own would
+    monkeypatch.setattr(scheme, "diffuse", diffuse)
+    current = traj.states[0]
+    for state in traj.states[1:]:
+        if lam == 1.0:
+            current = mbo_step(current, g, s, params.tau).u_next
+        else:
+            current = semi_discrete_step(current, g, s, params).u_next
+        assert np.array_equal(state, current)
+
+
 def test_sweep_locks_onto_threshold_step(p2, p2_spectrum):
     rows = sweep_lambda(
         np.array([1.0, 0.0]), p2, p2_spectrum, TAU_P2, [0.9, 0.99, 0.999]
@@ -122,14 +154,12 @@ def test_sweep_distance_decreases_with_lambda():
     distances = [row.sup_distance_to_mbo for row in rows]
     assert distances[-1] <= 1e-12
     assert distances[0] >= distances[-1]
-
-
-def test_sweep_parallel_matches_serial(p2, p2_spectrum):
-    u0 = np.array([0.8, 0.3])
-    lambdas = [0.1, 0.4, 0.7, 0.95]
-    serial = sweep_lambda(u0, p2, p2_spectrum, 0.3, lambdas)
-    parallel = sweep_lambda(u0, p2, p2_spectrum, 0.3, lambdas, max_workers=3)
-    assert serial == parallel
+    # one shared diffusion and grouping gives what separate steps give
+    reference = mbo_step(u0, g, s, 0.35).u_next
+    for lam, distance in zip(lambdas, distances):
+        params = SchemeParams.from_lambda(tau=0.35, lam=lam)
+        out = semi_discrete_step(u0, g, s, params).u_next
+        assert distance == float(np.abs(out - reference).max())
 
 
 def test_sweep_validates_lambda(p2, p2_spectrum):
@@ -168,6 +198,19 @@ def test_converge_tau_edge_self_convergence(p2, p2_spectrum):
     for gap, bound in zip(report.energy_gaps, report.energy_gap_bounds):
         assert gap <= bound + 1e-12
     assert report.energy_gap_bounds[-1] <= 0.6 * report.energy_gap_bounds[0]
+
+
+def test_converge_tau_refuses_decimated_runs(monkeypatch):
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(20, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=20)
+    # the finest run needs 20 * 401 = 8020 state entries
+    monkeypatch.setattr(trajectory, "STATE_BUDGET", 8_000)
+    with pytest.raises(GraphTooLarge):
+        converge_tau(
+            u0, g, s, epsilon=1.0, t_final=1.0, taus=[1e-2, 5e-3, 2.5e-3]
+        )
 
 
 def test_converge_tau_validation(p2, p2_spectrum):
