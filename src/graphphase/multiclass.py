@@ -6,12 +6,16 @@ here have no closed-form solve, so both run a damped fixed-point iteration
 around exact projections and are flagged experimental: every result reports
 its residual and a converged flag instead of assuming success.  The
 mass-conserving variant projects onto the transportation polytope (simplex
-rows with prescribed per-class masses) by Dykstra's alternating corrections,
-which also hand back the per-class constants of the update equation.
+rows with prescribed per-class masses) exactly: the projection has one
+multiplier per class, found by a semismooth Newton solve on the monotone,
+piecewise-linear mass balance, and those multipliers are the per-class
+constants of the update equation.  Dykstra's alternating corrections
+(``oracles._project_masses``) remain as the independent reference.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .errors import (
     DomainViolation,
     InconsistentInputs,
     InfeasibleMasses,
+    NoConvergence,
     RowNotInPi,
 )
 from .graph_core import Graph, Spectrum, diffuse, dirichlet_energy
@@ -38,6 +43,11 @@ ROW_SUM_TOL = 1e-10   # admissible defect of row sums on construction
 SIGMA_TOL = 1e-12     # admissible negative dust for simplex membership
 FP_TOL = 1e-10        # default fixed-point displacement tolerance
 MAX_ITER = 500        # default fixed-point iteration budget
+NEWTON_TOL = 1e-12    # class-mass defect of a projection, relative to 1 + max mass
+NEWTON_MAX_ITER = 50  # Newton steps per projection before NoConvergence
+RIDGE = 1e-9          # Jacobian ridge, relative to the total measure
+CURVATURE = 0.1       # share of the dual's slope, or of the defect, a step ends below
+MAX_LINE_SEARCH = 200 # slope evaluations per Newton step before NoConvergence
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,8 @@ class MultiClassStepResult:
 
     ``converged`` is never assumed: a run that exhausts its iteration budget
     returns its best iterate with ``converged`` false and an honest residual.
+    ``projection_iterations`` counts the Newton steps of the inner mass
+    projections over the whole step (0 for the plain step).
     """
 
     u_next: SimplexField
@@ -103,6 +115,7 @@ class MultiClassStepResult:
     converged: bool
     class_masses_in: np.ndarray
     class_masses_out: np.ndarray
+    projection_iterations: int
 
 
 def _field_values(U: SimplexField, g: Graph) -> np.ndarray:
@@ -169,6 +182,11 @@ def project_rows_to_simplex(matrix: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("expected a 2-D matrix with at least two columns")
     if not np.all(np.isfinite(values)):
         raise DomainViolation("entries must be finite")
+    return _simplex_rows(values)
+
+
+def _simplex_rows(values: np.ndarray) -> np.ndarray:
+    """Unchecked body of :func:`project_rows_to_simplex`."""
     num_classes = values.shape[1]
     dropped = np.sort(values, axis=1)[:, ::-1]
     shifted = (np.cumsum(dropped, axis=1) - 1.0) / np.arange(1, num_classes + 1)
@@ -197,58 +215,159 @@ def _diffuse_columns(values: np.ndarray, tau: float, s: Spectrum) -> np.ndarray:
     )
 
 
-def _project_masses(
-    matrix: np.ndarray,
-    g: Graph,
-    masses: np.ndarray,
-    tol: float = 1e-12,
-    max_rounds: int = 10_000,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest matrix with simplex rows and prescribed class masses.
+def _project_transport(
+    matrix: np.ndarray, weights: np.ndarray, masses: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nearest matrix with simplex rows and prescribed weighted class masses.
 
-    Dykstra's alternating corrections between the per-class mass planes
-    (affine, correction-free) and the row-simplex product (correction
-    carried).  Returns ``(projection, simplex_correction, mass_shifts)``:
-    the projection equals input + shifts - correction up to rounding, which
-    is how the callers split the total correction into the subgradient part
-    and the per-class constants.
+    The nearest point in the ``weights``-weighted norm is
+    ``X_i = P_simplex(Z_i + mu)`` for the K multipliers ``mu`` that zero the
+    mass balance ``F(mu) = X^T weights - masses``.  ``F`` is the negated
+    gradient of the concave dual, monotone and piecewise linear in ``mu``
+    and blind to adding a constant to ``mu``.  Semismooth Newton from the
+    given ``mu``: the generalized Jacobian
+    ``sum_i w_i (diag(a_i) - a_i a_i^T / |S_i|)`` over each row's support
+    ``S_i`` is pinned along the constants by ``11^T`` and kept invertible,
+    even for a class with empty support, by a tiny ridge whose bias one
+    refinement step removes.  The step length comes from
+    :func:`_step_length`; the full step stands whenever the support pattern
+    repeats, since the piece is then affine and the step exact.  Returns
+    ``(projection, mu, newton_steps)`` and raises
+    :class:`~graphphase.errors.NoConvergence` when the budget runs out.
     """
-    total = float(g.degrees_r.sum())
-    x = np.asarray(matrix, dtype=float)
-    correction = np.zeros_like(x)
-    shift_sum = np.zeros(x.shape[1])
-    for _ in range(max_rounds):
-        shifts = (masses - x.T @ g.degrees_r) / total
-        shift_sum += shifts
-        relaxed = x + shifts[None, :] + correction
-        x_new = project_rows_to_simplex(relaxed)
-        correction = relaxed - x_new
-        drift = float(np.abs(x_new - x).max())
-        mass_defect = float(np.abs(masses - x_new.T @ g.degrees_r).max())
-        x = x_new
-        if drift <= tol and mass_defect <= tol * (1.0 + float(np.abs(masses).max())):
+    num_classes = matrix.shape[1]
+    total = float(weights.sum())
+    tol = NEWTON_TOL * (1.0 + float(np.abs(masses).max()))
+    ridge = RIDGE * total * np.eye(num_classes)
+    pin = total / num_classes + ridge
+    spread = float(matrix.max() - matrix.min()) + 1.0
+
+    x = _simplex_rows(matrix + mu)
+    for steps in range(NEWTON_MAX_ITER + 1):
+        balance = x.T @ weights - masses
+        if np.abs(balance).max() <= tol:
+            return x, mu, steps
+        if steps == NEWTON_MAX_ITER:
             break
-    return x, correction, shift_sum
+        support = x > 0.0
+        share = support * (weights / support.sum(axis=1))[:, None]
+        jacobian = np.diag(support.T @ weights) - share.T @ support
+        pinned = jacobian + pin
+        direction = np.linalg.solve(pinned, -balance)
+        # one refinement against the ridge-free system: on a regular piece
+        # the ridge's bias on the step drops from RIDGE to RIDGE squared
+        direction += np.linalg.solve(pinned, -(balance + (pinned - ridge) @ direction))
+        # the ridge makes steps huge in directions no support sees (an empty
+        # class, or classes that share no row); no multiplier needs to move
+        # further than the spread of the data
+        direction *= min(1.0, spread / float(np.abs(direction).max()))
+        t, x = _step_length(matrix, weights, masses, mu, direction, x)
+        mu = mu + t * direction
+    raise NoConvergence(
+        f"mass projection missed its tolerance after {NEWTON_MAX_ITER} Newton "
+        f"steps; defect {np.abs(balance).max():.3e}"
+    )
+
+
+class _Probe(NamedTuple):
+    """A point on the line search's ray: the dual's slope and the defect."""
+
+    t: float
+    rows: np.ndarray
+    slope: float
+    defect: float
+
+
+def _step_length(matrix, weights, masses, mu, direction, x):
+    """Step length along a Newton direction, and the rows it reaches.
+
+    Along the ray the dual's slope ``s(t) = -F(mu + t d) . d`` starts at
+    ``s0 > 0`` and is non-increasing and piecewise linear in ``t``, falling
+    at the rate ``d^T J d`` of the support pattern it crosses.  The full
+    step stands when it cuts the largest mass defect to ``CURVATURE`` of its
+    value, or when its support pattern repeats without the slope staying
+    steep (the piece is then affine and the step exact).  Otherwise a step
+    ends where the slope lies in ``[0, 2c]`` with ``c = CURVATURE * s0 / 2``:
+    the dual has then risen by at least ``c t``.  While the slope stays
+    above that band the step doubles, since a direction the supports do not
+    see, such as raising an empty class, is flat up to its first kink.  Once
+    the band is bracketed, the root of ``s = c`` on the piece at either end
+    is tried first (exact when that piece reaches it), then Illinois regula
+    falsi.  Only slopes are compared, never dual values, whose differences
+    drown in rounding near the optimum.
+    """
+
+    def probe(t, rows=None):
+        if rows is None:
+            rows = _simplex_rows(matrix + (mu + t * direction))
+        balance = rows.T @ weights - masses
+        return _Probe(t, rows, float(-balance @ direction), np.abs(balance).max())
+
+    def fall_rate(rows):
+        support = rows > 0.0
+        along = support @ direction
+        return weights @ (support @ direction**2 - along**2 / support.sum(axis=1))
+
+    lo, here = probe(0.0, x), probe(1.0)
+    target = 0.5 * CURVATURE * lo.slope
+    if here.defect <= CURVATURE * lo.defect or (
+        here.slope <= 2.0 * target and np.array_equal(here.rows > 0.0, x > 0.0)
+    ):
+        return 1.0, here.rows
+    hi = None
+    # regula falsi weights, halved Illinois-style when one end keeps moving
+    w_lo, w_hi = lo.slope - target, 0.0
+    side = 0
+    for _ in range(MAX_LINE_SEARCH):
+        excess = here.slope - target
+        if abs(excess) <= target:
+            return here.t, here.rows
+        if excess > 0.0:
+            lo, w_lo = here, excess
+            w_hi *= 0.5 if side == 1 else 1.0
+            side = 1
+        else:
+            hi, w_hi = here, excess
+            w_lo *= 0.5 if side == -1 else 1.0
+            side = -1
+        if hi is None:
+            here = probe(2.0 * lo.t)
+            continue
+        for end in (lo, hi):
+            rate = fall_rate(end.rows)
+            t = end.t + (end.slope - target) / rate if rate > 0.0 else -1.0
+            if lo.t < t < hi.t:
+                break
+        else:
+            t = lo.t + w_lo * (hi.t - lo.t) / (w_lo - w_hi)
+        if not lo.t < t < hi.t:
+            # the bracket has shrunk to rounding: keep the rise reached so far
+            if lo.t > 0.0:
+                return lo.t, lo.rows
+            break
+        here = probe(t)
+    raise NoConvergence("mass projection line search did not settle")
 
 
 def _fixed_point(project, diffused, lam, max_iter, fp_tol):
     """Damped fixed-point loop shared by both multi-class steps.
 
-    ``project`` maps a matrix to (feasible iterate, correction, constants).
-    Tracks the best iterate by displacement and halves the relaxation weight
-    after two consecutive increases (oscillation); the best iterate, not the
-    last, is what a non-converged run hands back.
+    ``project`` maps a matrix to (feasible iterate, correction, constants,
+    inner iterations).  Tracks the best iterate by displacement and halves
+    the relaxation weight after two consecutive increases (oscillation); the
+    best iterate, not the last, is what a non-converged run hands back.
     """
-    current = project(diffused)[0]
+    current, correction, constants, inner = project(diffused)
     omega = 1.0
     rises = 0
     previous_disp = math.inf
-    best = (math.inf, current, np.zeros_like(current), None)
+    best = (math.inf, current, correction, constants)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         target = diffused + lam * _force(current)
-        proposed, correction, constants = project(target)
+        proposed, correction, constants, spent = project(target)
+        inner += spent
         disp = float(np.abs(proposed - current).max())
         if disp < best[0]:
             best = (disp, proposed, correction, constants)
@@ -264,13 +383,38 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
         previous_disp = disp
         current = current + omega * (proposed - current)
     _, final, correction, constants = best
-    return final, correction, constants, iterations, converged
+    return final, correction, constants, iterations, converged, inner
 
 
 def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.zeros_like(correction)
     return _row_center_exact(-correction / lam)
+
+
+def _solve_step(start, g, s, params, project, max_iter, fp_tol):
+    """Run the fixed point from ``start`` and certify the returned iterate.
+
+    The residual is the sup-norm defect of the update equation at the
+    returned iterate, subgradient and per-class constants included.
+    """
+    diffused = _diffuse_columns(start, params.tau, s)
+    lam = params.lam
+    final, correction, constants, iterations, converged, inner = _fixed_point(
+        project, diffused, lam, max_iter, fp_tol
+    )
+    beta = _subgradient(correction, lam)
+    defect = final - diffused - lam * _force(final) - lam * beta - constants
+    return MultiClassStepResult(
+        u_next=SimplexField(values=final, graph=g),
+        subgradient=beta,
+        residual=float(np.abs(defect).max()),
+        iterations=iterations,
+        converged=converged,
+        class_masses_in=start.T @ g.degrees_r,
+        class_masses_out=final.T @ g.degrees_r,
+        projection_iterations=inner,
+    )
 
 
 def multiclass_step(
@@ -288,29 +432,12 @@ def multiclass_step(
     residual is the sup-norm defect of the update equation at the returned
     iterate, subgradient included.
     """
-    start = _check_start(U_n, g)
-    masses_in = start.T @ g.degrees_r
-    diffused = _diffuse_columns(start, params.tau, s)
-    lam = params.lam
 
     def project(matrix):
         projected = project_rows_to_simplex(matrix)
-        return projected, matrix - projected, None
+        return projected, matrix - projected, 0.0, 0
 
-    final, correction, _, iterations, converged = _fixed_point(
-        project, diffused, lam, max_iter, fp_tol
-    )
-    beta = _subgradient(correction, lam)
-    defect = final - diffused - lam * _force(final) - lam * beta
-    return MultiClassStepResult(
-        u_next=SimplexField(values=final, graph=g),
-        subgradient=beta,
-        residual=float(np.abs(defect).max()),
-        iterations=iterations,
-        converged=converged,
-        class_masses_in=masses_in,
-        class_masses_out=final.T @ g.degrees_r,
-    )
+    return _solve_step(_check_start(U_n, g), g, s, params, project, max_iter, fp_tol)
 
 
 def multiclass_mass_conserving_step(
@@ -324,10 +451,13 @@ def multiclass_mass_conserving_step(
     """One multi-class step keeping every class mass fixed.
 
     The feasible set is the transportation polytope of simplex rows with the
-    input's class masses; each inner solve projects onto it by alternating
-    corrections.  The per-class constants of the update equation come out of
-    the accumulated mass shifts, and the residual checks the full equation,
-    constants included.
+    input's class masses; each inner solve projects onto it exactly by a
+    Newton solve for the K class multipliers.  Those multipliers, centered
+    to sum to zero like the row-centered subgradient they pair with, are the
+    per-class constants of the update equation, and the residual checks the
+    full equation, constants included.  Raises
+    :class:`~graphphase.errors.NoConvergence` if a projection misses its
+    tolerance within ``NEWTON_MAX_ITER`` Newton steps.
     """
     start = _check_start(U_n, g)
     masses_in = start.T @ g.degrees_r
@@ -336,28 +466,14 @@ def multiclass_mass_conserving_step(
         raise InfeasibleMasses(
             f"class masses sum to {masses_in.sum()}, expected {total}"
         )
-    diffused = _diffuse_columns(start, params.tau, s)
-    lam = params.lam
+
+    # successive targets differ little, so each projection starts from the
+    # multipliers of the one before; a single Newton step then usually ends it
+    mu = np.zeros(start.shape[1])
 
     def project(matrix):
-        return _project_masses(matrix, g, masses_in)
+        nonlocal mu
+        projected, mu, steps = _project_transport(matrix, g.degrees_r, masses_in, mu)
+        return projected, matrix + mu - projected, mu - mu.mean(), steps
 
-    final, correction, shifts, iterations, converged = _fixed_point(
-        project, diffused, lam, max_iter, fp_tol
-    )
-    beta = _subgradient(correction, lam)
-    # the accumulated mass shifts, centered so they sum to zero like the
-    # row-centered subgradient they pair with, are the per-class constants
-    if shifts is None:
-        shifts = np.zeros(start.shape[1])
-    constants = shifts - shifts.mean()
-    defect = final - diffused - lam * _force(final) - lam * beta - constants[None, :]
-    return MultiClassStepResult(
-        u_next=SimplexField(values=final, graph=g),
-        subgradient=beta,
-        residual=float(np.abs(defect).max()),
-        iterations=iterations,
-        converged=converged,
-        class_masses_in=masses_in,
-        class_masses_out=final.T @ g.degrees_r,
-    )
+    return _solve_step(start, g, s, params, project, max_iter, fp_tol)

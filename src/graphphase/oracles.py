@@ -4,7 +4,9 @@ Everything here certifies a step by a route that shares no code with the
 piecewise-linear solver it checks: the threshold step against exhaustive
 extreme-point enumeration, the relaxed step against projected gradient
 descent whose feasibility projection runs Dykstra's alternating corrections
-between the box and the mass plane.  A composed fine-step flow serves as the
+between the box and the mass plane, and the multi-class mass projection
+against the same corrections between the row simplices and the class-mass
+planes (Boyle & Dykstra 1986).  A composed fine-step flow serves as the
 reference for time-step refinement studies, and a seeded generator produces
 the random instances the check suites run on.
 """
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import GraphTooLarge, LambdaIsOne, MassOutOfRange, NoConvergence
 from .graph_core import Graph, Spectrum, build_graph, diffuse, inner_product, mass, norm
+from .multiclass import project_rows_to_simplex
 from .scheme import SchemeParams, semi_discrete_step
 
 __all__ = [
@@ -132,6 +135,37 @@ def _project_box_plane(
         if drift <= tol and plane_defect <= tol * (1.0 + abs(target_mass)):
             return x
     raise NoConvergence("feasibility projection did not settle")
+
+
+def _project_masses(
+    matrix: np.ndarray,
+    g: Graph,
+    masses: np.ndarray,
+    tol: float = 1e-12,
+    max_rounds: int = 10_000,
+) -> np.ndarray:
+    """Nearest matrix with simplex rows and prescribed class masses.
+
+    Dykstra's alternating corrections between the per-class mass planes
+    (affine, correction-free) and the row-simplex product (correction
+    carried), in the same ``degrees_r``-weighted metric as the exact
+    multiplier solve in :mod:`graphphase.multiclass` it checks.  Raises
+    :class:`~graphphase.errors.NoConvergence` after ``max_rounds`` rounds.
+    """
+    total = float(g.degrees_r.sum())
+    x = np.asarray(matrix, dtype=float)
+    correction = np.zeros_like(x)
+    for _ in range(max_rounds):
+        shifts = (masses - x.T @ g.degrees_r) / total
+        relaxed = x + shifts[None, :] + correction
+        x_new = project_rows_to_simplex(relaxed)
+        correction = relaxed - x_new
+        drift = float(np.abs(x_new - x).max())
+        mass_defect = float(np.abs(masses - x_new.T @ g.degrees_r).max())
+        x = x_new
+        if drift <= tol and mass_defect <= tol * (1.0 + float(np.abs(masses).max())):
+            return x
+    raise NoConvergence(f"mass projection did not settle in {max_rounds} rounds")
 
 
 def variational_oracle(

@@ -211,12 +211,16 @@ def _threshold_fill(levels: ThresholdLevels, target_mass: float):
 
     Requires ``0 < target_mass <= total``.  Returns ``(k, fill)``: every
     level above ``k`` is full, every level below empty, and level ``k``
-    carries ``fill`` in (0, 1].
+    carries ``fill`` in (0, 1].  ``(0, 1.0)`` is the all-full profile.
     """
     weights = levels.weights
     suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
     # last index whose suffix weight still covers the target
     k = int(np.searchsorted(-suffix[:-1], -target_mass, side="right")) - 1
+    if k < 0:
+        # the running sum can end an ulp below weights.sum(); a target
+        # between the two fills every level
+        return 0, 1.0
     fill = (target_mass - suffix[k + 1]) / weights[k]
     return k, min(fill, 1.0)
 
@@ -279,7 +283,8 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
         if fill < 1.0:
             nu = lo = hi = float(alphas[k] - s * fill)
         else:
-            lo, hi = float(alphas[k - 1]), float(alphas[k] - s)
+            lo = float(alphas[k - 1]) if k else -math.inf
+            hi = float(alphas[k] - s)
             nu = _clip_midpoint(lo, hi, lam)
         return nu, lo, hi, values
 

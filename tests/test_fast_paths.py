@@ -65,7 +65,8 @@ def scan_solve_profile(levels, target_mass, lam):
         if fill < 1.0:
             nu = lo = hi = float(alphas[k] - s * fill)
         else:
-            lo, hi = float(alphas[k - 1]), float(alphas[k] - s)
+            lo = float(alphas[k - 1]) if k else -math.inf
+            hi = float(alphas[k] - s)
             nu = scheme._clip_midpoint(lo, hi, lam)
         return (nu, lo, hi, values), False
 
@@ -129,7 +130,8 @@ def _targets(rng, levels, lam):
     s = 1.0 - lam
     # the balance at the first breakpoint, where every level is full, and
     # the running sum of the weights from the top can both sit an ulp or two
-    # off the plain sum; targets between them reach the breakpoint search
+    # off the plain sum; targets between them reach the breakpoint search or
+    # the all-full clamp of the level fill
     first = float(
         np.clip((levels.values - (levels.values[0] - s)) / s, 0.0, 1.0) @ weights
     )
@@ -191,5 +193,11 @@ def test_solve_profile_matches_scan(instances):
             scanned += was_scan
             assert (nu, lo, hi) == (ref_nu, ref_lo, ref_hi)
             assert np.array_equal(values, ref_values)
+            if lo == -math.inf and target < float(levels.weights.sum()):
+                # a target below the plain sum of the weights that rounding
+                # lets fill every level, as the scan's IndexError case did
+                degenerate += 1
+                assert hi == float(np.min(levels.values - (1.0 - lam)))
+                assert np.array_equal(values, np.ones(levels.num_levels))
     assert scanned >= INSTANCES
     assert degenerate >= 10

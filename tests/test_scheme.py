@@ -33,6 +33,7 @@ from graphphase import (
     step_residual,
     threshold_levels,
 )
+from graphphase import scheme
 
 TAU_P2 = 0.5 * math.log(2.0)  # diffuses (1, 0) to (0.75, 0.25) on the edge graph
 
@@ -508,3 +509,33 @@ def test_relaxed_step_freezes_onto_threshold_step():
             else:
                 agree_from = None
         assert agree_from is not None and agree_from <= 40
+
+
+def test_threshold_fill_clamps_running_sum_gap():
+    # the running sum of the level weights from the top can end an ulp below
+    # their plain sum; a target between the two fills every level, in the
+    # threshold step and in the relaxed solve alike
+    rng = np.random.default_rng(4)
+    in_gap = 0
+    for _ in range(400):
+        g = random_connected_graph(
+            int(rng.integers(5, 60)), rng, r=float(rng.choice([0.0, 0.5, 1.0]))
+        )
+        diffused = rng.uniform(0.0, 1.0, size=g.num_vertices)
+        levels = threshold_levels(diffused, g)
+        running = float(np.cumsum(levels.weights[::-1])[-1])
+        target = float(np.nextafter(running, math.inf))
+        if target >= float(levels.weights.sum()):
+            continue
+        in_gap += 1
+        assert scheme._threshold_fill(levels, target) == (0, 1.0)
+        full = np.ones(levels.num_levels)
+        result = scheme._threshold_from_levels(diffused, levels, target, g, 0.5)
+        assert np.array_equal(result.u_next, np.ones(g.num_vertices))
+        assert result.multiplier.level == 0 and result.multiplier.fill == 1.0
+        for lam in (0.25, 0.9):
+            _, lo, hi, values = scheme._solve_profile(levels, target, lam)
+            assert lo == -math.inf
+            assert hi == float(levels.values[0] - (1.0 - lam))
+            assert np.array_equal(values, full)
+    assert in_gap >= 20
