@@ -5,13 +5,19 @@ eye; all floats are written with 17 significant digits, which round-trips
 float64 exactly.  The driver maps validation problems to exit code 1 and
 numerical failures to exit code 2, and prints a single machine-readable
 JSON line on stderr when it fails.
+
+Each layer checks one thing: argparse checks flags and their types and
+fills the ``RunConfig`` fields directly; ``RunConfig`` checks that each mode
+has what it needs and that counts are in range; the library functions check
+the numerics.  The columns of ``log.csv`` are the fields of ``LogEntry``, in
+order.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from .scheme import (
     semi_discrete_step,
 )
 from .trajectory import (
+    LogEntry,
     Trajectory,
     converge_tau,
     run_multiclass_trajectory,
@@ -56,17 +63,6 @@ __all__ = [
     "cli_main",
     "main",
 ]
-
-MODES = (
-    "sd",
-    "mbo",
-    "multiclass-sd",
-    "multiclass-msd",
-    "sweep-lambda",
-    "converge-tau",
-    "oracle-check",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -91,7 +87,7 @@ class RunConfig:
     instances: int = 20
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in _COMMANDS:
             raise ValueError(f"unknown mode {self.mode!r}")
         needs_files = self.mode != "oracle-check"
         if needs_files:
@@ -111,6 +107,10 @@ class RunConfig:
                 raise ValueError(
                     "converge-tau requires epsilon, t_final, and a tau list"
                 )
+        if self.mode == "oracle-check" and self.instances < 1:
+            raise ValueError(
+                f"oracle-check needs at least one instance, got {self.instances}"
+            )
 
 
 def _tokens(path):
@@ -263,21 +263,8 @@ def write_outputs(result, out_dir: str, mode: str, params: dict) -> list:
         raise IoError(f"cannot create {out_dir}: {exc}") from None
     written = []
     if isinstance(result, Trajectory):
-        lines = ["step,mass,H,H_tau,GL,max_change,multiplier"]
-        for entry in result.log:
-            lines.append(
-                ",".join(
-                    [
-                        str(entry.step),
-                        _fmt(entry.mass),
-                        _fmt(entry.H),
-                        _fmt(entry.H_tau),
-                        _fmt(entry.GL),
-                        _fmt(entry.max_change),
-                        _fmt(entry.multiplier),
-                    ]
-                )
-            )
+        lines = [",".join(LogEntry._fields)]
+        lines += [",".join(_fmt(v) for v in entry) for entry in result.log]
         log_path = os.path.join(out_dir, "log.csv")
         _write_text(log_path, "\n".join(lines) + "\n")
         state_path = os.path.join(out_dir, "final_state.txt")
@@ -308,28 +295,27 @@ def _scheme_params(config: RunConfig) -> SchemeParams:
     return SchemeParams.from_epsilon(epsilon=config.epsilon, tau=config.tau)
 
 
-def _cmd_run(config: RunConfig) -> int:
+def _load(config: RunConfig, num_classes: int | None = None):
+    """Graph, spectrum and start state named by ``config``."""
     g = parse_graph_file(config.graph_path)
     s = spectral_decompose(g)
-    u0 = parse_field_file(config.init_path, g)
+    return g, s, parse_field_file(config.init_path, g, num_classes)
+
+
+def _cmd_run(config: RunConfig) -> int:
+    g, s, u0 = _load(config)
     params = _scheme_params(config)
     trajectory = run_trajectory(
         u0, g, s, params, max_steps=config.steps, group_tol=config.group_tol
     )
-    write_outputs(
-        trajectory,
-        config.output_dir,
-        config.mode,
-        _params_dict(config),
-    )
+    write_outputs(trajectory, config.output_dir, config.mode, _params_dict(config))
     return 0
 
 
 def _cmd_multiclass(config: RunConfig) -> int:
-    g = parse_graph_file(config.graph_path)
-    s = spectral_decompose(g)
-    num_classes = config.num_classes or _infer_classes(config.init_path)
-    field = parse_field_file(config.init_path, g, num_classes)
+    g, s, field = _load(
+        config, config.num_classes or _infer_classes(config.init_path)
+    )
     params = _scheme_params(config)
     trajectory = run_multiclass_trajectory(
         field,
@@ -341,9 +327,7 @@ def _cmd_multiclass(config: RunConfig) -> int:
         max_iter=config.max_iter,
         fp_tol=config.fp_tol,
     )
-    write_outputs(
-        trajectory, config.output_dir, config.mode, _params_dict(config)
-    )
+    write_outputs(trajectory, config.output_dir, config.mode, _params_dict(config))
     if not trajectory.converged:
         _print_error(
             NumericalError(
@@ -356,9 +340,7 @@ def _cmd_multiclass(config: RunConfig) -> int:
 
 
 def _cmd_sweep(config: RunConfig) -> int:
-    g = parse_graph_file(config.graph_path)
-    s = spectral_decompose(g)
-    u0 = parse_field_file(config.init_path, g)
+    g, s, u0 = _load(config)
     rows = sweep_lambda(
         u0, g, s, config.tau, config.lambda_list, group_tol=config.group_tol
     )
@@ -371,9 +353,7 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 
 def _cmd_converge(config: RunConfig) -> int:
-    g = parse_graph_file(config.graph_path)
-    s = spectral_decompose(g)
-    u0 = parse_field_file(config.init_path, g)
+    g, s, u0 = _load(config)
     report = converge_tau(
         u0,
         g,
@@ -383,24 +363,11 @@ def _cmd_converge(config: RunConfig) -> int:
         taus=config.taus,
         grid_points=config.grid_points,
     )
+    # json writes the report's tuples as lists; epsilon and t_final are params
     rows = {
-        "taus": list(report.taus),
-        "step_counts": list(report.step_counts),
-        "grid_times": list(report.grid_times),
-        "matched_distance_matrix": [
-            list(row) for row in report.matched_distance_matrix
-        ],
-        "matched_distances": list(report.matched_distances),
-        "distance_ratios": list(report.distance_ratios),
-        "gl_grid_values": list(report.gl_grid_values),
-        "gl_step_min_slack": report.gl_step_min_slack,
-        "gl_max_rise": report.gl_max_rise,
-        "lipschitz_quotient": report.lipschitz_quotient,
-        "lipschitz_bound": report.lipschitz_bound,
-        "hoelder_ratio": report.hoelder_ratio,
-        "hoelder_coefficient": report.hoelder_coefficient,
-        "energy_gaps": list(report.energy_gaps),
-        "energy_gap_bounds": list(report.energy_gap_bounds),
+        field.name: getattr(report, field.name)
+        for field in fields(report)
+        if field.name not in ("epsilon", "t_final")
     }
     write_outputs(rows, config.output_dir, config.mode, _params_dict(config))
     return 0
@@ -409,7 +376,6 @@ def _cmd_converge(config: RunConfig) -> int:
 def _cmd_oracle_check(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     total = 0
-    passed = 0
     failures = []
     for index in range(config.instances):
         n = int(rng.integers(3, 7))
@@ -420,60 +386,46 @@ def _cmd_oracle_check(config: RunConfig) -> int:
         tau = float(rng.uniform(0.1, 0.6))
         params = SchemeParams.from_lambda(tau=tau, lam=lam)
 
-        total += 1
         step = semi_discrete_step(u0, g, s, params)
         reference = variational_oracle(u0, g, s, params)
-        if np.abs(step.u_next - reference).max() <= 1e-6:
-            passed += 1
-        else:
-            failures.append(f"instance {index}: step disagrees with oracle")
-
-        total += 1
         certificate = dual_certificate(u0, step, g, s, params)
-        if (
-            certificate.gap <= 1e-8 * (1.0 + abs(certificate.primal))
-            and certificate.slack <= 1e-9
-        ):
-            passed += 1
-        else:
-            failures.append(f"instance {index}: duality certificate violated")
-
-        total += 1
         threshold_step = mbo_step(u0, g, s, tau)
         best, _ = mbo_oracle(u0, g, s, tau)
-        diffused = diffuse(u0, tau, s)
-        achieved = inner_product(threshold_step.u_next, diffused, g)
-        if achieved >= best - 1e-10:
-            passed += 1
-        else:
-            failures.append(f"instance {index}: threshold step not optimal")
-    print(f"oracle-check passed {passed}/{total}")
-    if passed != total:
+        achieved = inner_product(threshold_step.u_next, diffuse(u0, tau, s), g)
+        checks = {
+            "step disagrees with oracle": (
+                np.abs(step.u_next - reference).max() <= 1e-6
+            ),
+            "duality certificate violated": (
+                certificate.gap <= 1e-8 * (1.0 + abs(certificate.primal))
+                and certificate.slack <= 1e-9
+            ),
+            "threshold step not optimal": achieved >= best - 1e-10,
+        }
+        total += len(checks)
+        failures += [
+            f"instance {index}: {what}" for what, ok in checks.items() if not ok
+        ]
+    print(f"oracle-check passed {total - len(failures)}/{total}")
+    if failures:
         _print_error(NumericalError("; ".join(failures[:3])))
         return 2
     return 0
 
 
+# fields that name what to run and where, not how: left out of report params
+_NOT_PARAMS = ("mode", "graph_path", "init_path", "output_dir", "instances")
+
+
 def _params_dict(config: RunConfig) -> dict:
-    out = {"seed": config.seed}
-    for name in (
-        "epsilon",
-        "tau",
-        "t_final",
-        "steps",
-        "group_tol",
-        "fp_tol",
-        "max_iter",
-        "num_classes",
-        "grid_points",
-    ):
-        value = getattr(config, name)
-        if value is not None:
-            out[name] = value
-    if config.lambda_list:
-        out["lambdas"] = list(config.lambda_list)
-    if config.taus:
-        out["taus"] = list(config.taus)
+    """Set fields of ``config`` but ``_NOT_PARAMS``; ``lambda_list`` as ``lambdas``."""
+    out = {
+        field.name: getattr(config, field.name)
+        for field in fields(config)
+        if field.name not in _NOT_PARAMS and getattr(config, field.name) is not None
+    }
+    if "lambda_list" in out:
+        out["lambdas"] = out.pop("lambda_list")
     return out
 
 
@@ -492,6 +444,7 @@ def _float_list(raw: str) -> tuple:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags write straight into the ``RunConfig`` field of the same meaning."""
     parser = argparse.ArgumentParser(
         prog="graphphase",
         description=(
@@ -500,17 +453,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, with_out=True):
-        sub.add_argument("--graph", required=True, help="graph file")
-        sub.add_argument("--init", required=True, help="initial state file")
-        if with_out:
-            sub.add_argument("--out", required=True, help="output directory")
+    def add_common(sub):
+        sub.add_argument(
+            "--graph", dest="graph_path", metavar="GRAPH", required=True,
+            help="graph file",
+        )
+        sub.add_argument(
+            "--init", dest="init_path", metavar="INIT", required=True,
+            help="initial state file",
+        )
+        sub.add_argument(
+            "--out", dest="output_dir", metavar="OUT", required=True,
+            help="output directory",
+        )
         sub.add_argument("--seed", type=int, default=0)
+
+    def add_eps(sub, **kwargs):
+        sub.add_argument(
+            "--eps", dest="epsilon", metavar="EPS", type=float, **kwargs
+        )
 
     run = commands.add_parser("run", help="iterate the two-class scheme")
     add_common(run)
     run.add_argument("--mode", choices=["sd", "mbo"], default="sd")
-    run.add_argument("--eps", type=float, help="interface width (sd mode)")
+    add_eps(run, help="interface width (sd mode)")
     run.add_argument("--tau", type=float, required=True)
     run.add_argument("--steps", type=int, required=True)
     run.add_argument("--group-tol", type=float, default=GROUP_TOL)
@@ -522,10 +488,13 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["multiclass-sd", "multiclass-msd"],
         default="multiclass-msd",
     )
-    multi.add_argument("--eps", type=float, required=True)
+    add_eps(multi, required=True)
     multi.add_argument("--tau", type=float, required=True)
     multi.add_argument("--steps", type=int, required=True)
-    multi.add_argument("--classes", type=int, help="class count (inferred)")
+    multi.add_argument(
+        "--classes", dest="num_classes", metavar="CLASSES", type=int,
+        help="class count (inferred)",
+    )
     multi.add_argument("--fp-tol", type=float, default=1e-10)
     multi.add_argument("--max-iter", type=int, default=500)
 
@@ -533,9 +502,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep-lambda", help="distance of the relaxed step to thresholding"
     )
     add_common(sweep)
+    sweep.set_defaults(mode="sweep-lambda")
     sweep.add_argument("--tau", type=float, required=True)
     sweep.add_argument(
-        "--lambdas", type=_float_list, required=True, help="comma-separated"
+        "--lambdas", dest="lambda_list", metavar="LAMBDAS", type=_float_list,
+        required=True, help="comma-separated",
     )
     sweep.add_argument("--group-tol", type=float, default=GROUP_TOL)
 
@@ -543,7 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "converge-tau", help="step-size refinement study"
     )
     add_common(conv)
-    conv.add_argument("--eps", type=float, required=True)
+    conv.set_defaults(mode="converge-tau")
+    add_eps(conv, required=True)
     conv.add_argument("--t-final", type=float, required=True)
     conv.add_argument(
         "--taus", type=_float_list, required=True, help="comma-separated"
@@ -553,64 +525,10 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = commands.add_parser(
         "oracle-check", help="run the built-in random oracle suite"
     )
+    oracle.set_defaults(mode="oracle-check")
     oracle.add_argument("--seed", type=int, default=7)
     oracle.add_argument("--instances", type=int, default=20)
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    if args.command == "run":
-        return RunConfig(
-            mode=args.mode,
-            graph_path=args.graph,
-            init_path=args.init,
-            epsilon=args.eps,
-            tau=args.tau,
-            steps=args.steps,
-            output_dir=args.out,
-            seed=args.seed,
-            group_tol=args.group_tol,
-        )
-    if args.command == "multiclass":
-        return RunConfig(
-            mode=args.mode,
-            graph_path=args.graph,
-            init_path=args.init,
-            epsilon=args.eps,
-            tau=args.tau,
-            steps=args.steps,
-            output_dir=args.out,
-            seed=args.seed,
-            fp_tol=args.fp_tol,
-            max_iter=args.max_iter,
-            num_classes=args.classes,
-        )
-    if args.command == "sweep-lambda":
-        return RunConfig(
-            mode="sweep-lambda",
-            graph_path=args.graph,
-            init_path=args.init,
-            tau=args.tau,
-            lambda_list=args.lambdas,
-            output_dir=args.out,
-            seed=args.seed,
-            group_tol=args.group_tol,
-        )
-    if args.command == "converge-tau":
-        return RunConfig(
-            mode="converge-tau",
-            graph_path=args.graph,
-            init_path=args.init,
-            epsilon=args.eps,
-            t_final=args.t_final,
-            taus=args.taus,
-            output_dir=args.out,
-            seed=args.seed,
-            grid_points=args.grid_points,
-        )
-    return RunConfig(
-        mode="oracle-check", seed=args.seed, instances=args.instances
-    )
 
 
 _COMMANDS = {
@@ -628,11 +546,12 @@ def cli_main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    del options["command"]
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**options)
         return _COMMANDS[config.mode](config)
     except (ValidationError, ValueError) as exc:
         _print_error(exc)

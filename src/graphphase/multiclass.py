@@ -153,10 +153,7 @@ def _force(values: np.ndarray) -> np.ndarray:
     partials = np.empty_like(one_minus)
     for k in range(num_classes):
         partials[:, k] = np.prod(np.delete(one_minus, k, axis=1), axis=1)
-    force = partials - partials.mean(axis=1, keepdims=True)
-    # centering in floats leaves row-sum dust; balance the last class exactly
-    force[:, -1] = -force[:, :-1].sum(axis=1)
-    return force
+    return _row_center_exact(partials)
 
 
 def well_force(U: SimplexField, g: Graph) -> np.ndarray:
@@ -198,6 +195,7 @@ def _simplex_rows(values: np.ndarray) -> np.ndarray:
 
 def _row_center_exact(matrix: np.ndarray) -> np.ndarray:
     out = matrix - matrix.mean(axis=1, keepdims=True)
+    # centering in floats leaves row-sum dust; balance the last class exactly
     out[:, -1] = -out[:, :-1].sum(axis=1)
     return out
 

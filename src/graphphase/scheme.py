@@ -188,8 +188,12 @@ def threshold_levels(
 
     Values whose gap to the previous sorted value is at most ``group_tol``
     join the same level; the level value is the smallest member, so exact
-    ties (the symmetric case) keep their value bit for bit.
+    ties (the symmetric case) keep their value bit for bit.  ``group_tol``
+    must be finite and non-negative: NaN or infinity would merge every
+    vertex into one level, a negative value would split exact ties.
     """
+    if not 0.0 <= group_tol < math.inf:
+        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol}")
     diffused = g.check_field(diffused)
     order = np.argsort(diffused, kind="stable")
     ordered = diffused[order]

@@ -125,13 +125,15 @@ class TauRefinementReport:
     energy_gap_bounds: tuple
 
 
-def _choose_stride(num_vertices: int, max_steps: int, stride) -> int:
+def _choose_stride(entries_per_state: int, max_steps: int, stride) -> int:
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if stride is not None:
         stride = int(stride)
         if stride < 1:
             raise ValueError(f"snapshot stride must be >= 1, got {stride}")
         return stride
-    entries = num_vertices * (max_steps + 1)
+    entries = entries_per_state * (max_steps + 1)
     return max(1, -(-entries // STATE_BUDGET))
 
 
@@ -139,6 +141,39 @@ def _scalar_multiplier(multiplier) -> float:
     if isinstance(multiplier, MboMultiplier):
         return float(multiplier.threshold)
     return float(multiplier)
+
+
+def _iterate(state, entry, advance, params, max_steps, stride, fixed_point_tol):
+    """Step from ``state`` (logged as ``entry``) with ``advance``.
+
+    ``advance(state, step)`` returns the next state, its log entry and
+    whether the step's own solve converged.  The run stops after
+    ``max_steps`` steps or at the first step whose ``max_change`` is at most
+    ``fixed_point_tol``; every ``stride``-th state and the last one are kept.
+    """
+    states = [state]
+    log = [entry]
+    reason = "max_steps"
+    converged = True
+    for step in range(1, max_steps + 1):
+        state, entry, step_converged = advance(state, step)
+        converged = converged and step_converged
+        log.append(entry)
+        if step % stride == 0:
+            states.append(state)
+        if entry.max_change <= fixed_point_tol:
+            reason = "fixed_point"
+            break
+    if log[-1].step % stride != 0:
+        states.append(state)
+    return Trajectory(
+        states=tuple(states),
+        log=tuple(log),
+        params=params,
+        terminated_reason=reason,
+        state_stride=stride,
+        converged=converged,
+    )
 
 
 def run_trajectory(
@@ -158,12 +193,10 @@ def run_trajectory(
     ends the run; the default tolerance is 0 for thresholding (the selection
     rule is deterministic, exact repeats happen) and 1e-12 otherwise.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    stride = _choose_stride(g.num_vertices, max_steps, snapshot_stride)
     current = _check_box(u0, g)
     if fixed_point_tol is None:
         fixed_point_tol = 0.0 if params.lam == 1.0 else 1e-12
-    stride = _choose_stride(g.num_vertices, max_steps, snapshot_stride)
 
     def diagnostics(u):
         # one diffusion per state serves its log entry and the step leaving it
@@ -172,34 +205,24 @@ def run_trajectory(
         return diffused, H, H_tau, ginzburg_landau(u, g, params.epsilon)
 
     diffused, H, H_tau, GL = diagnostics(current)
-    states = [current.copy()]
-    log = [LogEntry(0, float(mass(current, g)), H, H_tau, GL, None, None)]
-    reason = "max_steps"
-    for step in range(1, max_steps + 1):
+
+    def advance(u, step):
+        nonlocal diffused
         if params.lam == 1.0:
-            result = mbo_step(current, g, s, params.tau, group_tol, diffused=diffused)
+            result = mbo_step(u, g, s, params.tau, group_tol, diffused=diffused)
         else:
             result = semi_discrete_step(
-                current, g, s, params, group_tol=group_tol, diffused=diffused
+                u, g, s, params, group_tol=group_tol, diffused=diffused
             )
-        change = float(np.abs(result.u_next - current).max())
-        current = result.u_next
-        diffused, H, H_tau, GL = diagnostics(current)
+        change = float(np.abs(result.u_next - u).max())
+        diffused, H, H_tau, GL = diagnostics(result.u_next)
         multiplier = _scalar_multiplier(result.multiplier)
-        log.append(LogEntry(step, result.mass_out, H, H_tau, GL, change, multiplier))
-        if step % stride == 0:
-            states.append(current.copy())
-        if change <= fixed_point_tol:
-            reason = "fixed_point"
-            break
-    if log[-1].step % stride != 0:
-        states.append(current.copy())
-    return Trajectory(
-        states=tuple(states),
-        log=tuple(log),
-        params=params,
-        terminated_reason=reason,
-        state_stride=stride,
+        entry = LogEntry(step, result.mass_out, H, H_tau, GL, change, multiplier)
+        return result.u_next, entry, True
+
+    entry = LogEntry(0, float(mass(current, g)), H, H_tau, GL, None, None)
+    return _iterate(
+        current, entry, advance, params, max_steps, stride, fixed_point_tol
     )
 
 
@@ -222,52 +245,22 @@ def run_multiclass_trajectory(
     inner fixed-point solve missed its tolerance (the run still continues
     with the best iterate, which keeps the log honest).
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    stepper = multiclass_mass_conserving_step if conserve_masses else multiclass_step
-    stride = _choose_stride(g.num_vertices * U0.num_classes, max_steps, snapshot_stride)
-    current = U0
-    _, GL = multi_obstacle_energy(current, g, params.epsilon)
-    states = [current]
-    log = [
-        LogEntry(0, float(current.class_masses().sum()), None, None, GL, None, None)
-    ]
-    reason = "max_steps"
-    all_converged = True
-    for step in range(1, max_steps + 1):
-        result = stepper(
-            current, g, s, params, max_iter=max_iter, fp_tol=fp_tol
-        )
-        all_converged = all_converged and result.converged
-        change = float(np.abs(result.u_next.values - current.values).max())
-        current = result.u_next
-        _, GL = multi_obstacle_energy(current, g, params.epsilon)
-        log.append(
-            LogEntry(
-                step,
-                float(result.class_masses_out.sum()),
-                None,
-                None,
-                GL,
-                change,
-                None,
-            )
-        )
-        if step % stride == 0:
-            states.append(current)
-        if change <= fixed_point_tol:
-            reason = "fixed_point"
-            break
-    if log[-1].step % stride != 0:
-        states.append(current)
-    return Trajectory(
-        states=tuple(states),
-        log=tuple(log),
-        params=params,
-        terminated_reason=reason,
-        state_stride=stride,
-        converged=all_converged,
+    stride = _choose_stride(
+        g.num_vertices * U0.num_classes, max_steps, snapshot_stride
     )
+    stepper = multiclass_mass_conserving_step if conserve_masses else multiclass_step
+
+    def advance(U, step):
+        result = stepper(U, g, s, params, max_iter=max_iter, fp_tol=fp_tol)
+        change = float(np.abs(result.u_next.values - U.values).max())
+        _, GL = multi_obstacle_energy(result.u_next, g, params.epsilon)
+        masses = float(result.class_masses_out.sum())
+        entry = LogEntry(step, masses, None, None, GL, change, None)
+        return result.u_next, entry, result.converged
+
+    _, GL = multi_obstacle_energy(U0, g, params.epsilon)
+    entry = LogEntry(0, float(U0.class_masses().sum()), None, None, GL, None, None)
+    return _iterate(U0, entry, advance, params, max_steps, stride, fixed_point_tol)
 
 
 def sweep_lambda(

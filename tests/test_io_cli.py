@@ -235,6 +235,86 @@ def test_converge_report_distance_matrix(tmp_path):
     assert all(len(line) == len(rows["grid_times"]) for line in matrix)
     assert rows["matched_distances"] == [max(line) for line in matrix]
     assert len(rows["distance_ratios"]) == 1
+    assert set(rows) == {
+        "taus",
+        "step_counts",
+        "grid_times",
+        "matched_distance_matrix",
+        "matched_distances",
+        "distance_ratios",
+        "gl_grid_values",
+        "gl_step_min_slack",
+        "gl_max_rise",
+        "lipschitz_quotient",
+        "lipschitz_bound",
+        "hoelder_ratio",
+        "hoelder_coefficient",
+        "energy_gaps",
+        "energy_gap_bounds",
+    }
+
+
+def test_sweep_report_params_carry_the_flags(tmp_path):
+    graph, init = _p2_files(tmp_path)
+    out = tmp_path / "sweep"
+    code = cli_main([
+        "sweep-lambda", "--graph", graph, "--init", init, "--seed", "11",
+        "--tau", "0.3", "--lambdas", "0.5,0.9", "--group-tol", "1e-9",
+        "--out", str(out),
+    ])
+    assert code == 0
+    params = json.loads((out / "report.json").read_text())["params"]
+    assert params == {
+        "seed": 11,
+        "tau": 0.3,
+        "lambdas": [0.5, 0.9],
+        "group_tol": 1e-9,
+        "fp_tol": 1e-10,
+        "max_iter": 500,
+        "grid_points": 9,
+    }
+
+
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("group_tol", ["nan", "inf", "-0.001"])
+def test_cli_rejects_bad_group_tol(tmp_path, capsys, group_tol):
+    graph, init = _p2_files(tmp_path)
+    common = ["--graph", graph, "--init", init, "--tau", "0.3",
+              "--group-tol", group_tol, "--out", str(tmp_path / "o")]
+    assert cli_main(["run", *common, "--eps", "1.0", "--steps", "2"]) == 1
+    assert _last_error(capsys)["error"] == "ValueError"
+    assert cli_main(["run", *common, "--mode", "mbo", "--steps", "2"]) == 1
+    assert _last_error(capsys)["error"] == "ValueError"
+    assert cli_main(["sweep-lambda", *common, "--lambdas", "0.5"]) == 1
+    assert "group_tol" in _last_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_cli_rejects_empty_oracle_check(capsys, instances):
+    assert cli_main(["oracle-check", "--instances", instances]) == 1
+    captured = capsys.readouterr()
+    assert "passed" not in captured.out
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "instance" in err["message"]
+    with pytest.raises(ValueError):
+        RunConfig(mode="oracle-check", instances=0)
+
+
+def test_cli_classes_flag_sets_the_state_width(tmp_path, capsys):
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "0 0.7 0.2 0.1\n1 0.3 0.4 0.3\n2 0.1 0.2 0.7\n")
+    args = ["multiclass", "--graph", graph, "--init", init, "--eps", "0.4",
+            "--tau", "0.2", "--steps", "1"]
+    assert cli_main(args + ["--classes", "3", "--out", str(tmp_path / "a")]) == 0
+    assert cli_main(args + ["--classes", "2", "--out", str(tmp_path / "b")]) == 1
+    err = _last_error(capsys)
+    assert err["error"] == "ParseError"
+    assert "2 value(s)" in err["message"]
+    assert not (tmp_path / "b").exists()
 
 
 def test_cli_missing_graph_flag_shows_usage(tmp_path, capsys):

@@ -92,6 +92,23 @@ def test_threshold_levels_tolerance_keeps_smallest_member(triangle_r1):
     assert coarse.num_levels == 2
 
 
+@pytest.mark.parametrize("group_tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_bad_group_tol_is_rejected(triangle_r1, group_tol):
+    # NaN and infinity would merge every vertex into one level (the step
+    # then returns the constant average); a negative value splits exact ties
+    g = triangle_r1
+    s = spectral_decompose(g)
+    u = np.array([0.9, 0.9, 0.3])
+    with pytest.raises(ValueError, match="group_tol"):
+        threshold_levels(u, g, group_tol)
+    params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
+    with pytest.raises(ValueError, match="group_tol"):
+        semi_discrete_step(u, g, s, params, group_tol=group_tol)
+    with pytest.raises(ValueError, match="group_tol"):
+        mbo_step(u, g, s, 0.3, group_tol)
+    assert threshold_levels(u, g, 0.0).num_levels == 2
+
+
 def test_threshold_levels_strictly_ascending(random_graphs_with_spectra):
     rng = np.random.default_rng(3)
     for g, s in random_graphs_with_spectra:
