@@ -82,7 +82,7 @@ class TauExceedsEpsilon(ValidationError):
 # -- oracles and iterations --------------------------------------------------
 
 class GraphTooLarge(ValidationError):
-    """Brute-force enumeration guard tripped."""
+    """Input exceeds a documented size limit; raised before any work."""
 
 
 class EigensolverFailure(NumericalError):

@@ -9,8 +9,10 @@ degree and ``r`` is a fixed exponent in [0, 1] chosen at graph construction:
 The graph Laplacian is ``(L u)_i = d_i**-r * sum_j w_ij (u_i - u_j)``.  It is
 self-adjoint and positive semi-definite in this inner product, its kernel on a
 connected graph is the constants, and the heat semigroup ``exp(-tL)`` it
-generates conserves ``<u, 1>``.  Spectral data is computed once per graph via
-a dense symmetric eigendecomposition and reused by every diffusion call.
+generates conserves ``<u, 1>``.  A graph is stored only as its edge arrays.
+Spectral data is computed once per graph via a dense symmetric
+eigendecomposition, the one n-by-n computation, and reused by every
+diffusion call.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ from .errors import (
     DomainViolation,
     DuplicateEdge,
     EigensolverFailure,
+    GraphTooLarge,
     IndexOutOfRange,
     NegativeTime,
     NonPositiveWeight,
@@ -43,24 +46,29 @@ __all__ = [
     "diffuse",
 ]
 
+# The dense eigendecomposition holds about five n-by-n float64 arrays at once
+# (the symmetric conjugate, the eigensolver's copy and workspace, and the
+# eigenvectors), ~40 n**2 bytes: 4 GB at this limit, half of an 8 GB machine.
+DENSE_VERTEX_LIMIT = 10_000
+
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable weighted graph with cached degree powers.
+    """Immutable weighted graph, stored as its edge arrays.
 
     Attributes:
         num_vertices: number of vertices, at least 2.
         r: vertex-weight exponent in [0, 1].
-        weights: dense symmetric weight matrix, zero diagonal.
-        degrees: weighted degrees ``weights.sum(axis=1)``, all positive.
+        degrees: weighted degrees, the sum of ``edge_w`` over the edges at
+            each vertex; all positive.
         degrees_r: cached ``degrees**r`` (the vertex measure).
         edge_i, edge_j, edge_w: the edges in canonical order, ``i < j``
-            ascending, as arrays of endpoints and weights.
+            ascending, as arrays of endpoints and weights.  They are the only
+            copy of the edges.
     """
 
     num_vertices: int
     r: float
-    weights: np.ndarray
     degrees: np.ndarray
     degrees_r: np.ndarray
     edge_i: np.ndarray = field(repr=False)
@@ -93,66 +101,71 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     positive weight.  Orientation of each pair is irrelevant; repeating a pair
     is an error.  The graph must come out connected because the diffusion
     kernel and the constant-eigenvector normalization both assume a simple
-    zero eigenvalue.
+    zero eigenvalue.  The checks run by category over all edges: endpoints in
+    range, then self loops, then weights, then duplicates; each names the
+    first offending edge in input order.
     """
     if num_vertices < 2:
         raise ValueError("a graph needs at least 2 vertices")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
 
-    w = np.zeros((num_vertices, num_vertices))
-    canonical = []
-    for entry in edges:
-        i, j, weight = int(entry[0]), int(entry[1]), float(entry[2])
-        if not (0 <= i < num_vertices and 0 <= j < num_vertices):
-            raise IndexOutOfRange(f"edge ({i}, {j}) outside 0..{num_vertices - 1}")
-        if i == j:
-            raise SelfLoop(f"self loop at vertex {i}")
-        if weight <= 0 or not np.isfinite(weight):
-            raise NonPositiveWeight(f"edge ({i}, {j}) has weight {weight}")
-        key = (min(i, j), max(i, j))
-        if w[i, j] != 0.0:
-            raise DuplicateEdge(f"edge {key} listed twice")
-        canonical.append((key[0], key[1], weight))
-        w[i, j] = weight
-        w[j, i] = weight
+    i, j, w = np.array(list(edges) or np.empty((0, 3)), dtype=float).T
+    in_range = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < num_vertices)
+    for bad, error, message in (
+        (~in_range, IndexOutOfRange, "edge ({i:.17g}, {j:.17g}) outside 0..{last}"),
+        (i == j, SelfLoop, "self loop at vertex {i:.17g}"),
+        (~((w > 0) & np.isfinite(w)), NonPositiveWeight,
+         "edge ({i:.17g}, {j:.17g}) has weight {w}"),
+    ):
+        if bad.any():
+            k = int(bad.argmax())
+            raise error(message.format(i=i[k], j=j[k], w=w[k], last=num_vertices - 1))
 
-    _check_connected(w)
+    lo, hi = np.minimum(i, j).astype(np.int64), np.maximum(i, j).astype(np.int64)
+    order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first
+    repeat = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
+    if repeat.any():
+        k = int(order[1:][repeat].min())
+        raise DuplicateEdge(f"edge ({lo[k]}, {hi[k]}) listed twice")
+    lo, hi, w = lo[order], hi[order], w[order]
 
-    degrees = w.sum(axis=1)
-    canonical.sort()
+    # each edge in both directions: tails[k] is a neighbour of heads[k]
+    heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    _check_connected(num_vertices, heads, tails)
+    degrees = np.bincount(heads, np.concatenate([w, w]), num_vertices)
     graph = Graph(
         num_vertices=num_vertices,
         r=float(r),
-        weights=w,
         degrees=degrees,
         degrees_r=degrees**r,
-        edge_i=np.array([e[0] for e in canonical], dtype=int),
-        edge_j=np.array([e[1] for e in canonical], dtype=int),
-        edge_w=np.array([e[2] for e in canonical], dtype=float),
+        edge_i=lo,
+        edge_j=hi,
+        edge_w=w,
     )
-    for arr in (graph.weights, graph.degrees, graph.degrees_r, graph.edge_i,
-                graph.edge_j, graph.edge_w):
+    for arr in (graph.degrees, graph.degrees_r, graph.edge_i, graph.edge_j,
+                graph.edge_w):
         arr.setflags(write=False)
     return graph
 
 
-def _check_connected(w: np.ndarray) -> None:
-    n = w.shape[0]
-    seen = np.zeros(n, dtype=bool)
+def _check_connected(n: int, heads: np.ndarray, tails: np.ndarray) -> None:
+    """Depth-first search from vertex 0 over an adjacency list, O(n + E)."""
+    neighbours = tails[np.argsort(heads, kind="stable")].tolist()
+    starts = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
+    starts = starts.tolist()
+    seen = bytearray(n)
+    seen[0] = 1
     stack = [0]
-    seen[0] = True
     while stack:
-        i = stack.pop()
-        for j in np.nonzero(w[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    if not seen.all():
-        missing = np.nonzero(~seen)[0]
-        raise DisconnectedGraph(
-            f"vertices {missing.tolist()} unreachable from vertex 0"
-        )
+        v = stack.pop()
+        for u in neighbours[starts[v]:starts[v + 1]]:
+            if not seen[u]:
+                seen[u] = 1
+                stack.append(u)
+    if 0 in seen:
+        missing = [v for v in range(n) if not seen[v]]
+        raise DisconnectedGraph(f"vertices {missing} unreachable from vertex 0")
 
 
 def inner_product(u: np.ndarray, v: np.ndarray, g: Graph) -> float:
@@ -182,14 +195,17 @@ def average(u: np.ndarray, g: Graph) -> float:
 def laplacian_apply(u: np.ndarray, g: Graph) -> np.ndarray:
     """Apply the graph Laplacian ``d**-r (D - W)`` to a vertex function."""
     u = g.check_field(u)
-    return (g.degrees * u - g.weights @ u) / g.degrees_r
+    flow = g.edge_w * (u[g.edge_i] - u[g.edge_j])  # out of edge_i, into edge_j
+    n = g.num_vertices
+    outflow = np.bincount(g.edge_i, flow, n) - np.bincount(g.edge_j, flow, n)
+    return outflow / g.degrees_r
 
 
 def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
     """Smoothness energy ``(1/4) sum_ij w_ij (u_i - u_j)**2``.
 
-    Computed from the edge list rather than through the Laplacian so the two
-    routes cross-check each other: the value equals ``<u, Lu> / 2``.
+    Summed once per edge; the value equals ``<u, Lu> / 2``, which the tests
+    check against :func:`laplacian_apply`.
     """
     u = g.check_field(u)
     diff = u[g.edge_i] - u[g.edge_j]
@@ -200,14 +216,15 @@ def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
 class Spectrum:
     """Eigendecomposition of the graph Laplacian.
 
-    ``vectors[:, k]`` is the k-th eigenvector, orthonormal in the weighted
-    inner product; ``eigenvalues`` ascend and start at exactly 0.  ``phi``
-    holds the eigenvectors of the symmetrized matrix together with the
-    ``degrees**(r/2)`` scalings, which is all :func:`diffuse` needs.
+    ``eigenvalues`` ascend and start at exactly 0.  ``phi`` holds the
+    orthonormal eigenvectors of the symmetric conjugate
+    ``d**(-r/2) (D - W) d**(-r/2)``; together with the ``degrees**(r/2)``
+    scalings that is all :func:`diffuse` needs.  The Laplacian's own
+    eigenvectors, orthonormal in the weighted inner product, are
+    ``scale_back[:, None] * phi``.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
     phi: np.ndarray = field(repr=False)
     scale_fwd: np.ndarray = field(repr=False)   # degrees**(r/2)
     scale_back: np.ndarray = field(repr=False)  # degrees**(-r/2)
@@ -221,16 +238,24 @@ def spectral_decompose(g: Graph) -> Spectrum:
     """Diagonalize the Laplacian through its symmetric conjugate.
 
     ``d**(-r/2) (D - W) d**(-r/2)`` is symmetric positive semi-definite and
-    shares eigenvalues with the Laplacian; back-scaling the orthonormal
-    eigenvectors by ``d**(-r/2)`` makes them orthonormal in the weighted
-    inner product.  Eigenvalues within ``1e-12 * max`` of zero are snapped to
+    shares eigenvalues with the Laplacian; it is assembled from the edge
+    arrays.  Eigenvalues within ``1e-12 * max`` of zero are snapped to
     exactly zero so the diffusion semigroup fixes constants for every t.
+    Above ``DENSE_VERTEX_LIMIT`` vertices it raises ``GraphTooLarge`` first.
     """
+    n = g.num_vertices
+    if n > DENSE_VERTEX_LIMIT:
+        raise GraphTooLarge(
+            f"dense eigendecomposition of {n} vertices exceeds the limit of "
+            f"{DENSE_VERTEX_LIMIT}"
+        )
     half = g.degrees ** (0.5 * g.r)
     inv_half = 1.0 / half
-    lap = np.diag(g.degrees) - g.weights
-    sym = inv_half[:, None] * lap * inv_half[None, :]
-    sym = 0.5 * (sym + sym.T)
+    sym = np.zeros((n, n))
+    coupling = -g.edge_w * inv_half[g.edge_i] * inv_half[g.edge_j]
+    sym[g.edge_i, g.edge_j] = coupling
+    sym[g.edge_j, g.edge_i] = coupling
+    np.fill_diagonal(sym, inv_half * g.degrees * inv_half)
     try:
         eigenvalues, phi = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -239,17 +264,15 @@ def spectral_decompose(g: Graph) -> Spectrum:
         raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
 
     mu_max = float(eigenvalues[-1])
-    eigenvalues = eigenvalues.copy()
     eigenvalues[np.abs(eigenvalues) <= 1e-12 * max(mu_max, 1.0)] = 0.0
 
     spectrum = Spectrum(
         eigenvalues=eigenvalues,
-        vectors=inv_half[:, None] * phi,
         phi=phi,
         scale_fwd=half,
         scale_back=inv_half,
     )
-    for arr in (spectrum.eigenvalues, spectrum.vectors, spectrum.phi):
+    for arr in (spectrum.eigenvalues, spectrum.phi):
         arr.setflags(write=False)
     return spectrum
 

@@ -302,17 +302,17 @@ def _load(config: RunConfig, num_classes: int | None = None):
     return g, s, parse_field_file(config.init_path, g, num_classes)
 
 
-def _cmd_run(config: RunConfig) -> int:
+def _cmd_run(config: RunConfig, report_params: dict) -> int:
     g, s, u0 = _load(config)
     params = _scheme_params(config)
     trajectory = run_trajectory(
         u0, g, s, params, max_steps=config.steps, group_tol=config.group_tol
     )
-    write_outputs(trajectory, config.output_dir, config.mode, _params_dict(config))
+    write_outputs(trajectory, config.output_dir, config.mode, report_params)
     return 0
 
 
-def _cmd_multiclass(config: RunConfig) -> int:
+def _cmd_multiclass(config: RunConfig, report_params: dict) -> int:
     g, s, field = _load(
         config, config.num_classes or _infer_classes(config.init_path)
     )
@@ -327,7 +327,7 @@ def _cmd_multiclass(config: RunConfig) -> int:
         max_iter=config.max_iter,
         fp_tol=config.fp_tol,
     )
-    write_outputs(trajectory, config.output_dir, config.mode, _params_dict(config))
+    write_outputs(trajectory, config.output_dir, config.mode, report_params)
     if not trajectory.converged:
         _print_error(
             NumericalError(
@@ -339,7 +339,7 @@ def _cmd_multiclass(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: RunConfig, report_params: dict) -> int:
     g, s, u0 = _load(config)
     rows = sweep_lambda(
         u0, g, s, config.tau, config.lambda_list, group_tol=config.group_tol
@@ -348,11 +348,11 @@ def _cmd_sweep(config: RunConfig) -> int:
         _fmt(row.lam): {"sup_distance_to_mbo": row.sup_distance_to_mbo}
         for row in rows
     }
-    write_outputs(table, config.output_dir, config.mode, _params_dict(config))
+    write_outputs(table, config.output_dir, config.mode, report_params)
     return 0
 
 
-def _cmd_converge(config: RunConfig) -> int:
+def _cmd_converge(config: RunConfig, report_params: dict) -> int:
     g, s, u0 = _load(config)
     report = converge_tau(
         u0,
@@ -369,11 +369,11 @@ def _cmd_converge(config: RunConfig) -> int:
         for field in fields(report)
         if field.name not in ("epsilon", "t_final")
     }
-    write_outputs(rows, config.output_dir, config.mode, _params_dict(config))
+    write_outputs(rows, config.output_dir, config.mode, report_params)
     return 0
 
 
-def _cmd_oracle_check(config: RunConfig) -> int:
+def _cmd_oracle_check(config: RunConfig, report_params: dict) -> int:
     rng = np.random.default_rng(config.seed)
     total = 0
     failures = []
@@ -414,15 +414,15 @@ def _cmd_oracle_check(config: RunConfig) -> int:
 
 
 # fields that name what to run and where, not how: left out of report params
-_NOT_PARAMS = ("mode", "graph_path", "init_path", "output_dir", "instances")
+_NOT_PARAMS = ("mode", "graph_path", "init_path", "output_dir")
 
 
-def _params_dict(config: RunConfig) -> dict:
-    """Set fields of ``config`` but ``_NOT_PARAMS``; ``lambda_list`` as ``lambdas``."""
+def _params_dict(options: dict) -> dict:
+    """The command's own flags that have a value, but ``_NOT_PARAMS``."""
     out = {
-        field.name: getattr(config, field.name)
-        for field in fields(config)
-        if field.name not in _NOT_PARAMS and getattr(config, field.name) is not None
+        name: value
+        for name, value in options.items()
+        if name not in _NOT_PARAMS and value is not None
     }
     if "lambda_list" in out:
         out["lambdas"] = out.pop("lambda_list")
@@ -552,7 +552,7 @@ def cli_main(argv=None) -> int:
     del options["command"]
     try:
         config = RunConfig(**options)
-        return _COMMANDS[config.mode](config)
+        return _COMMANDS[config.mode](config, _params_dict(options))
     except (ValidationError, ValueError) as exc:
         _print_error(exc)
         return 1

@@ -181,6 +181,11 @@ def _check_box(u: np.ndarray, g: Graph) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
+def _check_group_tol(group_tol: float) -> None:
+    if not 0.0 <= group_tol < math.inf:
+        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol}")
+
+
 def threshold_levels(
     diffused: np.ndarray, g: Graph, group_tol: float = GROUP_TOL
 ) -> ThresholdLevels:
@@ -192,8 +197,7 @@ def threshold_levels(
     must be finite and non-negative: NaN or infinity would merge every
     vertex into one level, a negative value would split exact ties.
     """
-    if not 0.0 <= group_tol < math.inf:
-        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol}")
+    _check_group_tol(group_tol)
     diffused = g.check_field(diffused)
     order = np.argsort(diffused, kind="stable")
     ordered = diffused[order]

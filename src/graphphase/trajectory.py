@@ -29,6 +29,7 @@ from .scheme import (
     MboMultiplier,
     SchemeParams,
     _check_box,
+    _check_group_tol,
     _diffused_state,
     _relaxed_from_levels,
     _threshold_from_levels,
@@ -194,6 +195,7 @@ def run_trajectory(
     rule is deterministic, exact repeats happen) and 1e-12 otherwise.
     """
     stride = _choose_stride(g.num_vertices, max_steps, snapshot_stride)
+    _check_group_tol(group_tol)
     current = _check_box(u0, g)
     if fixed_point_tol is None:
         fixed_point_tol = 0.0 if params.lam == 1.0 else 1e-12
@@ -278,6 +280,7 @@ def sweep_lambda(
     thresholding output exactly.  Rows keep the input order.  All steps
     start from ``u0``, so its diffusion and level grouping are done once.
     """
+    _check_group_tol(group_tol)
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
         if lam >= 1.0:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +10,7 @@ from graphphase import (
     DisconnectedGraph,
     DomainViolation,
     DuplicateEdge,
+    GraphTooLarge,
     IndexOutOfRange,
     NegativeTime,
     NonPositiveWeight,
@@ -21,6 +25,20 @@ from graphphase import (
     norm,
     spectral_decompose,
 )
+from graphphase.graph_core import DENSE_VERTEX_LIMIT
+
+
+def _dense_weights(g):
+    """Reference dense weight matrix, assembled entry by entry from the edges."""
+    w = np.zeros((g.num_vertices, g.num_vertices))
+    for i, j, weight in g.edges:
+        w[i, j] = weight
+        w[j, i] = weight
+    return w
+
+
+def _path_edges(n):
+    return [(v, v + 1, 1.0) for v in range(n - 1)]
 
 
 def test_build_graph_rejects_bad_edges():
@@ -32,21 +50,68 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(0, 1, 0.0), (1, 2, 1.0)])
     with pytest.raises(IndexOutOfRange):
         build_graph(3, [(0, 3, 1.0), (1, 2, 1.0)])
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(IndexOutOfRange, match=r"edge \(-1, 2\)"):
+        build_graph(3, [(0, 1, 1.0), (-1, 2, 1.0)])
+    with pytest.raises(NonPositiveWeight, match="nan"):
+        build_graph(3, [(0, 1, np.nan), (1, 2, 1.0)])
+    with pytest.raises(NonPositiveWeight, match="inf"):
+        build_graph(3, [(0, 1, 1.0), (1, 2, np.inf)])
+    with pytest.raises(DuplicateEdge, match=r"edge \(0, 1\) listed twice"):
         build_graph(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)])
-    with pytest.raises(DisconnectedGraph):
+    # the first edge listed again, in input order, is the one reported
+    with pytest.raises(DuplicateEdge, match=r"edge \(1, 2\) listed twice"):
+        build_graph(3, [(1, 2, 1.0), (0, 1, 1.0), (2, 1, 1.0), (1, 0, 1.0)])
+    with pytest.raises(DisconnectedGraph, match=r"vertices \[2, 3\] unreachable"):
         build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(DisconnectedGraph, match=r"vertices \[1, 2\] unreachable"):
+        build_graph(3, [])
+    # checks go by category over all edges: a bad endpoint anywhere is
+    # reported before a bad weight on an earlier edge
+    with pytest.raises(IndexOutOfRange):
+        build_graph(3, [(0, 1, -1.0), (1, 5, 1.0)])
+    with pytest.raises(ValueError):
+        build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         build_graph(1, [])
     with pytest.raises(ValueError):
         build_graph(2, [(0, 1, 1.0)], r=1.5)
 
 
-def test_degrees(triangle_r1):
+def test_degrees(triangle_r1, random_graphs):
     assert_allclose(triangle_r1.degrees, [2.0, 2.0, 2.0])
     assert_allclose(triangle_r1.degrees_r, [2.0, 2.0, 2.0])
     g = build_graph(2, [(0, 1, 4.0)], r=0.5)
     assert_allclose(g.degrees_r, [2.0, 2.0])
+    for g in random_graphs:
+        assert_allclose(g.degrees, _dense_weights(g).sum(axis=1), rtol=1e-15)
+
+
+def test_build_graph_is_linear_in_the_edges():
+    # a dense n-by-n matrix here would take 3.2 GB and many seconds
+    edges = _path_edges(20_001)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        g = build_graph(20_001, edges)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_i.shape == (20_000,)
+    assert elapsed < 1.0
+    assert peak < 20e6
+
+
+def test_spectral_decompose_refuses_large_graphs():
+    g = build_graph(DENSE_VERTEX_LIMIT + 1, _path_edges(DENSE_VERTEX_LIMIT + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphTooLarge, match="limit"):
+            spectral_decompose(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_check_field_rejects_bad_shapes(p2):
@@ -77,6 +142,15 @@ def test_laplacian_values(p2, triangle_r1):
         laplacian_apply(np.array([1.0, 0.0, 0.0]), triangle_r1),
         [1.0, -0.5, -0.5],
     )
+
+
+def test_laplacian_matches_dense_reference(random_graphs):
+    rng = np.random.default_rng(5)
+    for g in random_graphs:
+        w = _dense_weights(g)
+        u = rng.standard_normal(g.num_vertices)
+        dense = (w.sum(axis=1) * u - w @ u) / g.degrees_r
+        assert_allclose(laplacian_apply(u, g), dense, rtol=0, atol=1e-13)
 
 
 def test_laplacian_kills_constants(random_graphs):
@@ -128,17 +202,32 @@ def test_spectrum_invariants(random_graphs_with_spectra):
         n = g.num_vertices
         assert s.eigenvalues[0] == 0.0
         assert np.all(np.diff(s.eigenvalues) >= -1e-12)
+        vectors = s.scale_back[:, None] * s.phi
         # ground mode is constant once normalized
-        ground = s.vectors[:, 0]
+        ground = vectors[:, 0]
         assert_allclose(ground, ground[0], atol=1e-10)
         # columns are orthonormal in the weighted inner product
-        gram = s.vectors.T @ (g.degrees_r[:, None] * s.vectors)
+        gram = vectors.T @ (g.degrees_r[:, None] * vectors)
         assert_allclose(gram, np.eye(n), atol=1e-10)
         # each column solves the eigenproblem
         top = max(s.eigenvalues.max(), 1.0)
         for k in range(n):
-            defect = laplacian_apply(s.vectors[:, k], g) - s.eigenvalues[k] * s.vectors[:, k]
+            defect = laplacian_apply(vectors[:, k], g) - s.eigenvalues[k] * vectors[:, k]
             assert norm(defect, g) <= 1e-8 * top
+
+
+def test_spectrum_matches_dense_reference(random_graphs_with_spectra):
+    for g, s in random_graphs_with_spectra:
+        w = _dense_weights(g)
+        lap = (np.diag(w.sum(axis=1)) - w) / g.degrees_r[:, None]
+        vectors = s.scale_back[:, None] * s.phi
+        top = max(s.eigenvalues.max(), 1.0)
+        assert_allclose(lap @ vectors, vectors * s.eigenvalues, rtol=0,
+                        atol=1e-12 * top)
+        half = w.sum(axis=1) ** (0.5 * g.r)
+        sym = (np.diag(w.sum(axis=1)) - w) / half[:, None] / half[None, :]
+        reference = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        assert_allclose(s.eigenvalues, reference, rtol=0, atol=1e-12 * top)
 
 
 def test_diffuse_zero_time_is_identity(p2, p2_spectrum):

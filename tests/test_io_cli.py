@@ -24,7 +24,7 @@ from graphphase import (
     run_trajectory,
     write_outputs,
 )
-from graphphase.graph_core import spectral_decompose
+from graphphase.graph_core import DENSE_VERTEX_LIMIT, spectral_decompose
 
 P2_GRAPH = "vertices 2 r 0\n0 1 1.0\n"
 P2_INIT = "0 1.0\n1 0.0\n"
@@ -56,8 +56,7 @@ def test_parse_graph_skips_comments_and_blanks(tmp_path):
     g = parse_graph_file(_write(tmp_path, "g.txt", text))
     assert g.num_vertices == 3
     assert g.r == 0.5
-    assert g.weights[0, 1] == 2.0
-    assert g.weights[1, 2] == 0.5
+    assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -269,8 +268,23 @@ def test_sweep_report_params_carry_the_flags(tmp_path):
         "tau": 0.3,
         "lambdas": [0.5, 0.9],
         "group_tol": 1e-9,
-        "fp_tol": 1e-10,
-        "max_iter": 500,
+    }
+
+
+def test_converge_report_params_carry_the_flags(tmp_path):
+    graph, init = _p2_files(tmp_path)
+    out = tmp_path / "conv"
+    code = cli_main([
+        "converge-tau", "--graph", graph, "--init", init, "--eps", "1.0",
+        "--t-final", "0.4", "--taus", "0.2,0.1", "--out", str(out),
+    ])
+    assert code == 0
+    params = json.loads((out / "report.json").read_text())["params"]
+    assert params == {
+        "seed": 0,
+        "epsilon": 1.0,
+        "t_final": 0.4,
+        "taus": [0.2, 0.1],
         "grid_points": 9,
     }
 
@@ -290,6 +304,10 @@ def test_cli_rejects_bad_group_tol(tmp_path, capsys, group_tol):
     assert _last_error(capsys)["error"] == "ValueError"
     assert cli_main(["sweep-lambda", *common, "--lambdas", "0.5"]) == 1
     assert "group_tol" in _last_error(capsys)["message"]
+    # a run that never groups levels still rejects it, before any output
+    assert cli_main(["run", *common, "--eps", "1.0", "--steps", "0"]) == 1
+    assert "group_tol" in _last_error(capsys)["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])
@@ -302,6 +320,17 @@ def test_cli_rejects_empty_oracle_check(capsys, instances):
     assert "instance" in err["message"]
     with pytest.raises(ValueError):
         RunConfig(mode="oracle-check", instances=0)
+
+
+def test_cli_refuses_graphs_above_the_dense_limit(tmp_path, capsys):
+    n = DENSE_VERTEX_LIMIT + 1
+    lines = [f"vertices {n} r 0"] + [f"{v} {v + 1} 1.0" for v in range(n - 1)]
+    graph = _write(tmp_path, "path.graph", "\n".join(lines) + "\n")
+    init = _write(tmp_path, "path.init", "".join(f"{v} 0.5\n" for v in range(n)))
+    args = ["run", "--graph", graph, "--init", init, "--mode", "mbo",
+            "--tau", "0.1", "--steps", "1", "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+    assert _last_error(capsys)["error"] == "GraphTooLarge"
 
 
 def test_cli_classes_flag_sets_the_state_width(tmp_path, capsys):
