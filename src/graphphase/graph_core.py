@@ -101,9 +101,9 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     positive weight.  Orientation of each pair is irrelevant; repeating a pair
     is an error.  The graph must come out connected because the diffusion
     kernel and the constant-eigenvector normalization both assume a simple
-    zero eigenvalue.  The checks run by category over all edges: endpoints in
-    range, then self loops, then weights, then duplicates; each names the
-    first offending edge in input order.
+    zero eigenvalue.  The checks run by category over all edges: endpoints
+    whole numbers in range, then self loops, then weights, then duplicates;
+    each names the first offending edge in input order.
     """
     if num_vertices < 2:
         raise ValueError("a graph needs at least 2 vertices")
@@ -112,6 +112,7 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
 
     i, j, w = np.array(list(edges) or np.empty((0, 3)), dtype=float).T
     in_range = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < num_vertices)
+    in_range &= (i == np.floor(i)) & (j == np.floor(j))
     for bad, error, message in (
         (~in_range, IndexOutOfRange, "edge ({i:.17g}, {j:.17g}) outside 0..{last}"),
         (i == j, SelfLoop, "self loop at vertex {i:.17g}"),

@@ -16,6 +16,7 @@ order.
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -37,15 +38,9 @@ from .graph_core import (
     inner_product,
     spectral_decompose,
 )
-from .multiclass import SimplexField
+from .multiclass import FP_TOL, MAX_ITER, SimplexField
 from .oracles import mbo_oracle, random_connected_graph, variational_oracle
-from .scheme import (
-    GROUP_TOL,
-    SchemeParams,
-    dual_certificate,
-    mbo_step,
-    semi_discrete_step,
-)
+from .scheme import SchemeParams, dual_certificate, mbo_step, semi_discrete_step
 from .trajectory import (
     LogEntry,
     Trajectory,
@@ -79,9 +74,8 @@ class RunConfig:
     steps: int | None = None
     output_dir: str | None = None
     seed: int = 0
-    group_tol: float = GROUP_TOL
-    fp_tol: float = 1e-10
-    max_iter: int = 500
+    fp_tol: float = FP_TOL
+    max_iter: int = MAX_ITER
     num_classes: int | None = None
     grid_points: int = 9
     instances: int = 20
@@ -305,9 +299,7 @@ def _load(config: RunConfig, num_classes: int | None = None):
 def _cmd_run(config: RunConfig, report_params: dict) -> int:
     g, s, u0 = _load(config)
     params = _scheme_params(config)
-    trajectory = run_trajectory(
-        u0, g, s, params, max_steps=config.steps, group_tol=config.group_tol
-    )
+    trajectory = run_trajectory(u0, g, s, params, max_steps=config.steps)
     write_outputs(trajectory, config.output_dir, config.mode, report_params)
     return 0
 
@@ -341,9 +333,7 @@ def _cmd_multiclass(config: RunConfig, report_params: dict) -> int:
 
 def _cmd_sweep(config: RunConfig, report_params: dict) -> int:
     g, s, u0 = _load(config)
-    rows = sweep_lambda(
-        u0, g, s, config.tau, config.lambda_list, group_tol=config.group_tol
-    )
+    rows = sweep_lambda(u0, g, s, config.tau, config.lambda_list)
     table = {
         _fmt(row.lam): {"sup_distance_to_mbo": row.sup_distance_to_mbo}
         for row in rows
@@ -443,9 +433,17 @@ def _float_list(raw: str) -> tuple:
         raise ValueError(f"expected comma-separated reals, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes ``-1e-3`` and ``-.5`` for numbers, not flags; so do subparsers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Flags write straight into the ``RunConfig`` field of the same meaning."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphphase",
         description=(
             "Mass-conserving phase-separation dynamics on weighted graphs"
@@ -479,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_eps(run, help="interface width (sd mode)")
     run.add_argument("--tau", type=float, required=True)
     run.add_argument("--steps", type=int, required=True)
-    run.add_argument("--group-tol", type=float, default=GROUP_TOL)
 
     multi = commands.add_parser("multiclass", help="iterate a multi-class step")
     add_common(multi)
@@ -495,8 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--classes", dest="num_classes", metavar="CLASSES", type=int,
         help="class count (inferred)",
     )
-    multi.add_argument("--fp-tol", type=float, default=1e-10)
-    multi.add_argument("--max-iter", type=int, default=500)
+    multi.add_argument("--fp-tol", type=float, default=FP_TOL)
+    multi.add_argument("--max-iter", type=int, default=MAX_ITER)
 
     sweep = commands.add_parser(
         "sweep-lambda", help="distance of the relaxed step to thresholding"
@@ -508,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lambdas", dest="lambda_list", metavar="LAMBDAS", type=_float_list,
         required=True, help="comma-separated",
     )
-    sweep.add_argument("--group-tol", type=float, default=GROUP_TOL)
 
     conv = commands.add_parser(
         "converge-tau", help="step-size refinement study"

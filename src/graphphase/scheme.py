@@ -9,11 +9,12 @@ the water-filling form ``u_i = clip((diffused_i - nu) / (1 - lam), 0, 1)``
 where the scalar ``nu`` balances the mass constraint; the balance equation is
 piecewise linear in ``nu`` and is solved exactly here, never by root
 bracketing.  For ``lam = 1`` the objective is linear and minimizers are
-threshold cuts of the diffused values with one partially filled level
-(:func:`mbo_step`).  As ``lam`` approaches 1 the relaxed solution freezes onto
-the threshold solution; :func:`semi_discrete_step` detects that regime
-structurally and emits the threshold profile verbatim, because evaluating the
-water-filling quotient there would divide rounding noise by ``1 - lam``.
+threshold cuts of the diffused values with one partially filled level.  As
+``lam`` approaches 1 the relaxed solution freezes onto that threshold
+solution; the solve detects the regime structurally and emits the threshold
+profile verbatim, because evaluating the water-filling quotient there would
+divide rounding noise by ``1 - lam``.  The threshold step (:func:`mbo_step`)
+is the same solve at ``lam = 1``, where that profile is always the answer.
 
 Vertices sharing a diffused value always receive the same new value, so steps
 preserve the symmetries of the input exactly.
@@ -56,7 +57,7 @@ __all__ = [
     "dual_certificate",
 ]
 
-GROUP_TOL = 1e-12   # default absolute tolerance for tying diffused values
+GROUP_TOL = 1e-12   # absolute tolerance for tying diffused values
 SNAP_TOL = 1e-12    # post-step snap of values this close to 0 or 1
 BOX_TOL = 1e-12     # admissible overshoot of [0, 1] on input states
 
@@ -181,11 +182,6 @@ def _check_box(u: np.ndarray, g: Graph) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
-def _check_group_tol(group_tol: float) -> None:
-    if not 0.0 <= group_tol < math.inf:
-        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol}")
-
-
 def threshold_levels(
     diffused: np.ndarray, g: Graph, group_tol: float = GROUP_TOL
 ) -> ThresholdLevels:
@@ -197,7 +193,8 @@ def threshold_levels(
     must be finite and non-negative: NaN or infinity would merge every
     vertex into one level, a negative value would split exact ties.
     """
-    _check_group_tol(group_tol)
+    if not 0.0 <= group_tol < math.inf:
+        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol}")
     diffused = g.check_field(diffused)
     order = np.argsort(diffused, kind="stable")
     ordered = diffused[order]
@@ -269,6 +266,11 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
     get a single uniform mass repair so the step conserves mass to rounding.
     The balance is evaluated at O(log L) of the 2L breakpoints, found by
     bisection, so the solve costs O(L log L).
+
+    At ``lam = 1`` the threshold profile is always consistent: level values
+    rise strictly, so both gaps are at least ``0 = 1 - lam`` times the fill.
+    The solve then returns the threshold fill, and the breakpoint search,
+    which divides by ``1 - lam``, is never reached.
     """
     alphas = levels.values
     weights = levels.weights
@@ -483,31 +485,34 @@ def _step_result(diffused, u_next, multiplier, mass_in, g, params) -> StepResult
     )
 
 
-def _relaxed_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
-    """Relaxed step (``0 < lam < 1``) from the grouped diffused values."""
+def _step_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
+    """Step for ``0 < lam <= 1`` from the grouped diffused values.
+
+    At ``lam = 1`` the multiplier is read off the threshold profile: the
+    lowest level not left empty, its value and its fill; the top level if
+    all are empty, as no diffused value lies above its threshold.
+    """
     nu, _, _, level_values = _solve_profile(levels, mass_in, params.lam)
-    return _step_result(diffused, level_values[levels.labels], nu, mass_in, g, params)
-
-
-def _threshold_from_levels(diffused, levels, mass_in, g, tau) -> StepResult:
-    """Threshold step (``lam = 1``) from the grouped diffused values."""
-    total = float(levels.weights.sum())
-    if mass_in <= 0.0:
-        k, fill = 0, 0.0
-        level_values = np.zeros(levels.num_levels)
-    elif mass_in >= total:
-        k, fill = 0, 1.0
-        level_values = np.ones(levels.num_levels)
+    if params.lam == 1.0:
+        filled = np.flatnonzero(level_values)
+        k = int(filled[0]) if filled.size else levels.num_levels - 1
+        multiplier = MboMultiplier(
+            level=k, threshold=float(levels.values[k]), fill=float(level_values[k])
+        )
     else:
-        k, fill = _threshold_fill(levels, mass_in)
-        level_values = _fill_profile(levels.num_levels, k, fill)
-
+        multiplier = nu
     u_next = level_values[levels.labels]
-    multiplier = MboMultiplier(
-        level=k, threshold=float(levels.values[k]), fill=float(fill)
-    )
-    params = SchemeParams.from_lambda(tau=tau, lam=1.0)
     return _step_result(diffused, u_next, multiplier, mass_in, g, params)
+
+
+def _step(u_n, g, s, params, diffused) -> StepResult:
+    """Both public steps; ``lam = 0`` is plain diffusion."""
+    u_n, mass_in, diffused = _diffused_state(u_n, g, s, params.tau, diffused)
+    if params.lam == 0.0:
+        u_next = np.clip(diffused, 0.0, 1.0)
+        return _step_result(diffused, u_next, 0.0, mass_in, g, params)
+    levels = threshold_levels(diffused, g)
+    return _step_from_levels(diffused, levels, mass_in, g, params)
 
 
 def semi_discrete_step(
@@ -515,7 +520,6 @@ def semi_discrete_step(
     g: Graph,
     s: Spectrum,
     params: SchemeParams,
-    group_tol: float = GROUP_TOL,
     *,
     diffused: np.ndarray | None = None,
 ) -> StepResult:
@@ -531,14 +535,7 @@ def semi_discrete_step(
     """
     if params.lam == 1.0:
         raise LambdaIsOne("semi_discrete_step requires lam < 1")
-    u_n, mass_in, diffused = _diffused_state(u_n, g, s, params.tau, diffused)
-
-    if params.lam == 0.0:
-        u_next = np.clip(diffused, 0.0, 1.0)
-        return _step_result(diffused, u_next, 0.0, mass_in, g, params)
-
-    levels = threshold_levels(diffused, g, group_tol)
-    return _relaxed_from_levels(diffused, levels, mass_in, g, params)
+    return _step(u_n, g, s, params, diffused)
 
 
 def mbo_step(
@@ -546,21 +543,17 @@ def mbo_step(
     g: Graph,
     s: Spectrum,
     tau: float,
-    group_tol: float = GROUP_TOL,
     *,
     diffused: np.ndarray | None = None,
 ) -> StepResult:
     """One mass-conserving threshold step (``lam = 1``).
 
-    Fills diffused levels from the top until the mass budget is spent; the
-    boundary level is filled uniformly with the leftover fraction.
-    ``diffused``, if given, must be ``diffuse(u_n, tau, s)``.
+    The relaxed step's profile at ``lam = 1``: diffused levels fill from the
+    top until the mass budget is spent, and the boundary level is filled
+    uniformly with the leftover fraction.  ``diffused``, if given, must be
+    ``diffuse(u_n, tau, s)``.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u_n, mass_in, diffused = _diffused_state(u_n, g, s, tau, diffused)
-    levels = threshold_levels(diffused, g, group_tol)
-    return _threshold_from_levels(diffused, levels, mass_in, g, tau)
+    return _step(u_n, g, s, SchemeParams.from_lambda(tau=tau, lam=1.0), diffused)
 
 
 def _profile_is_unique(levels: ThresholdLevels, target_mass: float) -> bool:
@@ -573,13 +566,7 @@ def _profile_is_unique(levels: ThresholdLevels, target_mass: float) -> bool:
     return int(levels.level_sizes()[k]) == 1
 
 
-def mbo_is_unique(
-    u_n: np.ndarray,
-    g: Graph,
-    s: Spectrum,
-    tau: float,
-    group_tol: float = GROUP_TOL,
-) -> bool:
+def mbo_is_unique(u_n: np.ndarray, g: Graph, s: Spectrum, tau: float) -> bool:
     """Whether the threshold step from ``u_n`` has a single minimizer.
 
     True when the mass budget closes exactly at a level boundary or when the
@@ -588,7 +575,7 @@ def mbo_is_unique(
     uniform one.
     """
     _, mass_in, diffused = _diffused_state(u_n, g, s, tau)
-    return _profile_is_unique(threshold_levels(diffused, g, group_tol), mass_in)
+    return _profile_is_unique(threshold_levels(diffused, g), mass_in)
 
 
 def lyapunov_energy(

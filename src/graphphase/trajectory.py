@@ -19,20 +19,19 @@ from . import scheme
 from .errors import GraphTooLarge, LambdaIsOne, TauExceedsEpsilon
 from .graph_core import Graph, Spectrum, average, mass, norm
 from .multiclass import (
+    FP_TOL,
+    MAX_ITER,
     SimplexField,
     multi_obstacle_energy,
     multiclass_mass_conserving_step,
     multiclass_step,
 )
 from .scheme import (
-    GROUP_TOL,
     MboMultiplier,
     SchemeParams,
     _check_box,
-    _check_group_tol,
     _diffused_state,
-    _relaxed_from_levels,
-    _threshold_from_levels,
+    _step_from_levels,
     ginzburg_landau,
     lyapunov_energy,
     mbo_step,
@@ -184,7 +183,6 @@ def run_trajectory(
     params: SchemeParams,
     max_steps: int,
     fixed_point_tol: float | None = None,
-    group_tol: float = GROUP_TOL,
     snapshot_stride: int | None = None,
 ) -> Trajectory:
     """Iterate the scheme from ``u0`` until a fixed point or ``max_steps``.
@@ -195,7 +193,6 @@ def run_trajectory(
     rule is deterministic, exact repeats happen) and 1e-12 otherwise.
     """
     stride = _choose_stride(g.num_vertices, max_steps, snapshot_stride)
-    _check_group_tol(group_tol)
     current = _check_box(u0, g)
     if fixed_point_tol is None:
         fixed_point_tol = 0.0 if params.lam == 1.0 else 1e-12
@@ -211,11 +208,9 @@ def run_trajectory(
     def advance(u, step):
         nonlocal diffused
         if params.lam == 1.0:
-            result = mbo_step(u, g, s, params.tau, group_tol, diffused=diffused)
+            result = mbo_step(u, g, s, params.tau, diffused=diffused)
         else:
-            result = semi_discrete_step(
-                u, g, s, params, group_tol=group_tol, diffused=diffused
-            )
+            result = semi_discrete_step(u, g, s, params, diffused=diffused)
         change = float(np.abs(result.u_next - u).max())
         diffused, H, H_tau, GL = diagnostics(result.u_next)
         multiplier = _scalar_multiplier(result.multiplier)
@@ -236,8 +231,8 @@ def run_multiclass_trajectory(
     max_steps: int,
     conserve_masses: bool = True,
     fixed_point_tol: float = 1e-12,
-    max_iter: int = 500,
-    fp_tol: float = 1e-10,
+    max_iter: int = MAX_ITER,
+    fp_tol: float = FP_TOL,
     snapshot_stride: int | None = None,
 ) -> Trajectory:
     """Iterate a multi-class step; Lyapunov columns stay empty in the log.
@@ -271,7 +266,6 @@ def sweep_lambda(
     s: Spectrum,
     tau: float,
     lambdas,
-    group_tol: float = GROUP_TOL,
 ) -> tuple:
     """One relaxed step per lambda, each measured against the threshold step.
 
@@ -280,7 +274,6 @@ def sweep_lambda(
     thresholding output exactly.  Rows keep the input order.  All steps
     start from ``u0``, so its diffusion and level grouping are done once.
     """
-    _check_group_tol(group_tol)
     lambdas = [float(lam) for lam in lambdas]
     for lam in lambdas:
         if lam >= 1.0:
@@ -288,14 +281,17 @@ def sweep_lambda(
         if lam <= 0.0:
             raise ValueError(f"sweep requires lambda > 0, got {lam}")
     u0, mass_in, diffused = _diffused_state(u0, g, s, tau)
-    levels = scheme.threshold_levels(diffused, g, group_tol)
-    reference = _threshold_from_levels(diffused, levels, mass_in, g, tau).u_next
-    rows = []
-    for lam in lambdas:
+    levels = scheme.threshold_levels(diffused, g)
+
+    def step(lam):
         params = SchemeParams.from_lambda(tau=tau, lam=lam)
-        out = _relaxed_from_levels(diffused, levels, mass_in, g, params).u_next
-        rows.append(SweepRow(lam, float(np.abs(out - reference).max())))
-    return tuple(rows)
+        return _step_from_levels(diffused, levels, mass_in, g, params).u_next
+
+    reference = step(1.0)
+    return tuple(
+        SweepRow(lam, float(np.abs(step(lam) - reference).max()))
+        for lam in lambdas
+    )
 
 
 def _state_at(trajectory: Trajectory, t: float, tau: float):

@@ -1,7 +1,8 @@
-"""The bisected multiplier solve and the vectorised level grouping against the
-full breakpoint scan and the per-vertex loop they replaced.
+"""The bisected multiplier solve, the vectorised level grouping and the
+threshold step read off the relaxed profile, against the full breakpoint
+scan, the per-vertex loop and the separate threshold fill they replaced.
 
-Both fast paths evaluate the same floating-point expressions as the code they
+Every fast path evaluates the same floating-point expressions as the code it
 replaced, so every output must match exactly, not to a tolerance.
 """
 
@@ -12,7 +13,13 @@ import pytest
 
 from graphphase import random_connected_graph
 from graphphase import scheme
-from graphphase.scheme import GROUP_TOL, ThresholdLevels, threshold_levels
+from graphphase.scheme import (
+    GROUP_TOL,
+    MboMultiplier,
+    SchemeParams,
+    ThresholdLevels,
+    threshold_levels,
+)
 
 LAMS = (0.25, 0.9, 0.99, 0.999, 0.9999)
 INSTANCES = 1200
@@ -98,6 +105,27 @@ def scan_solve_profile(levels, target_mass, lam):
         values[fractional] += deficit / float(weights[fractional].sum())
         np.clip(values, 0.0, 1.0, out=values)
     return (nu, lo, hi, values), True
+
+
+def fill_threshold_step(diffused, levels, mass_in, g, tau):
+    """Reference: the threshold step as a fill of its own, apart from the solve."""
+    total = float(levels.weights.sum())
+    if mass_in <= 0.0:
+        k, fill = 0, 0.0
+        level_values = np.zeros(levels.num_levels)
+    elif mass_in >= total:
+        k, fill = 0, 1.0
+        level_values = np.ones(levels.num_levels)
+    else:
+        k, fill = scheme._threshold_fill(levels, mass_in)
+        level_values = scheme._fill_profile(levels.num_levels, k, fill)
+
+    u_next = level_values[levels.labels]
+    multiplier = MboMultiplier(
+        level=k, threshold=float(levels.values[k]), fill=float(fill)
+    )
+    params = SchemeParams.from_lambda(tau=tau, lam=1.0)
+    return scheme._step_result(diffused, u_next, multiplier, mass_in, g, params)
 
 
 def _diffused(rng, n, lam):
@@ -201,3 +229,37 @@ def test_solve_profile_matches_scan(instances):
                 assert np.array_equal(values, np.ones(levels.num_levels))
     assert scanned >= INSTANCES
     assert degenerate >= 10
+
+
+def test_threshold_step_is_the_lambda_one_profile(instances, monkeypatch):
+    # the clustered values leave [0, 1], so the subgradient certificate
+    # (shared by both paths) would refuse many of them: compare the new
+    # state and the multiplier, which are all the two paths differ in
+    monkeypatch.setattr(
+        scheme, "_step_result", lambda diffused, u_next, mult, *rest: (u_next, mult)
+    )
+    rng, cases = instances
+    params = SchemeParams.from_lambda(tau=0.5, lam=1.0)
+    filled = clamped = underflow = 0
+    for g, diffused, lam in cases:
+        levels = threshold_levels(diffused, g)
+        total = float(levels.weights.sum())
+        # the relaxed targets, which include fills that underflow to 0 just
+        # above 0, the clamp at the total and the running-sum gap, plus the
+        # full budget
+        for target in [*_targets(rng, levels, lam), total]:
+            u_next, multiplier = scheme._step_from_levels(
+                diffused, levels, target, g, params
+            )
+            ref_u_next, ref_multiplier = fill_threshold_step(
+                diffused, levels, target, g, 0.5
+            )
+            assert np.array_equal(u_next, ref_u_next)
+            assert multiplier == ref_multiplier
+            assert type(multiplier.level) is int
+            filled += 0.0 < multiplier.fill < 1.0
+            clamped += 0.0 < target < total and multiplier.fill == 1.0
+            underflow += target > 0.0 and multiplier.fill == 0.0
+    assert filled >= INSTANCES
+    assert clamped >= 10
+    assert underflow >= 10

@@ -52,6 +52,11 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(0, 3, 1.0), (1, 2, 1.0)])
     with pytest.raises(IndexOutOfRange, match=r"edge \(-1, 2\)"):
         build_graph(3, [(0, 1, 1.0), (-1, 2, 1.0)])
+    # endpoints that are not whole numbers were once truncated to vertices
+    with pytest.raises(IndexOutOfRange, match=r"edge \(0, 1.5\)"):
+        build_graph(3, [(0, 1.5, 1.0), (1, 2, 1.0)])
+    with pytest.raises(IndexOutOfRange, match=r"edge \(1, 2.0000000000000004\)"):
+        build_graph(3, [(0, 1, 1.0), (1, np.nextafter(2.0, 3.0), 1.0)])
     with pytest.raises(NonPositiveWeight, match="nan"):
         build_graph(3, [(0, 1, np.nan), (1, 2, 1.0)])
     with pytest.raises(NonPositiveWeight, match="inf"):

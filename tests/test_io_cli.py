@@ -258,17 +258,11 @@ def test_sweep_report_params_carry_the_flags(tmp_path):
     out = tmp_path / "sweep"
     code = cli_main([
         "sweep-lambda", "--graph", graph, "--init", init, "--seed", "11",
-        "--tau", "0.3", "--lambdas", "0.5,0.9", "--group-tol", "1e-9",
-        "--out", str(out),
+        "--tau", "0.3", "--lambdas", "0.5,0.9", "--out", str(out),
     ])
     assert code == 0
     params = json.loads((out / "report.json").read_text())["params"]
-    assert params == {
-        "seed": 11,
-        "tau": 0.3,
-        "lambdas": [0.5, 0.9],
-        "group_tol": 1e-9,
-    }
+    assert params == {"seed": 11, "tau": 0.3, "lambdas": [0.5, 0.9]}
 
 
 def test_converge_report_params_carry_the_flags(tmp_path):
@@ -293,20 +287,33 @@ def _last_error(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("group_tol", ["nan", "inf", "-0.001"])
-def test_cli_rejects_bad_group_tol(tmp_path, capsys, group_tol):
+@pytest.mark.parametrize("group_tol", ["1e-12", "nan", "inf", "-0.001"])
+def test_cli_refuses_group_tol_flag(tmp_path, capsys, group_tol):
+    # the tie tolerance is the constant GROUP_TOL: the flag is unknown,
+    # whatever its value, and nothing is written
     graph, init = _p2_files(tmp_path)
     common = ["--graph", graph, "--init", init, "--tau", "0.3",
               "--group-tol", group_tol, "--out", str(tmp_path / "o")]
     assert cli_main(["run", *common, "--eps", "1.0", "--steps", "2"]) == 1
-    assert _last_error(capsys)["error"] == "ValueError"
     assert cli_main(["run", *common, "--mode", "mbo", "--steps", "2"]) == 1
-    assert _last_error(capsys)["error"] == "ValueError"
     assert cli_main(["sweep-lambda", *common, "--lambdas", "0.5"]) == 1
-    assert "group_tol" in _last_error(capsys)["message"]
-    # a run that never groups levels still rejects it, before any output
-    assert cli_main(["run", *common, "--eps", "1.0", "--steps", "0"]) == 1
-    assert "group_tol" in _last_error(capsys)["message"]
+    assert "--group-tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tau", ["-1e-3", "-.5", "-2"])
+def test_cli_reads_negative_tau_as_a_value(tmp_path, capsys, tau):
+    # a negative number in any spelling reaches the numerics, which name
+    # it, instead of being taken for an unknown flag
+    graph, init = _p2_files(tmp_path)
+    common = ["--graph", graph, "--init", init, "--tau", tau,
+              "--out", str(tmp_path / "o")]
+    assert cli_main(["run", *common, "--eps", "1.0", "--steps", "2"]) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "ValueError"
+    assert "tau" in error["message"]
+    assert cli_main(["run", *common, "--mode", "mbo", "--steps", "2"]) == 1
+    assert "tau" in _last_error(capsys)["message"]
     assert not (tmp_path / "o").exists()
 
 

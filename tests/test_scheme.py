@@ -101,12 +101,13 @@ def test_bad_group_tol_is_rejected(triangle_r1, group_tol):
     u = np.array([0.9, 0.9, 0.3])
     with pytest.raises(ValueError, match="group_tol"):
         threshold_levels(u, g, group_tol)
-    params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
-    with pytest.raises(ValueError, match="group_tol"):
-        semi_discrete_step(u, g, s, params, group_tol=group_tol)
-    with pytest.raises(ValueError, match="group_tol"):
-        mbo_step(u, g, s, 0.3, group_tol)
     assert threshold_levels(u, g, 0.0).num_levels == 2
+    # the steps group with the constant GROUP_TOL and take no tolerance
+    params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
+    with pytest.raises(TypeError):
+        semi_discrete_step(u, g, s, params, group_tol=group_tol)
+    with pytest.raises(TypeError):
+        mbo_step(u, g, s, 0.3, group_tol)
 
 
 def test_threshold_levels_strictly_ascending(random_graphs_with_spectra):
@@ -295,6 +296,30 @@ def test_mbo_step_partial_fill(triangle):
     # a constant state diffuses to a single level filled at its average
     assert_allclose(result.u_next, 0.5, rtol=1e-12)
     assert result.multiplier.fill == pytest.approx(0.5, rel=1e-12)
+
+
+def test_mbo_step_constant_states():
+    # all-empty and all-full budgets: no level is partly filled
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5)], r=1.0)
+    s = spectral_decompose(g)
+    zero = mbo_step(np.zeros(3), g, s, 0.3)
+    assert np.array_equal(zero.u_next, np.zeros(3))
+    assert zero.multiplier == MboMultiplier(level=0, threshold=0.0, fill=0.0)
+    assert zero.mass_out == 0.0
+    full = mbo_step(np.ones(3), g, s, 0.3)
+    assert np.array_equal(full.u_next, np.ones(3))
+    # diffusion returns the constant only to rounding; the threshold is the
+    # lowest diffused value, which the tie tolerance made one level
+    lowest = float(diffuse(np.ones(3), 0.3, s).min())
+    assert full.multiplier == MboMultiplier(level=0, threshold=lowest, fill=1.0)
+    assert full.mass_out == full.mass_in
+
+
+def test_mbo_step_rejects_bad_tau(p2, p2_spectrum):
+    # tau goes through SchemeParams, like every relaxed step's
+    for tau in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            mbo_step(np.array([1.0, 0.0]), p2, p2_spectrum, tau)
 
 
 def test_mbo_step_conserves_mass():
@@ -547,7 +572,8 @@ def test_threshold_fill_clamps_running_sum_gap():
         in_gap += 1
         assert scheme._threshold_fill(levels, target) == (0, 1.0)
         full = np.ones(levels.num_levels)
-        result = scheme._threshold_from_levels(diffused, levels, target, g, 0.5)
+        params = SchemeParams.from_lambda(tau=0.5, lam=1.0)
+        result = scheme._step_from_levels(diffused, levels, target, g, params)
         assert np.array_equal(result.u_next, np.ones(g.num_vertices))
         assert result.multiplier.level == 0 and result.multiplier.fill == 1.0
         for lam in (0.25, 0.9):
