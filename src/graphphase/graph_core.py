@@ -10,11 +10,16 @@ The graph Laplacian is ``(L u)_i = d_i**-r * sum_j w_ij (u_i - u_j)``.  It is
 self-adjoint and positive semi-definite in this inner product, its kernel on a
 connected graph is the constants, and the heat semigroup ``exp(-tL)`` it
 generates conserves ``<u, 1>``.  A graph is stored only as its edge arrays.
-Spectral data is computed once per graph via a dense symmetric
-eigendecomposition, the one n-by-n computation, and reused by every
-diffusion call.
+Diffusion is matrix-free: :func:`spectral_decompose` rescales the Laplacian
+onto [-1, 1] once per graph, by the Gershgorin bound on its spectrum, and
+:func:`diffuse` applies ``exp(-tL)`` as a Chebyshev series in that operator
+(Hammond, Vandergheynst & Gribonval 2011), one sparse product over the 2E
+directed edges per term.  The series is cut where its coefficient tail drops
+below ``2**-60``, so it is exact to rounding; no n-by-n array is made.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +29,6 @@ from .errors import (
     DisconnectedGraph,
     DomainViolation,
     DuplicateEdge,
-    EigensolverFailure,
     GraphTooLarge,
     IndexOutOfRange,
     NegativeTime,
@@ -46,10 +50,8 @@ __all__ = [
     "diffuse",
 ]
 
-# The dense eigendecomposition holds about five n-by-n float64 arrays at once
-# (the symmetric conjugate, the eigensolver's copy and workspace, and the
-# eigenvectors), ~40 n**2 bytes: 4 GB at this limit, half of an 8 GB machine.
-DENSE_VERTEX_LIMIT = 10_000
+TAIL = 2.0**-60          # heat coefficients dropped past the cut sum below this
+MAX_DEGREE = 1_000_000   # Chebyshev degree above which diffusion is refused
 
 
 @dataclass(frozen=True)
@@ -215,87 +217,132 @@ def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of the graph Laplacian.
+    """The Laplacian rescaled onto [-1, 1], the operator :func:`diffuse` expands.
 
-    ``eigenvalues`` ascend and start at exactly 0.  ``phi`` holds the
-    orthonormal eigenvectors of the symmetric conjugate
-    ``d**(-r/2) (D - W) d**(-r/2)``; together with the ``degrees**(r/2)``
-    scalings that is all :func:`diffuse` needs.  The Laplacian's own
-    eigenvectors, orthonormal in the weighted inner product, are
-    ``scale_back[:, None] * phi``.
+    ``bound`` is ``b = 2 max_i d_i**(1-r)``, Gershgorin's bound on the
+    spectrum of the Laplacian, so ``X = (2/b) L - I`` has its spectrum in
+    [-1, 1].  ``X`` is stored in compressed sparse rows over the 2E directed
+    edges, with the scalings folded in: ``(X y)_i = diag_i y_i`` minus the
+    sum of ``vals[k] y[cols[k]]`` over the row's edges ``k``, which run from
+    ``starts[i]`` to ``starts[i + 1]``.  Every row is non-empty because the
+    graph is connected.
     """
 
-    eigenvalues: np.ndarray
-    phi: np.ndarray = field(repr=False)
-    scale_fwd: np.ndarray = field(repr=False)   # degrees**(r/2)
-    scale_back: np.ndarray = field(repr=False)  # degrees**(-r/2)
+    bound: float
+    diag: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.diag.shape[0]
 
 
 def spectral_decompose(g: Graph) -> Spectrum:
-    """Diagonalize the Laplacian through its symmetric conjugate.
+    """Build the rescaled Laplacian of ``g`` once, for every diffusion on it.
 
-    ``d**(-r/2) (D - W) d**(-r/2)`` is symmetric positive semi-definite and
-    shares eigenvalues with the Laplacian; it is assembled from the edge
-    arrays.  Eigenvalues within ``1e-12 * max`` of zero are snapped to
-    exactly zero so the diffusion semigroup fixes constants for every t.
-    Above ``DENSE_VERTEX_LIMIT`` vertices it raises ``GraphTooLarge`` first.
+    O(E log E) time and O(n + E) memory: the directed edges are sorted into
+    rows, and no n-by-n array is made.
     """
-    n = g.num_vertices
-    if n > DENSE_VERTEX_LIMIT:
-        raise GraphTooLarge(
-            f"dense eigendecomposition of {n} vertices exceeds the limit of "
-            f"{DENSE_VERTEX_LIMIT}"
-        )
-    half = g.degrees ** (0.5 * g.r)
-    inv_half = 1.0 / half
-    sym = np.zeros((n, n))
-    coupling = -g.edge_w * inv_half[g.edge_i] * inv_half[g.edge_j]
-    sym[g.edge_i, g.edge_j] = coupling
-    sym[g.edge_j, g.edge_i] = coupling
-    np.fill_diagonal(sym, inv_half * g.degrees * inv_half)
-    try:
-        eigenvalues, phi = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    if not np.all(np.isfinite(eigenvalues)):
-        raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
-
-    mu_max = float(eigenvalues[-1])
-    eigenvalues[np.abs(eigenvalues) <= 1e-12 * max(mu_max, 1.0)] = 0.0
-
+    heads = np.concatenate([g.edge_i, g.edge_j])
+    tails = np.concatenate([g.edge_j, g.edge_i])
+    order = np.lexsort((tails, heads))
+    heads, tails = heads[order], tails[order]
+    bound = 2.0 * float((g.degrees / g.degrees_r).max())
+    scale = (2.0 / bound) / g.degrees_r
+    counts = np.bincount(heads, minlength=g.num_vertices)
     spectrum = Spectrum(
-        eigenvalues=eigenvalues,
-        phi=phi,
-        scale_fwd=half,
-        scale_back=inv_half,
+        bound=bound,
+        diag=scale * g.degrees - 1.0,
+        cols=tails,
+        vals=scale[heads] * np.concatenate([g.edge_w, g.edge_w])[order],
+        starts=np.cumsum(counts) - counts,
     )
-    for arr in (spectrum.eigenvalues, spectrum.phi):
+    for arr in (spectrum.diag, spectrum.cols, spectrum.vals, spectrum.starts):
         arr.setflags(write=False)
     return spectrum
+
+
+def _apply_x(y: np.ndarray, s: Spectrum) -> np.ndarray:
+    """``X y``, one column at a time for an (n, K) block."""
+    if y.ndim == 2:
+        return np.column_stack([_apply_x(column, s) for column in y.T])
+    return s.diag * y - np.add.reduceat(s.vals * y[s.cols], s.starts)
+
+
+def _chebyshev_series(u: np.ndarray, coeffs: np.ndarray, s: Spectrum) -> np.ndarray:
+    """``sum_k coeffs[k] T_k(X) u`` by the three-term recurrence."""
+    out = coeffs[0] * u
+    previous, current = None, u
+    for k in range(1, coeffs.size):
+        image = _apply_x(current, s)
+        previous, current = current, image if k == 1 else 2.0 * image - previous
+        out += coeffs[k] * current
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _heat_coefficients(x: float) -> np.ndarray:
+    """Chebyshev coefficients of ``exp(-x (1 + y))`` on [-1, 1].
+
+    ``c_0 = e**-x I_0(x)`` and ``c_k = 2 (-1)**k e**-x I_k(x)``, cut at the
+    smallest degree whose coefficient tail is below ``TAIL``.  The Bessel
+    ratios come from Miller's backward recurrence, started where the tail
+    is below ``TAIL**2``, which is O(sqrt(x)) above the cut: ``e**-x I_k(x)``
+    is the law of the difference ``D`` of two Poisson(x/2) counts, so the
+    tail past ``k - 1`` is ``2 P(D >= k) <= 2 exp(-k**2 / (2 (x + k/3)))``
+    by Bernstein's inequality.  The coefficients are normalised so that
+    ``c_0 + 2 sum e**-x I_k = 1``, which makes the series fix constants and
+    conserve mass.
+    """
+    if x <= 0.5 * TAIL:
+        coeffs = np.ones(1)  # the tail past degree 0 is about x
+    else:
+        log_tail = math.log(2.0 / TAIL**2)
+        third = log_tail / 3.0
+        start = third + math.sqrt(third**2 + 2.0 * log_tail * x)
+        if start > MAX_DEGREE:
+            raise GraphTooLarge(
+                f"diffusion over t * b / 2 = {x:.6g} needs a degree-{start:.3g} "
+                f"Chebyshev expansion, over the limit of {MAX_DEGREE}"
+            )
+        start = math.ceil(start)
+        ratios = np.ones(start + 1)  # I_k / I_{k-1}, from the top down
+        ratio = 0.0
+        for k in range(start, 0, -1):
+            ratio = 1.0 / (2.0 * k / x + ratio)
+            ratios[k] = ratio
+        bessel = np.cumprod(ratios)  # I_k / I_0
+        tail = 2.0 * np.cumsum(bessel[::-1])[::-1]  # 2 sum_{j >= k} I_j / I_0
+        degree = int(np.argmax(tail[1:] < TAIL * (1.0 + tail[1])))
+        coeffs = 2.0 * bessel[: degree + 1]
+        coeffs[0] = 1.0
+        coeffs /= coeffs.sum()
+        coeffs[1::2] *= -1.0
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def diffuse(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
     """Evolve ``u`` by the heat semigroup for time ``t >= 0``.
 
-    Mass is conserved exactly up to rounding, values stay inside
-    ``[min u, max u]``, and for ``t > 0`` positivity spreads to every vertex
-    of the connected graph.
+    ``u`` is a vertex function or an (n, K) block of them, one per column.
+    ``exp(-tL) = exp(-x (1 + X))`` with ``x = t b / 2`` is applied as its
+    Chebyshev series in ``X``, exact to rounding: mass is conserved, values
+    stay inside ``[min u, max u]``, and for ``t > 0`` positivity spreads to
+    every vertex of the connected graph.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (s.num_vertices,):
+    if u.shape[:1] != (s.num_vertices,) or u.ndim > 2:
         raise DimensionMismatch(
-            f"field has shape {u.shape}, expected ({s.num_vertices},)"
+            f"field has shape {u.shape}, expected ({s.num_vertices},) or "
+            f"({s.num_vertices}, K)"
         )
     if not np.all(np.isfinite(u)):
         raise DomainViolation("field has non-finite entries")
-    if t < 0:
+    if not t >= 0:
         raise NegativeTime(f"diffusion time must be >= 0, got {t}")
     if t == 0.0:
         return u.copy()
-    coeffs = s.phi.T @ (s.scale_fwd * u)
-    coeffs *= np.exp(-t * s.eigenvalues)
-    return s.scale_back * (s.phi @ coeffs)
+    return _chebyshev_series(u, _heat_coefficients(0.5 * t * s.bound), s)

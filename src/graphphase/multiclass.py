@@ -148,12 +148,13 @@ def multi_obstacle_energy(
 
 
 def _force(values: np.ndarray) -> np.ndarray:
+    # product of 1 - U over the other classes: the classes before times after
     one_minus = 1.0 - values
-    num_classes = one_minus.shape[1]
-    partials = np.empty_like(one_minus)
-    for k in range(num_classes):
-        partials[:, k] = np.prod(np.delete(one_minus, k, axis=1), axis=1)
-    return _row_center_exact(partials)
+    before = np.ones_like(one_minus)
+    after = np.ones_like(one_minus)
+    np.cumprod(one_minus[:, :-1], axis=1, out=before[:, 1:])
+    np.cumprod(one_minus[:, :0:-1], axis=1, out=after[:, -2::-1])
+    return _row_center_exact(before * after)
 
 
 def well_force(U: SimplexField, g: Graph) -> np.ndarray:
@@ -205,12 +206,6 @@ def _check_start(U_n: SimplexField, g: Graph) -> np.ndarray:
     if not U_n.in_sigma():
         raise DomainViolation("starting rows must lie on the simplex")
     return np.clip(values, 0.0, 1.0)
-
-
-def _diffuse_columns(values: np.ndarray, tau: float, s: Spectrum) -> np.ndarray:
-    return np.column_stack(
-        [diffuse(values[:, k], tau, s) for k in range(values.shape[1])]
-    )
 
 
 def _project_transport(
@@ -396,7 +391,7 @@ def _solve_step(start, g, s, params, project, max_iter, fp_tol):
     The residual is the sup-norm defect of the update equation at the
     returned iterate, subgradient and per-class constants included.
     """
-    diffused = _diffuse_columns(start, params.tau, s)
+    diffused = diffuse(start, params.tau, s)
     lam = params.lam
     final, correction, constants, iterations, converged, inner = _fixed_point(
         project, diffused, lam, max_iter, fp_tol
@@ -445,24 +440,35 @@ def multiclass_mass_conserving_step(
     params,
     max_iter: int = MAX_ITER,
     fp_tol: float = FP_TOL,
+    *,
+    target_mass: np.ndarray | None = None,
 ) -> MultiClassStepResult:
     """One multi-class step keeping every class mass fixed.
 
-    The feasible set is the transportation polytope of simplex rows with the
-    input's class masses; each inner solve projects onto it exactly by a
-    Newton solve for the K class multipliers.  Those multipliers, centered
-    to sum to zero like the row-centered subgradient they pair with, are the
-    per-class constants of the update equation, and the residual checks the
-    full equation, constants included.  Raises
+    The feasible set is the transportation polytope of simplex rows with
+    class masses ``target_mass``, by default the input's; each inner solve
+    projects onto it exactly by a Newton solve for the K class multipliers.
+    Those multipliers, centered to sum to zero like the row-centered
+    subgradient they pair with, are the per-class constants of the update
+    equation, and the residual checks the full equation, constants
+    included.  Raises
     :class:`~graphphase.errors.NoConvergence` if a projection misses its
     tolerance within ``NEWTON_MAX_ITER`` Newton steps.
     """
     start = _check_start(U_n, g)
-    masses_in = start.T @ g.degrees_r
+    masses_in = np.asarray(
+        start.T @ g.degrees_r if target_mass is None else target_mass, dtype=float
+    )
     total = float(g.degrees_r.sum())
-    if abs(float(masses_in.sum()) - total) > 1e-8 * (1.0 + total):
+    tol = 1e-8 * (1.0 + total)
+    if (
+        masses_in.shape != (start.shape[1],)
+        or abs(float(masses_in.sum()) - total) > tol
+        or masses_in.min() < -tol
+    ):
         raise InfeasibleMasses(
-            f"class masses sum to {masses_in.sum()}, expected {total}"
+            f"class masses {masses_in} are not {start.shape[1]} non-negative "
+            f"values summing to {total}"
         )
 
     # successive targets differ little, so each projection starts from the

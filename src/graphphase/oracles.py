@@ -8,7 +8,9 @@ between the box and the mass plane, and the multi-class mass projection
 against the same corrections between the row simplices and the class-mass
 planes (Boyle & Dykstra 1986).  A composed fine-step flow serves as the
 reference for time-step refinement studies, and a seeded generator produces
-the random instances the check suites run on.
+the random instances the check suites run on.  The dense eigendecomposition
+of the Laplacian is the reference for the Chebyshev heat diffusion of
+:mod:`graphphase.graph_core`.
 """
 
 import math
@@ -16,12 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphTooLarge, LambdaIsOne, MassOutOfRange, NoConvergence
+from .errors import (
+    EigensolverFailure,
+    GraphTooLarge,
+    LambdaIsOne,
+    MassOutOfRange,
+    NoConvergence,
+)
 from .graph_core import Graph, Spectrum, build_graph, diffuse, inner_product, mass, norm
 from .multiclass import project_rows_to_simplex
 from .scheme import SchemeParams, semi_discrete_step
 
 __all__ = [
+    "DenseSpectrum",
+    "dense_spectrum",
+    "dense_diffuse",
     "ExtremePoint",
     "enumerate_extreme_points",
     "mbo_oracle",
@@ -31,6 +42,67 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 12
+# The dense eigendecomposition holds about five n-by-n float64 arrays at once
+# (the symmetric conjugate, the eigensolver's copy and workspace, and the
+# eigenvectors), ~40 n**2 bytes: 4 GB at this limit, half of an 8 GB machine.
+DENSE_VERTEX_LIMIT = 10_000
+
+
+@dataclass(frozen=True)
+class DenseSpectrum:
+    """Eigendecomposition of the graph Laplacian.
+
+    ``eigenvalues`` ascend and start at exactly 0.  ``phi`` holds the
+    orthonormal eigenvectors of the symmetric conjugate
+    ``d**(-r/2) (D - W) d**(-r/2)``; together with the ``degrees**(r/2)``
+    scalings that is all :func:`dense_diffuse` needs.  The Laplacian's own
+    eigenvectors, orthonormal in the weighted inner product, are
+    ``scale_back[:, None] * phi``.
+    """
+
+    eigenvalues: np.ndarray
+    phi: np.ndarray
+    scale_fwd: np.ndarray   # degrees**(r/2)
+    scale_back: np.ndarray  # degrees**(-r/2)
+
+
+def dense_spectrum(g: Graph) -> DenseSpectrum:
+    """Diagonalize the Laplacian through its symmetric conjugate.
+
+    ``d**(-r/2) (D - W) d**(-r/2)`` is symmetric positive semi-definite and
+    shares eigenvalues with the Laplacian; it is assembled from the edge
+    arrays.  Eigenvalues within ``1e-12 * max`` of zero are snapped to
+    exactly zero so the diffusion semigroup fixes constants for every t.
+    Above ``DENSE_VERTEX_LIMIT`` vertices it raises ``GraphTooLarge`` first.
+    """
+    n = g.num_vertices
+    if n > DENSE_VERTEX_LIMIT:
+        raise GraphTooLarge(
+            f"dense eigendecomposition of {n} vertices exceeds the limit of "
+            f"{DENSE_VERTEX_LIMIT}"
+        )
+    half = g.degrees ** (0.5 * g.r)
+    inv_half = 1.0 / half
+    sym = np.zeros((n, n))
+    coupling = -g.edge_w * inv_half[g.edge_i] * inv_half[g.edge_j]
+    sym[g.edge_i, g.edge_j] = coupling
+    sym[g.edge_j, g.edge_i] = coupling
+    np.fill_diagonal(sym, inv_half * g.degrees * inv_half)
+    try:
+        eigenvalues, phi = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(str(exc)) from exc
+    if not np.all(np.isfinite(eigenvalues)):
+        raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
+    eigenvalues[np.abs(eigenvalues) <= 1e-12 * max(eigenvalues[-1], 1.0)] = 0.0
+    return DenseSpectrum(eigenvalues, phi, half, inv_half)
+
+
+def dense_diffuse(u: np.ndarray, t: float, ds: DenseSpectrum) -> np.ndarray:
+    """``exp(-tL) u`` through the eigendecomposition, for ``t >= 0``."""
+    coeffs = ds.phi.T @ (ds.scale_fwd * np.asarray(u, dtype=float))
+    coeffs *= np.exp(-t * ds.eigenvalues)
+    return ds.scale_back * (ds.phi @ coeffs)
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,11 @@ class MultiplierSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class StepResult:
-    """One accepted step with its optimality certificate pieces."""
+    """One accepted step with its optimality certificate pieces.
+
+    ``mass_in`` is the mass the step conserves: the mass of its input, or
+    the ``target_mass`` it was given.
+    """
 
     u_next: np.ndarray
     multiplier: "float | MboMultiplier"
@@ -171,6 +175,14 @@ class DualCertificate:
 
 def _ones_mass(g: Graph) -> float:
     return float(g.degrees_r.sum())
+
+
+def _check_target(target_mass: float, total: float) -> float:
+    """A mass target as a float; refused outside [0, total] beyond 1e-9 slack."""
+    target = float(target_mass)
+    if not -1e-9 * (1.0 + total) <= target <= total * (1.0 + 1e-9) + 1e-9:
+        raise MassOutOfRange(f"target mass {target} outside [0, {total}]")
+    return target
 
 
 def _check_box(u: np.ndarray, g: Graph) -> np.ndarray:
@@ -354,11 +366,7 @@ def solve_multiplier(
         raise LambdaIsOne("the multiplier equation needs lam < 1")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    total = float(levels.weights.sum())
-    if target_mass < -1e-9 * (1.0 + total) or target_mass > total * (1.0 + 1e-9) + 1e-9:
-        raise MassOutOfRange(
-            f"target mass {target_mass} outside [0, {total}]"
-        )
+    target_mass = _check_target(target_mass, float(levels.weights.sum()))
     nu, lo, hi, _ = _solve_profile(levels, target_mass, lam)
     return MultiplierSolution(nu, max(lo, 0.0), min(hi, lam))
 
@@ -505,9 +513,11 @@ def _step_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
     return _step_result(diffused, u_next, multiplier, mass_in, g, params)
 
 
-def _step(u_n, g, s, params, diffused) -> StepResult:
+def _step(u_n, g, s, params, diffused, target_mass) -> StepResult:
     """Both public steps; ``lam = 0`` is plain diffusion."""
     u_n, mass_in, diffused = _diffused_state(u_n, g, s, params.tau, diffused)
+    if target_mass is not None:
+        mass_in = _check_target(target_mass, _ones_mass(g))
     if params.lam == 0.0:
         u_next = np.clip(diffused, 0.0, 1.0)
         return _step_result(diffused, u_next, 0.0, mass_in, g, params)
@@ -522,20 +532,24 @@ def semi_discrete_step(
     params: SchemeParams,
     *,
     diffused: np.ndarray | None = None,
+    target_mass: float | None = None,
 ) -> StepResult:
     """One relaxed mass-conserving step (``lam < 1``).
 
     Diffuses, solves the multiplier equation exactly, assigns each threshold
     level its solved value, and recovers the subgradient certificate.  With
     ``lam = 0`` the step is plain diffusion.  ``diffused``, if given, must be
-    ``diffuse(u_n, params.tau, s)`` and replaces the step's own.  Raises
+    ``diffuse(u_n, params.tau, s)`` and replaces the step's own.  The new
+    state has mass ``target_mass``, by default the mass of ``u_n``; a run
+    passes its starting mass, so rounding in one step's mass does not move
+    the next step's target.  Raises
     :class:`~graphphase.errors.LambdaIsOne` for ``lam = 1`` (use
     :func:`mbo_step`) and :class:`~graphphase.errors.DomainViolation` for
     states outside [0, 1].
     """
     if params.lam == 1.0:
         raise LambdaIsOne("semi_discrete_step requires lam < 1")
-    return _step(u_n, g, s, params, diffused)
+    return _step(u_n, g, s, params, diffused, target_mass)
 
 
 def mbo_step(
@@ -545,15 +559,17 @@ def mbo_step(
     tau: float,
     *,
     diffused: np.ndarray | None = None,
+    target_mass: float | None = None,
 ) -> StepResult:
     """One mass-conserving threshold step (``lam = 1``).
 
     The relaxed step's profile at ``lam = 1``: diffused levels fill from the
-    top until the mass budget is spent, and the boundary level is filled
-    uniformly with the leftover fraction.  ``diffused``, if given, must be
-    ``diffuse(u_n, tau, s)``.
+    top until the mass budget, ``target_mass`` or else the mass of ``u_n``,
+    is spent, and the boundary level is filled uniformly with the leftover
+    fraction.  ``diffused``, if given, must be ``diffuse(u_n, tau, s)``.
     """
-    return _step(u_n, g, s, SchemeParams.from_lambda(tau=tau, lam=1.0), diffused)
+    params = SchemeParams.from_lambda(tau=tau, lam=1.0)
+    return _step(u_n, g, s, params, diffused, target_mass)
 
 
 def _profile_is_unique(levels: ThresholdLevels, target_mass: float) -> bool:

@@ -14,10 +14,20 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from . import scheme
 from .errors import GraphTooLarge, LambdaIsOne, TauExceedsEpsilon
-from .graph_core import Graph, Spectrum, average, mass, norm
+from .graph_core import (
+    Graph,
+    Spectrum,
+    _chebyshev_series,
+    _heat_coefficients,
+    average,
+    inner_product,
+    mass,
+    norm,
+)
 from .multiclass import (
     FP_TOL,
     MAX_ITER,
@@ -204,20 +214,27 @@ def run_trajectory(
         return diffused, H, H_tau, ginzburg_landau(u, g, params.epsilon)
 
     diffused, H, H_tau, GL = diagnostics(current)
+    mass0 = float(mass(current, g))
 
     def advance(u, step):
         nonlocal diffused
+        # every step targets the starting mass: a settled run then repeats
+        # its state bit for bit and stops
         if params.lam == 1.0:
-            result = mbo_step(u, g, s, params.tau, diffused=diffused)
+            result = mbo_step(
+                u, g, s, params.tau, diffused=diffused, target_mass=mass0
+            )
         else:
-            result = semi_discrete_step(u, g, s, params, diffused=diffused)
+            result = semi_discrete_step(
+                u, g, s, params, diffused=diffused, target_mass=mass0
+            )
         change = float(np.abs(result.u_next - u).max())
         diffused, H, H_tau, GL = diagnostics(result.u_next)
         multiplier = _scalar_multiplier(result.multiplier)
         entry = LogEntry(step, result.mass_out, H, H_tau, GL, change, multiplier)
         return result.u_next, entry, True
 
-    entry = LogEntry(0, float(mass(current, g)), H, H_tau, GL, None, None)
+    entry = LogEntry(0, mass0, H, H_tau, GL, None, None)
     return _iterate(
         current, entry, advance, params, max_steps, stride, fixed_point_tol
     )
@@ -246,9 +263,13 @@ def run_multiclass_trajectory(
         g.num_vertices * U0.num_classes, max_steps, snapshot_stride
     )
     stepper = multiclass_mass_conserving_step if conserve_masses else multiclass_step
+    # every step targets the starting class masses, as in run_trajectory
+    targets = {"target_mass": U0.class_masses()} if conserve_masses else {}
 
     def advance(U, step):
-        result = stepper(U, g, s, params, max_iter=max_iter, fp_tol=fp_tol)
+        result = stepper(
+            U, g, s, params, max_iter=max_iter, fp_tol=fp_tol, **targets
+        )
         change = float(np.abs(result.u_next.values - U.values).max())
         _, GL = multi_obstacle_energy(result.u_next, g, params.epsilon)
         masses = float(result.class_masses_out.sum())
@@ -305,10 +326,22 @@ def _state_at(trajectory: Trajectory, t: float, tau: float):
 
 
 def _quadratic_remainder(u: np.ndarray, tau: float, g: Graph, s: Spectrum) -> float:
-    """<u, Q u> with tau^2 Q = exp(-tau L) - I + tau L, evaluated spectrally."""
-    coeffs = s.phi.T @ (s.scale_fwd * u)
-    weights = (np.expm1(-tau * s.eigenvalues) + tau * s.eigenvalues) / tau**2
-    return float(weights @ coeffs**2)
+    """<u, Q u> with tau^2 Q = exp(-tau L) - I + tau L, matrix-free.
+
+    Q is ``(expm1(-tau lam) + tau lam) / tau^2`` of the Laplacian, applied
+    as its Chebyshev series in the rescaled Laplacian of ``s``; past degree
+    1 its coefficients are the heat kernel's over ``tau^2``, so the series
+    is cut at the same degree.
+    """
+    half = 0.5 * s.bound
+
+    def weight(y):
+        z = tau * half * (1.0 + y)
+        return (np.expm1(-z) + z) / tau**2
+
+    degree = max(_heat_coefficients(tau * half).size - 1, 2)
+    coeffs = chebyshev.chebinterpolate(weight, degree)
+    return inner_product(u, _chebyshev_series(u, coeffs, s), g)
 
 
 def converge_tau(

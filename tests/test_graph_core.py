@@ -25,7 +25,7 @@ from graphphase import (
     norm,
     spectral_decompose,
 )
-from graphphase.graph_core import DENSE_VERTEX_LIMIT
+from graphphase.oracles import DENSE_VERTEX_LIMIT, dense_diffuse, dense_spectrum
 
 
 def _dense_weights(g):
@@ -107,16 +107,35 @@ def test_build_graph_is_linear_in_the_edges():
     assert peak < 20e6
 
 
-def test_spectral_decompose_refuses_large_graphs():
+def test_dense_spectrum_refuses_large_graphs():
     g = build_graph(DENSE_VERTEX_LIMIT + 1, _path_edges(DENSE_VERTEX_LIMIT + 1))
     tracemalloc.start()
     try:
         with pytest.raises(GraphTooLarge, match="limit"):
-            spectral_decompose(g)
+            dense_spectrum(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_diffusion_on_a_large_path_is_linear_in_the_edges():
+    # the dense eigendecomposition would need ~16 GB here
+    g = build_graph(20_001, _path_edges(20_001))
+    u = np.zeros(20_001)
+    u[:10_000] = 1.0
+    tracemalloc.start()
+    try:
+        s = spectral_decompose(g)
+        out = diffuse(u, 0.5, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert_allclose(mass(out, g), mass(u, g), rtol=1e-12)
+    # far from the jump the state has not moved; across it, it has spread
+    assert_allclose(out[[0, 5_000, 15_000, 20_000]], [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    assert 0.0 < out[10_000] < out[9_999] < 1.0
 
 
 def test_check_field_rejects_bad_shapes(p2):
@@ -191,19 +210,19 @@ def test_dirichlet_energy_matches_laplacian_pairing(p2, triangle, random_graphs)
         assert not g.edge_w.flags.writeable
 
 
-def test_spectrum_p2(p2_spectrum):
-    assert_allclose(p2_spectrum.eigenvalues, [0.0, 2.0], atol=1e-12)
+def test_spectrum_p2(p2):
+    assert_allclose(dense_spectrum(p2).eigenvalues, [0.0, 2.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("r,expected", [(0.0, [0.0, 3.0, 3.0]), (1.0, [0.0, 1.5, 1.5])])
 def test_spectrum_triangle(r, expected):
     g = build_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)], r=r)
-    s = spectral_decompose(g)
-    assert_allclose(s.eigenvalues, expected, atol=1e-12)
+    assert_allclose(dense_spectrum(g).eigenvalues, expected, atol=1e-12)
 
 
-def test_spectrum_invariants(random_graphs_with_spectra):
-    for g, s in random_graphs_with_spectra:
+def test_spectrum_invariants(random_graphs):
+    for g in random_graphs:
+        s = dense_spectrum(g)
         n = g.num_vertices
         assert s.eigenvalues[0] == 0.0
         assert np.all(np.diff(s.eigenvalues) >= -1e-12)
@@ -221,8 +240,9 @@ def test_spectrum_invariants(random_graphs_with_spectra):
             assert norm(defect, g) <= 1e-8 * top
 
 
-def test_spectrum_matches_dense_reference(random_graphs_with_spectra):
-    for g, s in random_graphs_with_spectra:
+def test_spectrum_matches_dense_reference(random_graphs):
+    for g in random_graphs:
+        s = dense_spectrum(g)
         w = _dense_weights(g)
         lap = (np.diag(w.sum(axis=1)) - w) / g.degrees_r[:, None]
         vectors = s.scale_back[:, None] * s.phi
@@ -245,6 +265,17 @@ def test_diffuse_zero_time_is_identity(p2, p2_spectrum):
 def test_diffuse_rejects_negative_time(p2_spectrum):
     with pytest.raises(NegativeTime):
         diffuse(np.array([1.0, 0.0]), -0.1, p2_spectrum)
+
+
+def test_diffuse_extreme_times(p2, p2_spectrum):
+    u = np.array([1.0, 0.0])
+    assert_allclose(diffuse(u, 1e-300, p2_spectrum), u, rtol=0, atol=0)
+    # the expansion degree grows like sqrt(t); past MAX_DEGREE it is refused
+    for t in (1e300, np.inf):
+        with pytest.raises(GraphTooLarge, match="degree"):
+            diffuse(u, t, p2_spectrum)
+    with pytest.raises(NegativeTime):
+        diffuse(u, np.nan, p2_spectrum)
 
 
 def test_diffuse_p2_closed_form(p2, p2_spectrum):
@@ -298,3 +329,28 @@ def test_long_time_limit_is_weighted_average(random_graphs_with_spectra):
         u = rng.random(g.num_vertices)
         out = diffuse(u, 1e6, s)
         assert_allclose(out, average(u, g), atol=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.1, 0.2, 0.6, 2.0, 25.0])
+def test_diffuse_matches_dense_reference(random_graphs_with_spectra, t):
+    rng = np.random.default_rng(53)
+    for g, s in random_graphs_with_spectra:
+        reference = dense_spectrum(g)
+        for u in (rng.random(g.num_vertices), rng.standard_normal(g.num_vertices)):
+            assert_allclose(diffuse(u, t, s), dense_diffuse(u, t, reference),
+                            rtol=0, atol=1e-12 * np.abs(u).max())
+
+
+def test_diffuse_block_matches_separate_columns(random_graphs_with_spectra):
+    rng = np.random.default_rng(59)
+    for g, s in random_graphs_with_spectra:
+        block = rng.random((g.num_vertices, 3))
+        out = diffuse(block, 0.3, s)
+        assert out.shape == block.shape
+        for k in range(3):
+            assert np.array_equal(out[:, k], diffuse(block[:, k], 0.3, s))
+    g, s = random_graphs_with_spectra[0]
+    with pytest.raises(DimensionMismatch):
+        diffuse(np.zeros((g.num_vertices, 2, 2)), 0.3, s)
+    with pytest.raises(DimensionMismatch):
+        diffuse(np.zeros((g.num_vertices + 1, 2)), 0.3, s)

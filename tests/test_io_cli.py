@@ -1,6 +1,9 @@
 """File format and command-line driver tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from graphphase import (
     run_trajectory,
     write_outputs,
 )
-from graphphase.graph_core import DENSE_VERTEX_LIMIT, spectral_decompose
+from graphphase.graph_core import spectral_decompose
 
 P2_GRAPH = "vertices 2 r 0\n0 1 1.0\n"
 P2_INIT = "0 1.0\n1 0.0\n"
@@ -329,15 +332,20 @@ def test_cli_rejects_empty_oracle_check(capsys, instances):
         RunConfig(mode="oracle-check", instances=0)
 
 
-def test_cli_refuses_graphs_above_the_dense_limit(tmp_path, capsys):
-    n = DENSE_VERTEX_LIMIT + 1
+def test_cli_runs_mbo_on_a_20001_vertex_path(tmp_path, capsys):
+    # twice the old dense limit: diffusion needs only the edge arrays
+    n = 20_001
     lines = [f"vertices {n} r 0"] + [f"{v} {v + 1} 1.0" for v in range(n - 1)]
     graph = _write(tmp_path, "path.graph", "\n".join(lines) + "\n")
-    init = _write(tmp_path, "path.init", "".join(f"{v} 0.5\n" for v in range(n)))
+    init = _write(tmp_path, "path.init",
+                  "".join(f"{v} {float(v < n // 2)}\n" for v in range(n)))
     args = ["run", "--graph", graph, "--init", init, "--mode", "mbo",
             "--tau", "0.1", "--steps", "1", "--out", str(tmp_path / "o")]
-    assert cli_main(args) == 1
-    assert _last_error(capsys)["error"] == "GraphTooLarge"
+    assert cli_main(args) == 0
+    assert capsys.readouterr().err == ""
+    final = parse_field_file(str(tmp_path / "o" / "final_state.txt"),
+                             parse_graph_file(graph))
+    assert final.sum() == n // 2
 
 
 def test_cli_classes_flag_sets_the_state_width(tmp_path, capsys):
@@ -426,3 +434,20 @@ def test_write_outputs_rejects_unwritable_dir(tmp_path):
     traj = run_trajectory(parse_field_file(init, g), g, s, params, max_steps=1)
     with pytest.raises(IoError):
         write_outputs(traj, str(blocker), "sd", {})
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    import graphphase
+
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(graphphase.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphphase", "oracle-check", "--instances", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "passed" in proc.stdout

@@ -10,6 +10,7 @@ from graphphase import (
     DimensionMismatch,
     DomainViolation,
     InconsistentInputs,
+    InfeasibleMasses,
     RowNotInPi,
     SchemeParams,
     SimplexField,
@@ -253,6 +254,18 @@ def test_mass_conserving_step_conserves_class_masses():
             drift = np.abs(result.class_masses_out - result.class_masses_in).max()
             assert drift <= 1e-9
             assert_allclose(result.class_masses_in, field.class_masses(), rtol=1e-12)
+
+
+def test_mass_conserving_step_aims_at_the_given_class_masses():
+    params = SchemeParams.from_lambda(tau=0.5, lam=0.6)
+    g, s, field = _random_instances(1, 3, seed=503)[0]
+    target = field.class_masses()[[1, 2, 0]]
+    result = multiclass_mass_conserving_step(field, g, s, params, target_mass=target)
+    assert_allclose(result.class_masses_out, target, rtol=1e-9)
+    total = float(g.degrees_r.sum())
+    for bad in ([total, 0.0], [total, 0.5, 0.0], [total + 1.0, -1.0, 0.0]):
+        with pytest.raises(InfeasibleMasses):
+            multiclass_mass_conserving_step(field, g, s, params, target_mass=bad)
 
 
 def test_converged_runs_have_small_residual():

@@ -331,6 +331,22 @@ def test_mbo_step_conserves_mass():
         assert fractional.sum() <= 1  # threshold profiles are nearly binary
 
 
+def test_steps_aim_at_the_given_target_mass(p2, p2_spectrum):
+    u = np.array([0.6, 0.2])
+    params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
+    for step in (
+        lambda **kw: mbo_step(u, p2, p2_spectrum, 0.3, **kw),
+        lambda **kw: semi_discrete_step(u, p2, p2_spectrum, params, **kw),
+    ):
+        result = step(target_mass=1.0)
+        assert result.mass_in == 1.0
+        assert_allclose(result.mass_out, 1.0, rtol=1e-15)
+        assert step().mass_in == mass(u, p2)
+        for bad in (-0.1, 2.1):
+            with pytest.raises(MassOutOfRange):
+                step(target_mass=bad)
+
+
 def test_mbo_uniqueness_detection(p2, p2_spectrum, triangle):
     # the budget closes the top level exactly
     assert mbo_is_unique(np.array([1.0, 0.0]), p2, p2_spectrum, TAU_P2)

@@ -13,6 +13,7 @@ from graphphase import (
     SchemeParams,
     SimplexField,
     TauExceedsEpsilon,
+    build_graph,
     converge_tau,
     mbo_step,
     norm,
@@ -23,7 +24,7 @@ from graphphase import (
     sweep_lambda,
 )
 from graphphase import scheme, trajectory
-from graphphase.oracles import random_connected_graph
+from graphphase.oracles import dense_spectrum, random_connected_graph
 
 TAU_P2 = 0.5 * math.log(2.0)
 
@@ -110,14 +111,18 @@ def test_trajectory_diffuses_each_state_once(monkeypatch, lam):
     monkeypatch.setattr(scheme, "diffuse", counted)
     traj = run_trajectory(u0, g, s, params, max_steps=5, fixed_point_tol=-1.0)
     assert calls == [params.tau] * 6
-    # the shared diffusion gives the steps exactly what their own would
+    # the shared diffusion gives the steps exactly what their own would,
+    # each step aiming at the starting mass
     monkeypatch.setattr(scheme, "diffuse", diffuse)
     current = traj.states[0]
+    target = traj.log[0].mass
     for state in traj.states[1:]:
         if lam == 1.0:
-            current = mbo_step(current, g, s, params.tau).u_next
+            current = mbo_step(current, g, s, params.tau, target_mass=target).u_next
         else:
-            current = semi_discrete_step(current, g, s, params).u_next
+            current = semi_discrete_step(
+                current, g, s, params, target_mass=target
+            ).u_next
         assert np.array_equal(state, current)
 
 
@@ -250,3 +255,41 @@ def test_multiclass_trajectory_fixed_point(p2, p2_spectrum):
     traj = run_multiclass_trajectory(field, p2, p2_spectrum, params, max_steps=10)
     assert traj.terminated_reason == "fixed_point"
     assert traj.num_steps == 1
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.005, 0.0025, 0.00125])
+def test_quadratic_remainder_matches_dense_form(tau):
+    # the two instances of acceptance test a09
+    rng = np.random.default_rng(20240817)
+    g20 = random_connected_graph(
+        20, rng, r=0.0, extra_edges=6, weight_range=(0.05, 0.3)
+    )
+    cases = [
+        (build_graph(2, [(0, 1, 1.0)]), np.array([1.0, 0.0])),
+        (g20, rng.uniform(0.0, 1.0, size=20)),
+    ]
+    for g, u in cases:
+        dense = dense_spectrum(g)
+        coeffs = dense.phi.T @ (dense.scale_fwd * u)
+        mu = dense.eigenvalues
+        expected = ((np.expm1(-tau * mu) + tau * mu) / tau**2) @ coeffs**2
+        got = trajectory._quadratic_remainder(u, tau, g, spectral_decompose(g))
+        assert_allclose(got, expected, rtol=1e-9)
+
+
+def test_threshold_runs_stop_right_after_they_settle():
+    # the lambda = 1 runs of acceptance test a01: every step targets the
+    # starting mass, so the first step that leaves the state in place ends
+    # the run; with each step re-reading its input's mass, rounding-size
+    # mass changes kept the r = 1 run moving for all 1000 steps
+    rng = np.random.default_rng(20240817)
+    for r in (0.0, 0.5, 1.0):
+        g = random_connected_graph(50, rng, r=r)
+        u0 = rng.uniform(0.0, 1.0, size=50)
+        params = SchemeParams.from_lambda(tau=0.1, lam=1.0)
+        traj = run_trajectory(u0, g, spectral_decompose(g), params,
+                              max_steps=1000, fixed_point_tol=0.0)
+        changes = [entry.max_change for entry in traj.log[1:]]
+        assert traj.terminated_reason == "fixed_point"
+        assert changes[-1] == 0.0
+        assert all(change > 0.0 for change in changes[:-1])
