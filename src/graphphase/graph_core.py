@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .errors import (
     DimensionMismatch,
@@ -48,6 +49,7 @@ __all__ = [
     "dirichlet_energy",
     "spectral_decompose",
     "diffuse",
+    "heat_remainder",
 ]
 
 TAIL = 2.0**-60          # heat coefficients dropped past the cut sum below this
@@ -304,8 +306,9 @@ def _heat_coefficients(x: float) -> np.ndarray:
         start = third + math.sqrt(third**2 + 2.0 * log_tail * x)
         if start > MAX_DEGREE:
             raise GraphTooLarge(
-                f"diffusion over t * b / 2 = {x:.6g} needs a degree-{start:.3g} "
-                f"Chebyshev expansion, over the limit of {MAX_DEGREE}"
+                f"diffusion time too large: t * b / 2 = {x:.6g} needs a "
+                f"degree-{start:.3g} Chebyshev expansion, over the limit of "
+                f"{MAX_DEGREE}"
             )
         start = math.ceil(start)
         ratios = np.ones(start + 1)  # I_k / I_{k-1}, from the top down
@@ -346,3 +349,24 @@ def diffuse(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
     if t == 0.0:
         return u.copy()
     return _chebyshev_series(u, _heat_coefficients(0.5 * t * s.bound), s)
+
+
+def heat_remainder(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
+    """``(exp(-tL) - I + tL) u`` for ``t > 0``, without cancellation.
+
+    The function ``expm1(-t lam) + t lam`` of the Laplacian is applied as
+    its Chebyshev series in ``X``, interpolated at the degree of the heat
+    series for the same ``t``: past degree 1 the two series have the same
+    coefficients, so the cut is the same.  Small eigenvalues contribute
+    ``O((t lam)**2)`` with full relative precision, where
+    ``diffuse(u) - u + t L u`` would lose it to the O(1) terms.
+    """
+    half = 0.5 * s.bound
+
+    def weight(y):
+        z = t * half * (1.0 + y)
+        return np.expm1(-z) + z
+
+    degree = max(_heat_coefficients(t * half).size - 1, 2)
+    coeffs = chebyshev.chebinterpolate(weight, degree)
+    return _chebyshev_series(np.asarray(u, dtype=float), coeffs, s)

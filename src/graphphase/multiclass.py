@@ -385,11 +385,12 @@ def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
     return _row_center_exact(-correction / lam)
 
 
-def _solve_step(start, g, s, params, project, max_iter, fp_tol):
+def _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in):
     """Run the fixed point from ``start`` and certify the returned iterate.
 
     The residual is the sup-norm defect of the update equation at the
     returned iterate, subgradient and per-class constants included.
+    ``masses_in`` is reported as the step's ``class_masses_in``.
     """
     diffused = diffuse(start, params.tau, s)
     lam = params.lam
@@ -404,7 +405,7 @@ def _solve_step(start, g, s, params, project, max_iter, fp_tol):
         residual=float(np.abs(defect).max()),
         iterations=iterations,
         converged=converged,
-        class_masses_in=start.T @ g.degrees_r,
+        class_masses_in=masses_in,
         class_masses_out=final.T @ g.degrees_r,
         projection_iterations=inner,
     )
@@ -430,7 +431,10 @@ def multiclass_step(
         projected = project_rows_to_simplex(matrix)
         return projected, matrix - projected, 0.0, 0
 
-    return _solve_step(_check_start(U_n, g), g, s, params, project, max_iter, fp_tol)
+    start = _check_start(U_n, g)
+    return _solve_step(
+        start, g, s, params, project, max_iter, fp_tol, start.T @ g.degrees_r
+    )
 
 
 def multiclass_mass_conserving_step(
@@ -446,7 +450,8 @@ def multiclass_mass_conserving_step(
     """One multi-class step keeping every class mass fixed.
 
     The feasible set is the transportation polytope of simplex rows with
-    class masses ``target_mass``, by default the input's; each inner solve
+    class masses ``target_mass``, by default the input's, which the result
+    reports as ``class_masses_in``; each inner solve
     projects onto it exactly by a Newton solve for the K class multipliers.
     Those multipliers, centered to sum to zero like the row-centered
     subgradient they pair with, are the per-class constants of the update
@@ -463,6 +468,7 @@ def multiclass_mass_conserving_step(
     tol = 1e-8 * (1.0 + total)
     if (
         masses_in.shape != (start.shape[1],)
+        or not np.all(np.isfinite(masses_in))
         or abs(float(masses_in.sum()) - total) > tol
         or masses_in.min() < -tol
     ):
@@ -480,4 +486,4 @@ def multiclass_mass_conserving_step(
         projected, mu, steps = _project_transport(matrix, g.degrees_r, masses_in, mu)
         return projected, matrix + mu - projected, mu - mu.mean(), steps
 
-    return _solve_step(start, g, s, params, project, max_iter, fp_tol)
+    return _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in)

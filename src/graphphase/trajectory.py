@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from . import scheme
 from .errors import GraphTooLarge, LambdaIsOne, TauExceedsEpsilon
 from .graph_core import (
     Graph,
     Spectrum,
-    _chebyshev_series,
-    _heat_coefficients,
     average,
+    heat_remainder,
     inner_product,
     mass,
     norm,
@@ -326,22 +324,8 @@ def _state_at(trajectory: Trajectory, t: float, tau: float):
 
 
 def _quadratic_remainder(u: np.ndarray, tau: float, g: Graph, s: Spectrum) -> float:
-    """<u, Q u> with tau^2 Q = exp(-tau L) - I + tau L, matrix-free.
-
-    Q is ``(expm1(-tau lam) + tau lam) / tau^2`` of the Laplacian, applied
-    as its Chebyshev series in the rescaled Laplacian of ``s``; past degree
-    1 its coefficients are the heat kernel's over ``tau^2``, so the series
-    is cut at the same degree.
-    """
-    half = 0.5 * s.bound
-
-    def weight(y):
-        z = tau * half * (1.0 + y)
-        return (np.expm1(-z) + z) / tau**2
-
-    degree = max(_heat_coefficients(tau * half).size - 1, 2)
-    coeffs = chebyshev.chebinterpolate(weight, degree)
-    return inner_product(u, _chebyshev_series(u, coeffs, s), g)
+    """<u, Q u> with tau^2 Q = exp(-tau L) - I + tau L, matrix-free."""
+    return inner_product(u, heat_remainder(u, tau, s), g) / tau**2
 
 
 def converge_tau(

@@ -320,6 +320,19 @@ def test_cli_reads_negative_tau_as_a_value(tmp_path, capsys, tau):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_refuses_a_diffusion_time_past_the_degree_limit(tmp_path, capsys):
+    # the Chebyshev degree grows like sqrt(tau): a huge step is refused
+    # before the series is built, and the message names the time
+    graph, init = _p2_files(tmp_path)
+    args = ["run", "--graph", graph, "--init", init, "--mode", "mbo",
+            "--tau", "1e10", "--steps", "1", "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "GraphTooLarge"
+    assert "diffusion time too large" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_cli_rejects_empty_oracle_check(capsys, instances):
     assert cli_main(["oracle-check", "--instances", instances]) == 1

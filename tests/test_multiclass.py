@@ -262,8 +262,14 @@ def test_mass_conserving_step_aims_at_the_given_class_masses():
     target = field.class_masses()[[1, 2, 0]]
     result = multiclass_mass_conserving_step(field, g, s, params, target_mass=target)
     assert_allclose(result.class_masses_out, target, rtol=1e-9)
+    assert np.array_equal(result.class_masses_in, target)
     total = float(g.degrees_r.sum())
-    for bad in ([total, 0.0], [total, 0.5, 0.0], [total + 1.0, -1.0, 0.0]):
+    for bad in (
+        [total, 0.0],
+        [total, 0.5, 0.0],
+        [total + 1.0, -1.0, 0.0],
+        [total, np.nan, 0.0],
+    ):
         with pytest.raises(InfeasibleMasses):
             multiclass_mass_conserving_step(field, g, s, params, target_mass=bad)
 
