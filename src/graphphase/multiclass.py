@@ -2,18 +2,21 @@
 
 States are |V| x K matrices whose rows live on the simplex; the obstacle
 well rewards rows that sit on a vertex of it.  The implicit stepping schemes
-here have no closed-form solve, so both run a damped fixed-point iteration
-around exact projections and are flagged experimental: every result reports
-its residual and a converged flag instead of assuming success.  The
-mass-conserving variant projects onto the transportation polytope (simplex
-rows with prescribed per-class masses) exactly: the projection has one
-multiplier per class, found by a semismooth Newton solve on the monotone,
-piecewise-linear mass balance, and those multipliers are the per-class
-constants of the update equation.  Dykstra's alternating corrections
-(``oracles._project_masses``) remain as the independent reference.
+here have no closed-form solve, so both run a safeguarded Anderson-accelerated
+fixed-point iteration around exact projections and are flagged experimental:
+every result reports its residual and a converged flag instead of assuming
+success.  The mass-conserving variant projects onto the transportation
+polytope (simplex rows with prescribed per-class masses) exactly: the
+projection has one multiplier per class, found by a semismooth Newton solve
+on the monotone, piecewise-linear mass balance, and those multipliers are the
+per-class constants of the update equation.  Dykstra's alternating corrections
+(``oracles._project_masses``) remain as the independent reference, as
+does the plain damped iteration (``oracles._damped_fixed_point``) for the
+accelerated loop.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,6 +46,7 @@ ROW_SUM_TOL = 1e-10   # admissible defect of row sums on construction
 SIGMA_TOL = 1e-12     # admissible negative dust for simplex membership
 FP_TOL = 1e-10        # default fixed-point displacement tolerance
 MAX_ITER = 500        # default fixed-point iteration budget
+ANDERSON_MEMORY = 5   # residual and image differences the extrapolation keeps
 NEWTON_TOL = 1e-12    # class-mass defect of a projection, relative to 1 + max mass
 NEWTON_MAX_ITER = 50  # Newton steps per projection before NoConvergence
 RIDGE = 1e-9          # Jacobian ridge, relative to the total measure
@@ -343,40 +347,92 @@ def _step_length(matrix, weights, masses, mu, direction, x):
 
 
 def _fixed_point(project, diffused, lam, max_iter, fp_tol):
-    """Damped fixed-point loop shared by both multi-class steps.
+    """Safeguarded Anderson acceleration, shared by both multi-class steps.
 
     ``project`` maps a matrix to (feasible iterate, correction, constants,
-    inner iterations).  Tracks the best iterate by displacement and halves
-    the relaxation weight after two consecutive increases (oscillation); the
-    best iterate, not the last, is what a non-converged run hands back.
+    inner iterations); the step is a fixed point of the map
+    ``G(x) = project(diffused + lam * force(x))``.  Type-II Anderson
+    acceleration (Walker & Ni 2011) keeps the last ``ANDERSON_MEMORY``
+    differences of the residuals ``G(x) - x`` and of the images ``G(x)`` and
+    moves to the image combination whose residual combination is smallest
+    in least squares.  An extrapolated point stands only if its displacement
+    ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue &
+    Boyd 2020); otherwise the loop takes the plain step from the last
+    accepted point, forgets its history and takes a run of plain steps,
+    twice as long after each rejection, before it extrapolates again.  The
+    plain step halves for good after two consecutive rises of the
+    displacement (oscillation), as in the damped reference.  Every
+    returned iterate is an image of ``G``, so it is feasible; a
+    non-converged run hands back the image of least displacement, not the
+    last.
     """
     current, correction, constants, inner = project(diffused)
-    omega = 1.0
-    rises = 0
-    previous_disp = math.inf
     best = (math.inf, current, correction, constants)
-    converged = False
+    accepted = None  # (point, image, displacement) last accepted
+    # ring buffers of flattened differences; ``stored`` counts since a reset
+    residual_steps = np.empty((ANDERSON_MEMORY, diffused.size))
+    image_steps = np.empty((ANDERSON_MEMORY, diffused.size))
+    stored = 0
+    omega = 1.0
+    rises = rejections = cooldown = 0
+    extrapolated = converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         target = diffused + lam * _force(current)
-        proposed, correction, constants, spent = project(target)
+        image, correction, constants, spent = project(target)
         inner += spent
-        disp = float(np.abs(proposed - current).max())
+        residual = image - current
+        disp = float(np.abs(residual).max())
         if disp < best[0]:
-            best = (disp, proposed, correction, constants)
+            best = (disp, image, correction, constants)
         if disp <= fp_tol:
             converged = True
             break
-        if disp > previous_disp:
-            rises += 1
+        if extrapolated and disp >= accepted[2]:
+            # stepping on from the rejected point and extrapolating again
+            # at once can cycle (period 4 on a K=2 instance at lam = 0.95);
+            # go back to the accepted point and wait longer each time
+            rejections += 1
+            cooldown = 2**rejections
+            stored = 0
+            point, image, _ = accepted
+            current = point + omega * (image - point)
+            extrapolated = False
+            continue
+        if accepted is not None:
+            point, last_image, last_disp = accepted
+            slot = stored % ANDERSON_MEMORY
+            residual_steps[slot] = (residual - (last_image - point)).ravel()
+            image_steps[slot] = (image - last_image).ravel()
+            stored += 1
+            rises = rises + 1 if disp > last_disp else 0
             if rises >= 2:
                 omega = 0.5
+        accepted = (current, image, disp)
+        extrapolated = cooldown == 0 and stored > 0
+        if extrapolated:
+            rows = min(stored, ANDERSON_MEMORY)
+            current = image - _anderson_shift(
+                residual_steps[:rows], image_steps[:rows], residual
+            )
         else:
-            rises = 0
-        previous_disp = disp
-        current = current + omega * (proposed - current)
+            cooldown = max(cooldown - 1, 0)
+            current = current + omega * residual
     _, final, correction, constants = best
     return final, correction, constants, iterations, converged, inner
+
+
+def _anderson_shift(residual_steps, image_steps, residual):
+    """``sum_j gamma_j * image_steps[j]`` for the least-squares ``gamma``.
+
+    ``gamma`` minimizes ``|residual - sum_j gamma_j residual_steps[j]|``;
+    the small Gram system is solved by ``lstsq``, which drops directions
+    the residual differences no longer separate.
+    """
+    gram = residual_steps @ residual_steps.T
+    rhs = residual_steps @ residual.ravel()
+    gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return (gamma @ image_steps).reshape(residual.shape)
 
 
 def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
@@ -385,13 +441,24 @@ def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
     return _row_center_exact(-correction / lam)
 
 
+def _check_settings(max_iter, fp_tol) -> None:
+    """Raise ``ValueError`` naming ``fp_tol`` unless it is finite and
+    positive, or ``max_iter`` unless it is an integer of at least 1."""
+    if not (math.isfinite(fp_tol) and fp_tol > 0):
+        raise ValueError(f"fp_tol must be finite and positive, got {fp_tol}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
+
+
 def _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in):
     """Run the fixed point from ``start`` and certify the returned iterate.
 
     The residual is the sup-norm defect of the update equation at the
     returned iterate, subgradient and per-class constants included.
-    ``masses_in`` is reported as the step's ``class_masses_in``.
+    ``masses_in`` is reported as the step's ``class_masses_in``.  The
+    fixed-point settings are checked before any work is done.
     """
+    _check_settings(max_iter, fp_tol)
     diffused = diffuse(start, params.tau, s)
     lam = params.lam
     final, correction, constants, iterations, converged, inner = _fixed_point(

@@ -4,9 +4,10 @@ Everything here certifies a step by a route that shares no code with the
 piecewise-linear solver it checks: the threshold step against exhaustive
 extreme-point enumeration, the relaxed step against projected gradient
 descent whose feasibility projection runs Dykstra's alternating corrections
-between the box and the mass plane, and the multi-class mass projection
+between the box and the mass plane, the multi-class mass projection
 against the same corrections between the row simplices and the class-mass
-planes (Boyle & Dykstra 1986).  A composed fine-step flow serves as the
+planes (Boyle & Dykstra 1986), and the accelerated multi-class fixed point
+against the plain damped iteration.  A composed fine-step flow serves as the
 reference for time-step refinement studies, and a seeded generator produces
 the random instances the check suites run on.  The dense eigendecomposition
 of the Laplacian is the reference for the Chebyshev heat diffusion of
@@ -26,7 +27,7 @@ from .errors import (
     NoConvergence,
 )
 from .graph_core import Graph, Spectrum, build_graph, diffuse, inner_product, mass, norm
-from .multiclass import project_rows_to_simplex
+from .multiclass import _force, project_rows_to_simplex
 from .scheme import SchemeParams, semi_discrete_step
 
 __all__ = [
@@ -238,6 +239,47 @@ def _project_masses(
         if drift <= tol and mass_defect <= tol * (1.0 + float(np.abs(masses).max())):
             return x
     raise NoConvergence(f"mass projection did not settle in {max_rounds} rounds")
+
+
+def _damped_fixed_point(project, diffused, lam, max_iter, fp_tol):
+    """Damped fixed-point loop: the reference for the multi-class steps.
+
+    Same contract as ``multiclass._fixed_point``, which accelerates it:
+    ``project`` maps a matrix to (feasible iterate, correction, constants,
+    inner iterations), and the loop iterates
+    ``x <- x + omega (G(x) - x)`` with ``G(x) = project(diffused + lam *
+    force(x))``, halving ``omega`` for good after two consecutive rises of
+    the displacement (oscillation).  Returns the image of least
+    displacement with its correction and constants, the iteration count,
+    whether the displacement reached ``fp_tol``, and the inner iterations.
+    """
+    current, correction, constants, inner = project(diffused)
+    omega = 1.0
+    rises = 0
+    previous_disp = math.inf
+    best = (math.inf, current, correction, constants)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        target = diffused + lam * _force(current)
+        proposed, correction, constants, spent = project(target)
+        inner += spent
+        disp = float(np.abs(proposed - current).max())
+        if disp < best[0]:
+            best = (disp, proposed, correction, constants)
+        if disp <= fp_tol:
+            converged = True
+            break
+        if disp > previous_disp:
+            rises += 1
+            if rises >= 2:
+                omega = 0.5
+        else:
+            rises = 0
+        previous_disp = disp
+        current = current + omega * (proposed - current)
+    _, final, correction, constants = best
+    return final, correction, constants, iterations, converged, inner
 
 
 def variational_oracle(

@@ -30,6 +30,7 @@ from .multiclass import (
     FP_TOL,
     MAX_ITER,
     SimplexField,
+    _check_settings,
     multi_obstacle_energy,
     multiclass_mass_conserving_step,
     multiclass_step,
@@ -257,6 +258,8 @@ def run_multiclass_trajectory(
     inner fixed-point solve missed its tolerance (the run still continues
     with the best iterate, which keeps the log honest).
     """
+    # checked here too, so a run of zero steps refuses them as well
+    _check_settings(max_iter, fp_tol)
     stride = _choose_stride(
         g.num_vertices * U0.num_classes, max_steps, snapshot_stride
     )

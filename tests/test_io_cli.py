@@ -419,6 +419,30 @@ def test_cli_unconverged_solve_exits_two_with_outputs(tmp_path, capsys):
     assert (out / "final_state.txt").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "2"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--fp-tol", "nan"), ("--fp-tol", "-1"), ("--fp-tol", "inf"),
+     ("--max-iter", "0")],
+)
+def test_cli_rejects_bad_fixed_point_settings(tmp_path, capsys, flag, value, steps):
+    # refused before the first solve, not after a spent budget (exit 2) or a
+    # single iteration that an infinite tolerance accepts (exit 0), and by
+    # a run of no steps as well
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "0 1.0 0.0\n1 0.5 0.5\n2 0.0 1.0\n")
+    code = cli_main([
+        "multiclass", "--graph", graph, "--init", init, "--eps", "0.4",
+        "--tau", "0.2", "--steps", steps, "--out", str(tmp_path / "o"),
+        flag, value,
+    ])
+    assert code == 1
+    err = _last_error(capsys)
+    assert err["error"] == "ValueError"
+    assert flag[2:].replace("-", "_") in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_repeated_runs_are_byte_identical(tmp_path):
     graph, init = _p2_files(tmp_path)
     args = ["run", "--graph", graph, "--init", init, "--mode", "sd",
