@@ -1,4 +1,4 @@
-"""File formats, run configuration, and the command-line driver.
+"""File formats and the command-line driver.
 
 Graphs and states travel as small text files so every run is auditable by
 eye; all floats are written with 17 significant digits, which round-trips
@@ -6,11 +6,13 @@ float64 exactly.  The driver maps validation problems to exit code 1 and
 numerical failures to exit code 2, and prints a single machine-readable
 JSON line on stderr when it fails.
 
-Each layer checks one thing: argparse checks flags and their types and
-fills the ``RunConfig`` fields directly; ``RunConfig`` checks that each mode
-has what it needs and that counts are in range; the library functions check
-the numerics.  The columns of ``log.csv`` are the fields of ``LogEntry``, in
-order.
+Validation happens in two places: argparse checks that a command has its
+flags and that they have their types, and the library functions check the
+numerics.  The commands read the argparse namespace as it is; the two flag
+combinations argparse cannot refuse (``run --mode sd`` without ``--eps`` and
+``oracle-check --instances`` below 1) are refused by the command that reads
+them, before any file is read.  The columns of ``log.csv`` are the fields of
+``LogEntry``, in order.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -51,61 +53,12 @@ from .trajectory import (
 )
 
 __all__ = [
-    "RunConfig",
     "parse_graph_file",
     "parse_field_file",
     "write_outputs",
     "cli_main",
     "main",
 ]
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation, validated per mode before any work runs."""
-
-    mode: str
-    graph_path: str | None = None
-    init_path: str | None = None
-    epsilon: float | None = None
-    tau: float | None = None
-    lambda_list: tuple | None = None
-    taus: tuple | None = None
-    t_final: float | None = None
-    steps: int | None = None
-    output_dir: str | None = None
-    seed: int = 0
-    fp_tol: float = FP_TOL
-    max_iter: int = MAX_ITER
-    num_classes: int | None = None
-    grid_points: int = 9
-    instances: int = 20
-
-    def __post_init__(self):
-        if self.mode not in _COMMANDS:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        needs_files = self.mode != "oracle-check"
-        if needs_files:
-            for name in ("graph_path", "init_path", "output_dir"):
-                if getattr(self, name) is None:
-                    raise ValueError(f"mode {self.mode} requires {name}")
-        if self.mode in ("sd", "mbo", "multiclass-sd", "multiclass-msd"):
-            if self.tau is None or self.steps is None:
-                raise ValueError(f"mode {self.mode} requires tau and steps")
-            if self.mode != "mbo" and self.epsilon is None:
-                raise ValueError(f"mode {self.mode} requires epsilon")
-        if self.mode == "sweep-lambda":
-            if self.tau is None or not self.lambda_list:
-                raise ValueError("sweep-lambda requires tau and a lambda list")
-        if self.mode == "converge-tau":
-            if self.epsilon is None or self.t_final is None or not self.taus:
-                raise ValueError(
-                    "converge-tau requires epsilon, t_final, and a tau list"
-                )
-        if self.mode == "oracle-check" and self.instances < 1:
-            raise ValueError(
-                f"oracle-check needs at least one instance, got {self.instances}"
-            )
-
 
 def _tokens(path):
     """Yield (1-based line number, token list) for significant lines."""
@@ -283,43 +236,50 @@ def _infer_classes(path: str) -> int:
     raise ParseError("state file has no data lines", line=1)
 
 
-def _scheme_params(config: RunConfig) -> SchemeParams:
-    if config.mode == "mbo":
-        return SchemeParams.from_lambda(tau=config.tau, lam=1.0)
-    return SchemeParams.from_epsilon(epsilon=config.epsilon, tau=config.tau)
+def _scheme_params(args) -> SchemeParams:
+    """The step's parameters, checked before any file is read.
+
+    ``run`` takes ``--eps`` as optional because mbo does not use it, so sd's
+    need for it is checked here.
+    """
+    if args.mode == "mbo":
+        return SchemeParams.from_lambda(tau=args.tau, lam=1.0)
+    if args.epsilon is None:
+        raise ValueError(f"mode {args.mode} requires epsilon")
+    return SchemeParams.from_epsilon(epsilon=args.epsilon, tau=args.tau)
 
 
-def _load(config: RunConfig, num_classes: int | None = None):
-    """Graph, spectrum and start state named by ``config``."""
-    g = parse_graph_file(config.graph_path)
+def _load(args, num_classes: int | None = None):
+    """Graph, spectrum and start state named by the file flags."""
+    g = parse_graph_file(args.graph_path)
     s = spectral_decompose(g)
-    return g, s, parse_field_file(config.init_path, g, num_classes)
+    return g, s, parse_field_file(args.init_path, g, num_classes)
 
 
-def _cmd_run(config: RunConfig, report_params: dict) -> int:
-    g, s, u0 = _load(config)
-    params = _scheme_params(config)
-    trajectory = run_trajectory(u0, g, s, params, max_steps=config.steps)
-    write_outputs(trajectory, config.output_dir, config.mode, report_params)
+def _cmd_run(args, report_params: dict) -> int:
+    params = _scheme_params(args)
+    g, s, u0 = _load(args)
+    trajectory = run_trajectory(u0, g, s, params, max_steps=args.steps)
+    write_outputs(trajectory, args.output_dir, args.mode, report_params)
     return 0
 
 
-def _cmd_multiclass(config: RunConfig, report_params: dict) -> int:
+def _cmd_multiclass(args, report_params: dict) -> int:
+    params = _scheme_params(args)
     g, s, field = _load(
-        config, config.num_classes or _infer_classes(config.init_path)
+        args, args.num_classes or _infer_classes(args.init_path)
     )
-    params = _scheme_params(config)
     trajectory = run_multiclass_trajectory(
         field,
         g,
         s,
         params,
-        max_steps=config.steps,
-        conserve_masses=config.mode == "multiclass-msd",
-        max_iter=config.max_iter,
-        fp_tol=config.fp_tol,
+        max_steps=args.steps,
+        conserve_masses=args.mode == "multiclass-msd",
+        max_iter=args.max_iter,
+        fp_tol=args.fp_tol,
     )
-    write_outputs(trajectory, config.output_dir, config.mode, report_params)
+    write_outputs(trajectory, args.output_dir, args.mode, report_params)
     if not trajectory.converged:
         _print_error(
             NumericalError(
@@ -331,27 +291,27 @@ def _cmd_multiclass(config: RunConfig, report_params: dict) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig, report_params: dict) -> int:
-    g, s, u0 = _load(config)
-    rows = sweep_lambda(u0, g, s, config.tau, config.lambda_list)
+def _cmd_sweep(args, report_params: dict) -> int:
+    g, s, u0 = _load(args)
+    rows = sweep_lambda(u0, g, s, args.tau, args.lambda_list)
     table = {
         _fmt(row.lam): {"sup_distance_to_mbo": row.sup_distance_to_mbo}
         for row in rows
     }
-    write_outputs(table, config.output_dir, config.mode, report_params)
+    write_outputs(table, args.output_dir, args.command, report_params)
     return 0
 
 
-def _cmd_converge(config: RunConfig, report_params: dict) -> int:
-    g, s, u0 = _load(config)
+def _cmd_converge(args, report_params: dict) -> int:
+    g, s, u0 = _load(args)
     report = converge_tau(
         u0,
         g,
         s,
-        epsilon=config.epsilon,
-        t_final=config.t_final,
-        taus=config.taus,
-        grid_points=config.grid_points,
+        epsilon=args.epsilon,
+        t_final=args.t_final,
+        taus=args.taus,
+        grid_points=args.grid_points,
     )
     # json writes the report's tuples as lists; epsilon and t_final are params
     rows = {
@@ -359,15 +319,19 @@ def _cmd_converge(config: RunConfig, report_params: dict) -> int:
         for field in fields(report)
         if field.name not in ("epsilon", "t_final")
     }
-    write_outputs(rows, config.output_dir, config.mode, report_params)
+    write_outputs(rows, args.output_dir, args.command, report_params)
     return 0
 
 
-def _cmd_oracle_check(config: RunConfig, report_params: dict) -> int:
-    rng = np.random.default_rng(config.seed)
+def _cmd_oracle_check(args, report_params: dict) -> int:
+    if args.instances < 1:
+        raise ValueError(
+            f"oracle-check needs at least one instance, got {args.instances}"
+        )
+    rng = np.random.default_rng(args.seed)
     total = 0
     failures = []
-    for index in range(config.instances):
+    for index in range(args.instances):
         n = int(rng.integers(3, 7))
         g = random_connected_graph(n, rng, r=float(rng.choice([0.0, 0.5, 1.0])))
         s = spectral_decompose(g)
@@ -403,15 +367,15 @@ def _cmd_oracle_check(config: RunConfig, report_params: dict) -> int:
     return 0
 
 
-# fields that name what to run and where, not how: left out of report params
-_NOT_PARAMS = ("mode", "graph_path", "init_path", "output_dir")
+# flags that name what to run and where, not how: left out of report params
+_NOT_PARAMS = ("command", "mode", "graph_path", "init_path", "output_dir")
 
 
-def _params_dict(options: dict) -> dict:
+def _params_dict(args) -> dict:
     """The command's own flags that have a value, but ``_NOT_PARAMS``."""
     out = {
         name: value
-        for name, value in options.items()
+        for name, value in vars(args).items()
         if name not in _NOT_PARAMS and value is not None
     }
     if "lambda_list" in out:
@@ -442,7 +406,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """Flags write straight into the ``RunConfig`` field of the same meaning."""
+    """Each flag's ``dest`` is the name the commands read it by."""
     parser = _Parser(
         prog="graphphase",
         description=(
@@ -499,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep-lambda", help="distance of the relaxed step to thresholding"
     )
     add_common(sweep)
-    sweep.set_defaults(mode="sweep-lambda")
     sweep.add_argument("--tau", type=float, required=True)
     sweep.add_argument(
         "--lambdas", dest="lambda_list", metavar="LAMBDAS", type=_float_list,
@@ -510,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "converge-tau", help="step-size refinement study"
     )
     add_common(conv)
-    conv.set_defaults(mode="converge-tau")
     add_eps(conv, required=True)
     conv.add_argument("--t-final", type=float, required=True)
     conv.add_argument(
@@ -521,17 +483,14 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = commands.add_parser(
         "oracle-check", help="run the built-in random oracle suite"
     )
-    oracle.set_defaults(mode="oracle-check")
     oracle.add_argument("--seed", type=int, default=7)
     oracle.add_argument("--instances", type=int, default=20)
     return parser
 
 
 _COMMANDS = {
-    "sd": _cmd_run,
-    "mbo": _cmd_run,
-    "multiclass-sd": _cmd_multiclass,
-    "multiclass-msd": _cmd_multiclass,
+    "run": _cmd_run,
+    "multiclass": _cmd_multiclass,
     "sweep-lambda": _cmd_sweep,
     "converge-tau": _cmd_converge,
     "oracle-check": _cmd_oracle_check,
@@ -542,13 +501,11 @@ def cli_main(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = _build_parser()
     try:
-        options = vars(parser.parse_args(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    del options["command"]
     try:
-        config = RunConfig(**options)
-        return _COMMANDS[config.mode](config, _params_dict(options))
+        return _COMMANDS[args.command](args, _params_dict(args))
     except (ValidationError, ValueError) as exc:
         _print_error(exc)
         return 1
@@ -562,7 +519,3 @@ def cli_main(argv=None) -> int:
 
 def main():
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -194,25 +194,19 @@ def _check_box(u: np.ndarray, g: Graph) -> np.ndarray:
     return np.clip(u, 0.0, 1.0)
 
 
-def threshold_levels(
-    diffused: np.ndarray, g: Graph, group_tol: float = GROUP_TOL
-) -> ThresholdLevels:
+def threshold_levels(diffused: np.ndarray, g: Graph) -> ThresholdLevels:
     """Group diffused values into ascending levels with summed measure.
 
-    Values whose gap to the previous sorted value is at most ``group_tol``
+    Values whose gap to the previous sorted value is at most ``GROUP_TOL``
     join the same level; the level value is the smallest member, so exact
-    ties (the symmetric case) keep their value bit for bit.  ``group_tol``
-    must be finite and non-negative: NaN or infinity would merge every
-    vertex into one level, a negative value would split exact ties.
+    ties (the symmetric case) keep their value bit for bit.
     """
-    if not 0.0 <= group_tol < math.inf:
-        raise ValueError(f"group_tol must be finite and >= 0, got {group_tol}")
     diffused = g.check_field(diffused)
     order = np.argsort(diffused, kind="stable")
     ordered = diffused[order]
     # the gap is taken to the previous value, not to the level's first one,
     # so a chain of small gaps stays one level
-    starts = np.concatenate([[True], np.diff(ordered) > group_tol])
+    starts = np.concatenate([[True], np.diff(ordered) > GROUP_TOL])
     sorted_labels = np.cumsum(starts) - 1
     labels = np.empty(g.num_vertices, dtype=int)
     labels[order] = sorted_labels

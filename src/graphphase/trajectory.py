@@ -297,6 +297,8 @@ def sweep_lambda(
     start from ``u0``, so its diffusion and level grouping are done once.
     """
     lambdas = [float(lam) for lam in lambdas]
+    if not lambdas:
+        raise ValueError("need at least one lambda")
     for lam in lambdas:
         if lam >= 1.0:
             raise LambdaIsOne(f"sweep requires lambda < 1, got {lam}")
@@ -350,13 +352,14 @@ def converge_tau(
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final}")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     taus = [float(tau) for tau in taus]
     if not taus:
         raise ValueError("need at least one step size")
-    if any(tau <= 0 for tau in taus):
-        raise ValueError("step sizes must be positive")
+    bad = [tau for tau in taus if not 0 < tau < math.inf]
+    if bad:
+        raise ValueError(f"step sizes must be positive and finite, got {bad[0]}")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     oversized = [tau for tau in taus if tau > epsilon]

@@ -25,7 +25,7 @@ LAMS = (0.25, 0.9, 0.99, 0.999, 0.9999)
 INSTANCES = 1200
 
 
-def loop_threshold_levels(diffused, g, group_tol):
+def loop_threshold_levels(diffused, g):
     """Reference: one pass over the sorted vertices, one level at a time."""
     order = np.argsort(diffused, kind="stable")
     labels = np.empty(g.num_vertices, dtype=int)
@@ -34,7 +34,7 @@ def loop_threshold_levels(diffused, g, group_tol):
     previous = None
     for idx in order:
         x = float(diffused[idx])
-        if previous is None or x - previous > group_tol:
+        if previous is None or x - previous > GROUP_TOL:
             values.append(x)
             weights.append(0.0)
         labels[idx] = len(values) - 1
@@ -192,12 +192,11 @@ def instances():
 def test_threshold_levels_match_loop(instances):
     _, cases = instances
     for g, diffused, _ in cases:
-        for group_tol in (GROUP_TOL, 0.0):
-            fast = threshold_levels(diffused, g, group_tol)
-            slow = loop_threshold_levels(diffused, g, group_tol)
-            assert np.array_equal(fast.values, slow.values)
-            assert np.array_equal(fast.weights, slow.weights)
-            assert np.array_equal(fast.labels, slow.labels)
+        fast = threshold_levels(diffused, g)
+        slow = loop_threshold_levels(diffused, g)
+        assert np.array_equal(fast.values, slow.values)
+        assert np.array_equal(fast.weights, slow.weights)
+        assert np.array_equal(fast.labels, slow.labels)
 
 
 def test_solve_profile_matches_scan(instances):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from numpy.testing import assert_allclose
 
 from graphphase import (
@@ -25,6 +26,7 @@ from graphphase import (
     norm,
     spectral_decompose,
 )
+from graphphase.graph_core import _chebyshev_interpolate, heat_remainder
 from graphphase.oracles import DENSE_VERTEX_LIMIT, dense_diffuse, dense_spectrum
 
 
@@ -354,3 +356,32 @@ def test_diffuse_block_matches_separate_columns(random_graphs_with_spectra):
         diffuse(np.zeros((g.num_vertices, 2, 2)), 0.3, s)
     with pytest.raises(DimensionMismatch):
         diffuse(np.zeros((g.num_vertices + 1, 2)), 0.3, s)
+
+
+@pytest.mark.parametrize("x", [1e-3, 1.0, 100.0])
+def test_chebyshev_interpolation_matches_chebinterpolate(x):
+    # the FFT form samples at numpy's points; only the summation differs
+    def weight(y):
+        z = x * (1.0 + y)
+        return np.expm1(-z) + z
+
+    for degree in (1, 2, 5, 40, 300):
+        expected = chebyshev.chebinterpolate(weight, degree)
+        got = _chebyshev_interpolate(weight, degree)
+        assert_allclose(got, expected, rtol=0, atol=1e-13 * abs(expected).max())
+
+
+def test_heat_remainder_builds_no_square_matrix(p2, p2_spectrum):
+    # t b / 2 = 1e5 needs degree 2,799, whose Vandermonde matrix is 63 MB
+    t = 1e5
+    tracemalloc.start()
+    try:
+        out = heat_remainder(np.array([1.0, 0.0]), t, p2_spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    # (1, 0) is half the constant, which the remainder kills, and half the
+    # eigenvector (1, -1) of eigenvalue 2
+    half = 0.5 * (np.expm1(-2.0 * t) + 2.0 * t)
+    assert_allclose(out, [half, -half], rtol=1e-12)

@@ -17,7 +17,6 @@ from graphphase import (
     MissingVertex,
     NonPositiveWeight,
     ParseError,
-    RunConfig,
     SchemeParams,
     SelfLoop,
     cli_main,
@@ -134,17 +133,6 @@ def test_parse_field_multiclass_reports_bad_row(tmp_path):
         parse_field_file(_write(tmp_path, "u.txt", text), g, 2)
     assert info.value.line == 1
     assert "vertex 0" in str(info.value)
-
-
-def test_run_config_validates_per_mode():
-    with pytest.raises(ValueError):
-        RunConfig(mode="warp")
-    with pytest.raises(ValueError):
-        RunConfig(mode="sd", graph_path="g", init_path="u", output_dir="o")
-    with pytest.raises(ValueError):
-        RunConfig(mode="sweep-lambda", graph_path="g", init_path="u",
-                  output_dir="o", tau=0.1, lambda_list=())
-    RunConfig(mode="oracle-check", seed=3)
 
 
 def test_log_csv_header_and_step_rows(tmp_path):
@@ -304,6 +292,52 @@ def test_cli_refuses_group_tol_flag(tmp_path, capsys, group_tol):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_refuses_missing_eps_and_empty_lists(tmp_path, capsys):
+    # argparse cannot refuse these: the command or the library does, with a
+    # ValueError that names what is missing, and nothing is written
+    graph, init = _p2_files(tmp_path)
+    cases = [
+        (["run", "--mode", "sd", "--tau", "0.3", "--steps", "2"], "epsilon"),
+        (["sweep-lambda", "--tau", "0.3", "--lambdas", ""], "lambda"),
+        (["converge-tau", "--eps", "1.0", "--t-final", "0.4", "--taus", ""],
+         "step size"),
+    ]
+    files = ["--graph", graph, "--init", init, "--out", str(tmp_path / "o")]
+    for args, named in cases:
+        assert cli_main(args + files) == 1
+        error = _last_error(capsys)
+        assert error["error"] == "ValueError"
+        assert named in error["message"]
+    # sd's missing epsilon is refused before any file is read
+    absent = str(tmp_path / "absent.graph")
+    args = ["run", "--graph", absent, "--init", init, "--tau", "0.3",
+            "--steps", "2", "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+    assert _last_error(capsys)["error"] == "ValueError"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--t-final", "inf", "t_final"), ("--taus", "nan", "step sizes")],
+)
+def test_cli_refuses_non_finite_converge_times(tmp_path, capsys, flag, value,
+                                               named):
+    # an infinite --t-final died in math.ceil with a traceback and a NaN
+    # --taus with a message that named neither
+    graph, init = _p2_files(tmp_path)
+    times = {"--t-final": "0.4", "--taus": "0.2,0.1", flag: value}
+    args = ["converge-tau", "--graph", graph, "--init", init, "--eps", "1.0",
+            "--out", str(tmp_path / "o")]
+    for name, text in times.items():
+        args += [name, text]
+    assert cli_main(args) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "ValueError"
+    assert named in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("tau", ["-1e-3", "-.5", "-2"])
 def test_cli_reads_negative_tau_as_a_value(tmp_path, capsys, tau):
     # a negative number in any spelling reaches the numerics, which name
@@ -341,8 +375,6 @@ def test_cli_rejects_empty_oracle_check(capsys, instances):
     err = json.loads(captured.err.strip().splitlines()[-1])
     assert err["error"] == "ValueError"
     assert "instance" in err["message"]
-    with pytest.raises(ValueError):
-        RunConfig(mode="oracle-check", instances=0)
 
 
 def test_cli_runs_mbo_on_a_20001_vertex_path(tmp_path, capsys):

@@ -34,6 +34,7 @@ from graphphase import (
     threshold_levels,
 )
 from graphphase import scheme
+from graphphase.scheme import GROUP_TOL
 
 TAU_P2 = 0.5 * math.log(2.0)  # diffuses (1, 0) to (0.75, 0.25) on the edge graph
 
@@ -88,21 +89,28 @@ def test_threshold_levels_tolerance_keeps_smallest_member(triangle_r1):
     levels = threshold_levels(u, triangle_r1)
     assert levels.num_levels == 2
     assert levels.values[1] == 0.5  # representative is the smallest member
-    coarse = threshold_levels(np.array([0.5, 0.6, 0.1]), triangle_r1, group_tol=0.2)
-    assert coarse.num_levels == 2
+    # gaps below GROUP_TOL chain into one level, though its ends lie further
+    # apart than GROUP_TOL; a wider gap starts a new level
+    chain = np.array([0.5 + 1.2 * GROUP_TOL, 0.5, 0.5 + 0.6 * GROUP_TOL])
+    levels = threshold_levels(chain, triangle_r1)
+    assert levels.num_levels == 1
+    assert levels.values[0] == 0.5
+    assert list(levels.labels) == [0, 0, 0]
+    apart = np.array([0.5 + 2.4 * GROUP_TOL, 0.5, 0.5 + 1.2 * GROUP_TOL])
+    assert threshold_levels(apart, triangle_r1).num_levels == 3
 
 
 @pytest.mark.parametrize("group_tol", [math.nan, math.inf, -math.inf, -1e-12])
 def test_bad_group_tol_is_rejected(triangle_r1, group_tol):
-    # NaN and infinity would merge every vertex into one level (the step
-    # then returns the constant average); a negative value splits exact ties
+    # the tie tolerance is the constant GROUP_TOL: neither the grouping nor
+    # the steps take another, in any spelling
     g = triangle_r1
     s = spectral_decompose(g)
     u = np.array([0.9, 0.9, 0.3])
-    with pytest.raises(ValueError, match="group_tol"):
+    with pytest.raises(TypeError):
         threshold_levels(u, g, group_tol)
-    assert threshold_levels(u, g, 0.0).num_levels == 2
-    # the steps group with the constant GROUP_TOL and take no tolerance
+    with pytest.raises(TypeError):
+        threshold_levels(u, g, group_tol=group_tol)
     params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
     with pytest.raises(TypeError):
         semi_discrete_step(u, g, s, params, group_tol=group_tol)

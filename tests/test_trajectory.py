@@ -173,6 +173,8 @@ def test_sweep_validates_lambda(p2, p2_spectrum):
         sweep_lambda(u0, p2, p2_spectrum, 0.3, [0.5, 1.0])
     with pytest.raises(ValueError):
         sweep_lambda(u0, p2, p2_spectrum, 0.3, [0.0, 0.5])
+    with pytest.raises(ValueError, match="lambda"):
+        sweep_lambda(u0, p2, p2_spectrum, 0.3, [])
 
 
 def test_converge_tau_constant_state(triangle):
@@ -230,6 +232,17 @@ def test_converge_tau_validation(p2, p2_spectrum):
         )
     with pytest.raises(ValueError):
         converge_tau(u0, p2, p2_spectrum, epsilon=1.0, t_final=1.0, taus=[])
+    # an infinite t_final overflowed the step count and a NaN tau failed to
+    # convert it; both are refused by name before any run
+    for t_final, taus, named in [
+        (math.inf, [0.2, 0.1], "t_final"),
+        (math.nan, [0.2, 0.1], "t_final"),
+        (1.0, [0.2, math.nan], "step sizes"),
+        (1.0, [math.inf, 0.1], "step sizes"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            converge_tau(u0, p2, p2_spectrum, epsilon=1.0, t_final=t_final,
+                         taus=taus)
 
 
 def test_multiclass_trajectory_runs(triangle):
