@@ -6,7 +6,6 @@ from .errors import (
     DisconnectedGraph,
     DomainViolation,
     DuplicateEdge,
-    EigensolverFailure,
     GraphPhaseError,
     GraphTooLarge,
     InconsistentInputs,
@@ -59,7 +58,6 @@ from .oracles import (
     enumerate_extreme_points,
     mbo_oracle,
     random_connected_graph,
-    reference_flow,
     variational_oracle,
 )
 from .trajectory import (

@@ -2,8 +2,8 @@
 
 ValidationError covers bad inputs (malformed files, out-of-domain values,
 inconsistent arguments); NumericalError covers failures of the numerics
-themselves (eigensolver breakdown, iteration not converging).  The CLI maps
-the two branches to distinct exit codes.
+themselves (an iteration not converging).  The CLI maps the two branches to
+distinct exit codes.
 """
 
 
@@ -83,10 +83,6 @@ class TauExceedsEpsilon(ValidationError):
 
 class GraphTooLarge(ValidationError):
     """Input exceeds a documented size limit; raised before any work."""
-
-
-class EigensolverFailure(NumericalError):
-    pass
 
 
 class NoConvergence(NumericalError):

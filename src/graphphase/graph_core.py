@@ -21,6 +21,7 @@ below ``2**-60``, so it is exact to rounding; no n-by-n array is made.
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -134,10 +135,10 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
         raise DuplicateEdge(f"edge ({lo[k]}, {hi[k]}) listed twice")
     lo, hi, w = lo[order], hi[order], w[order]
 
-    # each edge in both directions: tails[k] is a neighbour of heads[k]
-    heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    _check_connected(num_vertices, heads, tails)
-    degrees = np.bincount(heads, np.concatenate([w, w]), num_vertices)
+    _check_connected(num_vertices, lo, hi)
+    degrees = np.bincount(
+        np.concatenate([lo, hi]), np.concatenate([w, w]), num_vertices
+    )
     graph = Graph(
         num_vertices=num_vertices,
         r=float(r),
@@ -153,23 +154,47 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     return graph
 
 
-def _check_connected(n: int, heads: np.ndarray, tails: np.ndarray) -> None:
-    """Depth-first search from vertex 0 over an adjacency list, O(n + E)."""
-    neighbours = tails[np.argsort(heads, kind="stable")].tolist()
-    starts = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
-    starts = starts.tolist()
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
+def _check_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Depth-first search from vertex 0 over the vertices the edges touch.
+
+    O(E log E) and nothing of length n: a vertex count far above what the
+    edges can connect (n vertices need n - 1 edges) is refused without
+    allocating for it.  The message lists the first ten unreachable vertices
+    and, if there are more, their count.
+    """
+    # each edge in both directions: directed edges k and k - E (an index
+    # that wraps) are one edge's two directions, so each is the other's tail
+    heads = np.concatenate([lo, hi])
+    order = np.argsort(heads, kind="stable")
+    ordered = heads[order]
+    first = np.empty(len(heads), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    touched = ordered[first]  # ascending; search index k is touched[k]
+    index = np.empty_like(heads)
+    index[order] = np.cumsum(first) - 1
+    neighbours = index[order - len(lo)].tolist()
+    starts = np.flatnonzero(first).tolist() + [len(heads)]
+    seen = bytearray(len(touched))
+    stack = []
+    if len(touched) and touched[0] == 0:
+        seen[0] = 1
+        stack.append(0)
     while stack:
         v = stack.pop()
         for u in neighbours[starts[v]:starts[v + 1]]:
             if not seen[u]:
                 seen[u] = 1
                 stack.append(u)
-    if 0 in seen:
-        missing = [v for v in range(n) if not seen[v]]
-        raise DisconnectedGraph(f"vertices {missing} unreachable from vertex 0")
+    if seen.count(1) < n:
+        reached = set(touched[np.frombuffer(seen, np.uint8) == 1].tolist())
+        reached.add(0)
+        missing = list(islice((v for v in range(n) if v not in reached), 10))
+        total = n - len(reached)
+        more = f" ({total} in all)" if total > len(missing) else ""
+        raise DisconnectedGraph(
+            f"vertices {missing}{more} unreachable from vertex 0"
+        )
 
 
 def inner_product(u: np.ndarray, v: np.ndarray, g: Graph) -> float:

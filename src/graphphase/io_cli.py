@@ -73,8 +73,10 @@ def _tokens(path):
 def parse_graph_file(path: str) -> Graph:
     """Read a graph file: header ``vertices N r R``, then ``i j w`` lines.
 
-    ``#`` starts a comment line; indices are 0-based; every failure names
-    the offending line.
+    ``#`` starts a comment line; indices are 0-based.  Syntax errors and
+    repeated edges name the offending line; the checks of
+    :func:`~graphphase.graph_core.build_graph` (range, self loops, weights,
+    connectivity) name the edge or vertex instead.
     """
     header = None
     edges = []
@@ -428,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", dest="output_dir", metavar="OUT", required=True,
             help="output directory",
         )
-        sub.add_argument("--seed", type=int, default=0)
 
     def add_eps(sub, **kwargs):
         sub.add_argument(

@@ -9,10 +9,9 @@ success.  The mass-conserving variant projects onto the transportation
 polytope (simplex rows with prescribed per-class masses) exactly: the
 projection has one multiplier per class, found by a semismooth Newton solve
 on the monotone, piecewise-linear mass balance, and those multipliers are the
-per-class constants of the update equation.  Dykstra's alternating corrections
-(``oracles._project_masses``) remain as the independent reference, as
-does the plain damped iteration (``oracles._damped_fixed_point``) for the
-accelerated loop.
+per-class constants of the update equation.  The test suite checks the
+projection against Dykstra's alternating corrections and the accelerated
+loop against the plain damped iteration (both in ``tests/references.py``).
 """
 
 import math
@@ -361,7 +360,7 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
     accepted point, forgets its history and takes a run of plain steps,
     twice as long after each rejection, before it extrapolates again.  The
     plain step halves for good after two consecutive rises of the
-    displacement (oscillation), as in the damped reference.  Every
+    displacement (oscillation), as in the plain damped iteration.  Every
     returned iterate is an image of ``G``, so it is feasible; a
     non-converged run hands back the image of least displacement, not the
     last.

@@ -2,16 +2,13 @@
 
 Everything here certifies a step by a route that shares no code with the
 piecewise-linear solver it checks: the threshold step against exhaustive
-extreme-point enumeration, the relaxed step against projected gradient
+extreme-point enumeration, and the relaxed step against projected gradient
 descent whose feasibility projection runs Dykstra's alternating corrections
-between the box and the mass plane, the multi-class mass projection
-against the same corrections between the row simplices and the class-mass
-planes (Boyle & Dykstra 1986), and the accelerated multi-class fixed point
-against the plain damped iteration.  A composed fine-step flow serves as the
-reference for time-step refinement studies, and a seeded generator produces
-the random instances the check suites run on.  The dense eigendecomposition
-of the Laplacian is the reference for the Chebyshev heat diffusion of
-:mod:`graphphase.graph_core`.
+between the box and the mass plane.  A seeded generator produces the random
+instances the check suites and the benchmark run on.  ``oracle-check`` runs
+these; the references that only the test suite compares against (the dense
+eigendecomposition, the multi-class Dykstra projection, the damped
+fixed-point loop and the fine-step flow) live in ``tests/references.py``.
 """
 
 import math
@@ -19,91 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EigensolverFailure,
-    GraphTooLarge,
-    LambdaIsOne,
-    MassOutOfRange,
-    NoConvergence,
-)
+from .errors import GraphTooLarge, LambdaIsOne, MassOutOfRange, NoConvergence
 from .graph_core import Graph, Spectrum, build_graph, diffuse, inner_product, mass, norm
-from .multiclass import _force, project_rows_to_simplex
-from .scheme import SchemeParams, semi_discrete_step
+from .scheme import SchemeParams
 
 __all__ = [
-    "DenseSpectrum",
-    "dense_spectrum",
-    "dense_diffuse",
     "ExtremePoint",
     "enumerate_extreme_points",
     "mbo_oracle",
     "variational_oracle",
-    "reference_flow",
     "random_connected_graph",
 ]
 
 ENUMERATION_LIMIT = 12
-# The dense eigendecomposition holds about five n-by-n float64 arrays at once
-# (the symmetric conjugate, the eigensolver's copy and workspace, and the
-# eigenvectors), ~40 n**2 bytes: 4 GB at this limit, half of an 8 GB machine.
-DENSE_VERTEX_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class DenseSpectrum:
-    """Eigendecomposition of the graph Laplacian.
-
-    ``eigenvalues`` ascend and start at exactly 0.  ``phi`` holds the
-    orthonormal eigenvectors of the symmetric conjugate
-    ``d**(-r/2) (D - W) d**(-r/2)``; together with the ``degrees**(r/2)``
-    scalings that is all :func:`dense_diffuse` needs.  The Laplacian's own
-    eigenvectors, orthonormal in the weighted inner product, are
-    ``scale_back[:, None] * phi``.
-    """
-
-    eigenvalues: np.ndarray
-    phi: np.ndarray
-    scale_fwd: np.ndarray   # degrees**(r/2)
-    scale_back: np.ndarray  # degrees**(-r/2)
-
-
-def dense_spectrum(g: Graph) -> DenseSpectrum:
-    """Diagonalize the Laplacian through its symmetric conjugate.
-
-    ``d**(-r/2) (D - W) d**(-r/2)`` is symmetric positive semi-definite and
-    shares eigenvalues with the Laplacian; it is assembled from the edge
-    arrays.  Eigenvalues within ``1e-12 * max`` of zero are snapped to
-    exactly zero so the diffusion semigroup fixes constants for every t.
-    Above ``DENSE_VERTEX_LIMIT`` vertices it raises ``GraphTooLarge`` first.
-    """
-    n = g.num_vertices
-    if n > DENSE_VERTEX_LIMIT:
-        raise GraphTooLarge(
-            f"dense eigendecomposition of {n} vertices exceeds the limit of "
-            f"{DENSE_VERTEX_LIMIT}"
-        )
-    half = g.degrees ** (0.5 * g.r)
-    inv_half = 1.0 / half
-    sym = np.zeros((n, n))
-    coupling = -g.edge_w * inv_half[g.edge_i] * inv_half[g.edge_j]
-    sym[g.edge_i, g.edge_j] = coupling
-    sym[g.edge_j, g.edge_i] = coupling
-    np.fill_diagonal(sym, inv_half * g.degrees * inv_half)
-    try:
-        eigenvalues, phi = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(str(exc)) from exc
-    if not np.all(np.isfinite(eigenvalues)):
-        raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
-    eigenvalues[np.abs(eigenvalues) <= 1e-12 * max(eigenvalues[-1], 1.0)] = 0.0
-    return DenseSpectrum(eigenvalues, phi, half, inv_half)
-
-
-def dense_diffuse(u: np.ndarray, t: float, ds: DenseSpectrum) -> np.ndarray:
-    """``exp(-tL) u`` through the eigendecomposition, for ``t >= 0``."""
-    coeffs = ds.phi.T @ (ds.scale_fwd * np.asarray(u, dtype=float))
-    coeffs *= np.exp(-t * ds.eigenvalues)
-    return ds.scale_back * (ds.phi @ coeffs)
 
 
 @dataclass(frozen=True)
@@ -210,78 +135,6 @@ def _project_box_plane(
     raise NoConvergence("feasibility projection did not settle")
 
 
-def _project_masses(
-    matrix: np.ndarray,
-    g: Graph,
-    masses: np.ndarray,
-    tol: float = 1e-12,
-    max_rounds: int = 10_000,
-) -> np.ndarray:
-    """Nearest matrix with simplex rows and prescribed class masses.
-
-    Dykstra's alternating corrections between the per-class mass planes
-    (affine, correction-free) and the row-simplex product (correction
-    carried), in the same ``degrees_r``-weighted metric as the exact
-    multiplier solve in :mod:`graphphase.multiclass` it checks.  Raises
-    :class:`~graphphase.errors.NoConvergence` after ``max_rounds`` rounds.
-    """
-    total = float(g.degrees_r.sum())
-    x = np.asarray(matrix, dtype=float)
-    correction = np.zeros_like(x)
-    for _ in range(max_rounds):
-        shifts = (masses - x.T @ g.degrees_r) / total
-        relaxed = x + shifts[None, :] + correction
-        x_new = project_rows_to_simplex(relaxed)
-        correction = relaxed - x_new
-        drift = float(np.abs(x_new - x).max())
-        mass_defect = float(np.abs(masses - x_new.T @ g.degrees_r).max())
-        x = x_new
-        if drift <= tol and mass_defect <= tol * (1.0 + float(np.abs(masses).max())):
-            return x
-    raise NoConvergence(f"mass projection did not settle in {max_rounds} rounds")
-
-
-def _damped_fixed_point(project, diffused, lam, max_iter, fp_tol):
-    """Damped fixed-point loop: the reference for the multi-class steps.
-
-    Same contract as ``multiclass._fixed_point``, which accelerates it:
-    ``project`` maps a matrix to (feasible iterate, correction, constants,
-    inner iterations), and the loop iterates
-    ``x <- x + omega (G(x) - x)`` with ``G(x) = project(diffused + lam *
-    force(x))``, halving ``omega`` for good after two consecutive rises of
-    the displacement (oscillation).  Returns the image of least
-    displacement with its correction and constants, the iteration count,
-    whether the displacement reached ``fp_tol``, and the inner iterations.
-    """
-    current, correction, constants, inner = project(diffused)
-    omega = 1.0
-    rises = 0
-    previous_disp = math.inf
-    best = (math.inf, current, correction, constants)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        target = diffused + lam * _force(current)
-        proposed, correction, constants, spent = project(target)
-        inner += spent
-        disp = float(np.abs(proposed - current).max())
-        if disp < best[0]:
-            best = (disp, proposed, correction, constants)
-        if disp <= fp_tol:
-            converged = True
-            break
-        if disp > previous_disp:
-            rises += 1
-            if rises >= 2:
-                omega = 0.5
-        else:
-            rises = 0
-        previous_disp = disp
-        current = current + omega * (proposed - current)
-    _, final, correction, constants = best
-    return final, correction, constants, iterations, converged, inner
-
-
 def variational_oracle(
     u_n: np.ndarray,
     g: Graph,
@@ -320,31 +173,6 @@ def variational_oracle(
     raise NoConvergence(
         f"projected gradient did not settle; last objective {objective}"
     )
-
-
-def reference_flow(
-    u0: np.ndarray,
-    g: Graph,
-    s: Spectrum,
-    epsilon: float,
-    t_final: float,
-    tau_ref: float,
-) -> np.ndarray:
-    """Compose relaxed steps at a deliberately tiny time step.
-
-    Serves as the near-continuum reference in refinement studies, so
-    ``tau_ref`` must undercut ``epsilon`` by at least a factor of 100.
-    """
-    if tau_ref > epsilon / 100.0:
-        raise ValueError("tau_ref must be at most epsilon / 100")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
-    params = SchemeParams.from_epsilon(epsilon=epsilon, tau=tau_ref)
-    steps = math.ceil(t_final / tau_ref - 1e-12)
-    u = g.check_field(u0)
-    for _ in range(steps):
-        u = semi_discrete_step(u, g, s, params).u_next
-    return u
 
 
 def random_connected_graph(

@@ -390,9 +390,10 @@ def converge_tau(
     # indices hit the same times in every run and quantization cancels
     coarse = taus[0]
     k_max = math.floor(t_final / coarse + 1e-12)
-    ticks = sorted(
-        {round(j * k_max / (grid_points - 1)) for j in range(grid_points)}
-    )
+    # at most k_max + 1 distinct ticks: with spacing <= 1 rounding hits every
+    # multiple from 0 to k_max, so more points add nothing
+    points = max(2, min(grid_points, k_max + 1))
+    ticks = sorted({round(j * k_max / (points - 1)) for j in range(points)})
     grid = [k * coarse for k in ticks]
     if grid[-1] < t_final - 1e-12 * t_final:
         grid.append(t_final)

@@ -425,7 +425,7 @@ def test_a11_determinism_and_round_trip(tmp_path):
     init = tmp_path / "u.txt"
     init.write_text("0 1.0\n1 0.75\n2 0.25\n3 0.0\n")
     args = ["run", "--graph", str(graph), "--init", str(init), "--mode", "sd",
-            "--eps", "0.4", "--tau", "0.2", "--steps", "25", "--seed", "11"]
+            "--eps", "0.4", "--tau", "0.2", "--steps", "25"]
     assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
     for name in ("log.csv", "final_state.txt"):
@@ -434,7 +434,7 @@ def test_a11_determinism_and_round_trip(tmp_path):
         ).read_bytes()
 
     sweep = ["sweep-lambda", "--graph", str(graph), "--init", str(init),
-             "--tau", "0.2", "--lambdas", "0.1,0.5,0.9", "--seed", "11"]
+             "--tau", "0.2", "--lambdas", "0.1,0.5,0.9"]
     assert cli_main(sweep + ["--out", str(tmp_path / "sa")]) == 0
     assert cli_main(sweep + ["--out", str(tmp_path / "sb")]) == 0
     assert (tmp_path / "sa" / "report.json").read_bytes() == (

@@ -1,7 +1,7 @@
 """The Anderson-accelerated multi-class fixed point.
 
-Checked against the plain damped iteration in ``oracles``, which shares the
-map (force and projections) but none of the acceleration, on seeded
+Checked against the plain damped iteration in ``references``, which shares
+the map (force and projections) but none of the acceleration, on seeded
 instances with one-hot rows, an empty class, K = 2 to 5 and lambda up to
 0.95; plus the regression instance on which a naive safeguard cycles, and an
 iteration count that guards the speed-up without timing anything.
@@ -22,8 +22,9 @@ from graphphase import (
     semi_discrete_step,
     spectral_decompose,
 )
-from graphphase import multiclass, oracles
+from graphphase import multiclass
 from graphphase.multiclass import FP_TOL
+import references
 
 STEPPERS = (multiclass_step, multiclass_mass_conserving_step)
 KINDS = ("interior", "one_hot", "empty")
@@ -32,7 +33,7 @@ KINDS = ("interior", "one_hot", "empty")
 def _damped(stepper, *args, **kwargs):
     """``stepper`` with the damped reference loop in place of the accelerated one."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(multiclass, "_fixed_point", oracles._damped_fixed_point)
+        patch.setattr(multiclass, "_fixed_point", references._damped_fixed_point)
         return stepper(*args, **kwargs)
 
 

@@ -27,7 +27,7 @@ from graphphase import (
     spectral_decompose,
 )
 from graphphase.graph_core import _chebyshev_interpolate, heat_remainder
-from graphphase.oracles import DENSE_VERTEX_LIMIT, dense_diffuse, dense_spectrum
+from references import DENSE_VERTEX_LIMIT, dense_diffuse, dense_spectrum
 
 
 def _dense_weights(g):
@@ -107,6 +107,28 @@ def test_build_graph_is_linear_in_the_edges():
     assert g.edge_i.shape == (20_000,)
     assert elapsed < 1.0
     assert peak < 20e6
+
+
+def test_disconnection_is_found_without_vertex_arrays():
+    # n vertices need n - 1 edges: a huge header over one edge allocated a
+    # length-n array (22.4 GB here) before finding the graph disconnected
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraph) as caught:
+            build_graph(3_000_000_000, [(0, 1, 1.0)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert str(caught.value) == (
+        "vertices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] (2999999998 in all) "
+        "unreachable from vertex 0"
+    )
+    # vertex 0 without an edge: every other vertex is unreachable
+    with pytest.raises(
+        DisconnectedGraph, match=r"vertices \[1, 2, 3\] unreachable"
+    ):
+        build_graph(4, [(1, 2, 1.0), (2, 3, 1.0)])
 
 
 def test_dense_spectrum_refuses_large_graphs():

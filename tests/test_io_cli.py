@@ -248,12 +248,12 @@ def test_sweep_report_params_carry_the_flags(tmp_path):
     graph, init = _p2_files(tmp_path)
     out = tmp_path / "sweep"
     code = cli_main([
-        "sweep-lambda", "--graph", graph, "--init", init, "--seed", "11",
+        "sweep-lambda", "--graph", graph, "--init", init,
         "--tau", "0.3", "--lambdas", "0.5,0.9", "--out", str(out),
     ])
     assert code == 0
     params = json.loads((out / "report.json").read_text())["params"]
-    assert params == {"seed": 11, "tau": 0.3, "lambdas": [0.5, 0.9]}
+    assert params == {"tau": 0.3, "lambdas": [0.5, 0.9]}
 
 
 def test_converge_report_params_carry_the_flags(tmp_path):
@@ -266,7 +266,6 @@ def test_converge_report_params_carry_the_flags(tmp_path):
     assert code == 0
     params = json.loads((out / "report.json").read_text())["params"]
     assert params == {
-        "seed": 0,
         "epsilon": 1.0,
         "t_final": 0.4,
         "taus": [0.2, 0.1],
@@ -478,13 +477,46 @@ def test_cli_rejects_bad_fixed_point_settings(tmp_path, capsys, flag, value, ste
 def test_cli_repeated_runs_are_byte_identical(tmp_path):
     graph, init = _p2_files(tmp_path)
     args = ["run", "--graph", graph, "--init", init, "--mode", "sd",
-            "--eps", "1.0", "--tau", "0.5", "--steps", "5", "--seed", "9"]
+            "--eps", "1.0", "--tau", "0.5", "--steps", "5"]
     assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
     for name in ("log.csv", "final_state.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--mode", "mbo", "--tau", "0.3", "--steps", "2"],
+        ["multiclass", "--eps", "0.4", "--tau", "0.2", "--steps", "2"],
+        ["sweep-lambda", "--tau", "0.3", "--lambdas", "0.5"],
+        ["converge-tau", "--eps", "1.0", "--t-final", "0.4", "--taus", "0.2"],
+    ],
+)
+def test_cli_deterministic_commands_take_no_seed(tmp_path, capsys, command):
+    # only oracle-check draws random numbers, so only it takes --seed
+    graph, init = _p2_files(tmp_path)
+    args = command + ["--graph", graph, "--init", init, "--seed", "3",
+                      "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_reports_a_vertex_count_the_edges_cannot_connect(tmp_path, capsys):
+    # the header's count was allocated for before connectivity was checked,
+    # so this ended in a MemoryError traceback, not a JSON error line
+    graph = _write(tmp_path, "g.txt", "vertices 3000000000 r 0\n0 1 1.0\n")
+    init = _write(tmp_path, "u.txt", P2_INIT)
+    code = cli_main([
+        "run", "--graph", graph, "--init", init, "--mode", "mbo",
+        "--tau", "0.3", "--steps", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert _last_error(capsys)["error"] == "DisconnectedGraph"
+    assert not (tmp_path / "o").exists()
 
 
 def test_oracle_check_reports_pass_count(capsys):

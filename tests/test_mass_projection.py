@@ -1,7 +1,7 @@
 """The exact multiplier solve of the mass-conserving projection.
 
-Checked against Dykstra's alternating corrections in ``oracles``, which share
-no code with it beyond the row-simplex projection, and for two classes
+Checked against Dykstra's alternating corrections in ``references``, which
+share no code with it beyond the row-simplex projection, and for two classes
 against the box-and-plane projection of the two-class oracle.
 """
 
@@ -21,6 +21,7 @@ from graphphase import (
     spectral_decompose,
 )
 from graphphase import multiclass, oracles
+import references
 
 KINDS = ("generic", "ties", "empty", "one_hot")
 
@@ -69,7 +70,7 @@ def test_projection_matches_dykstra():
         x, mu, _ = _project(matrix, g, masses)
         # Dykstra creeps: its drift test must be tight for its answer to be
         # within 1e-10 of the nearest point
-        reference = oracles._project_masses(
+        reference = references._project_masses(
             matrix, g, masses, tol=1e-13, max_rounds=100_000
         )
         assert np.abs(x - reference).max() <= 1e-10
@@ -100,7 +101,7 @@ def test_dykstra_oracle_reports_exhaustion():
     rng = np.random.default_rng(5)
     g, matrix, masses = _instance(rng, 20, 3, "generic")
     with pytest.raises(NoConvergence):
-        oracles._project_masses(matrix, g, masses, max_rounds=1)
+        references._project_masses(matrix, g, masses, max_rounds=1)
 
 
 def _spy_newton_steps(monkeypatch):

@@ -20,9 +20,9 @@ from graphphase import (
     semi_discrete_step,
     spectral_decompose,
     variational_oracle,
-    reference_flow,
 )
 from graphphase.oracles import _project_box_plane
+from references import reference_flow
 
 TAU_P2 = 0.5 * math.log(2.0)
 

@@ -1,6 +1,7 @@
 """Trajectory runs, lambda sweeps, and step-size refinement reports."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from graphphase import (
     sweep_lambda,
 )
 from graphphase import scheme, trajectory
-from graphphase.oracles import dense_spectrum, random_connected_graph
+from graphphase.oracles import random_connected_graph
+from references import dense_spectrum
 
 TAU_P2 = 0.5 * math.log(2.0)
 
@@ -243,6 +245,20 @@ def test_converge_tau_validation(p2, p2_spectrum):
         with pytest.raises(ValueError, match=named):
             converge_tau(u0, p2, p2_spectrum, epsilon=1.0, t_final=t_final,
                          taus=taus)
+
+
+def test_converge_tau_grid_points_beyond_the_ticks_are_free(p2, p2_spectrum):
+    # t_final / tau_0 = 5 gives six distinct sample times however many grid
+    # points are asked for; 1e8 of them took 25 s of set comprehension
+    u0 = np.array([1.0, 0.0])
+    kwargs = dict(epsilon=1.0, t_final=1.0, taus=[0.2, 0.1])
+    exact = converge_tau(u0, p2, p2_spectrum, grid_points=6, **kwargs)
+    start = time.perf_counter()
+    many = converge_tau(u0, p2, p2_spectrum, grid_points=10**8, **kwargs)
+    elapsed = time.perf_counter() - start
+    assert repr(many) == repr(exact)
+    assert len(many.grid_times) == 6
+    assert elapsed < 5.0
 
 
 def test_multiclass_trajectory_runs(triangle):
