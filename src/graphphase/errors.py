@@ -102,7 +102,8 @@ class ParseError(ValidationError):
 
 
 class DuplicateEdge(ParseError):
-    pass
+    """An edge listed twice; ``build_graph`` sets ``positions``, the 0-based
+    indices of its first listing and of the repeat."""
 
 
 class MissingVertex(ValidationError):

@@ -21,7 +21,6 @@ below ``2**-60``, so it is exact to rounding; no n-by-n array is made.
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -101,20 +100,20 @@ class Graph:
 def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     """Build a connected weighted graph from an edge list.
 
-    ``edges`` is an iterable of ``(i, j, w)`` with 0-based endpoints and
-    positive weight.  Orientation of each pair is irrelevant; repeating a pair
-    is an error.  The graph must come out connected because the diffusion
-    kernel and the constant-eigenvector normalization both assume a simple
-    zero eigenvalue.  The checks run by category over all edges: endpoints
-    whole numbers in range, then self loops, then weights, then duplicates;
-    each names the first offending edge in input order.
+    ``edges`` is an (E, 3) array or a sequence of ``(i, j, w)``, with 0-based
+    endpoints and positive weight.  Orientation of each pair is irrelevant;
+    repeating a pair is an error.  The graph must come out connected because
+    the diffusion kernel and the constant-eigenvector normalization both
+    assume a simple zero eigenvalue.  The checks run by category over all
+    edges: endpoints whole numbers in range, then self loops, then weights,
+    then duplicates; each names the first offending edge in input order.
     """
     if num_vertices < 2:
         raise ValueError("a graph needs at least 2 vertices")
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
 
-    i, j, w = np.array(list(edges) or np.empty((0, 3)), dtype=float).T
+    i, j, w = np.asarray(edges if len(edges) else np.empty((0, 3)), dtype=float).T
     in_range = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < num_vertices)
     in_range &= (i == np.floor(i)) & (j == np.floor(j))
     for bad, error, message in (
@@ -132,7 +131,9 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     repeat = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
     if repeat.any():
         k = int(order[1:][repeat].min())
-        raise DuplicateEdge(f"edge ({lo[k]}, {hi[k]}) listed twice")
+        error = DuplicateEdge(f"edge ({lo[k]}, {hi[k]}) listed twice")
+        error.positions = (int(np.argmax((lo == lo[k]) & (hi == hi[k]))), k)
+        raise error
     lo, hi, w = lo[order], hi[order], w[order]
 
     _check_connected(num_vertices, lo, hi)
@@ -155,42 +156,32 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
 
 
 def _check_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Depth-first search from vertex 0 over the vertices the edges touch.
+    """Reachability from vertex 0, by hooking and pointer jumping.
 
-    O(E log E) and nothing of length n: a vertex count far above what the
-    edges can connect (n vertices need n - 1 edges) is refused without
-    allocating for it.  The message lists the first ten unreachable vertices
-    and, if there are more, their count.
+    After Shiloach & Vishkin 1982: each round every root takes the smallest
+    root across its edges, every vertex jumps to its root, and edges inside a
+    component drop out.  A component that merges with none has a smaller
+    neighbouring root in the next round, so O(log E) rounds of O(E) work.
+    Nothing of length n is made: a vertex count far above what the edges can
+    connect is refused without allocating for it.  The message lists the
+    first ten unreachable vertices and, if there are more, their count.
     """
-    # each edge in both directions: directed edges k and k - E (an index
-    # that wraps) are one edge's two directions, so each is the other's tail
-    heads = np.concatenate([lo, hi])
-    order = np.argsort(heads, kind="stable")
-    ordered = heads[order]
-    first = np.empty(len(heads), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    touched = ordered[first]  # ascending; search index k is touched[k]
-    index = np.empty_like(heads)
-    index[order] = np.cumsum(first) - 1
-    neighbours = index[order - len(lo)].tolist()
-    starts = np.flatnonzero(first).tolist() + [len(heads)]
-    seen = bytearray(len(touched))
-    stack = []
-    if len(touched) and touched[0] == 0:
-        seen[0] = 1
-        stack.append(0)
-    while stack:
-        v = stack.pop()
-        for u in neighbours[starts[v]:starts[v + 1]]:
-            if not seen[u]:
-                seen[u] = 1
-                stack.append(u)
-    if seen.count(1) < n:
-        reached = set(touched[np.frombuffer(seen, np.uint8) == 1].tolist())
-        reached.add(0)
-        missing = list(islice((v for v in range(n) if v not in reached), 10))
-        total = n - len(reached)
+    touched, index = np.unique(np.concatenate([[0], lo, hi]), return_inverse=True)
+    a, b = np.split(index[1:], 2)  # vertex 0 is touched[0] = index[0] = 0
+    root = np.arange(len(touched))
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+        a, b = root[a], root[b]
+        a, b = a[a != b], b[a != b]
+    reached = touched[root == root[0]]
+    if reached.size < n:
+        # the first ten unreached vertices lie below reached.size + 10
+        first = np.arange(min(n, reached.size + 10))
+        missing = np.setdiff1d(first, reached)[:10].tolist()
+        total = n - reached.size
         more = f" ({total} in all)" if total > len(missing) else ""
         raise DisconnectedGraph(
             f"vertices {missing}{more} unreachable from vertex 0"

@@ -11,8 +11,9 @@ flags and that they have their types, and the library functions check the
 numerics.  The commands read the argparse namespace as it is; the two flag
 combinations argparse cannot refuse (``run --mode sd`` without ``--eps`` and
 ``oracle-check --instances`` below 1) are refused by the command that reads
-them, before any file is read.  The columns of ``log.csv`` are the fields of
-``LogEntry``, in order.
+them, before any file is read.  ``multiclass --classes`` below 2, zero
+included, is refused by :func:`parse_field_file` before it reads the state
+file.  The columns of ``log.csv`` are the fields of ``LogEntry``, in order.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from dataclasses import fields
 
 import numpy as np
@@ -61,112 +63,122 @@ __all__ = [
 ]
 
 def _tokens(path):
-    """Yield (1-based line number, token list) for significant lines."""
+    """Numbers, token counts and tokens of the lines not blank or ``#``."""
+    numbers, counts, flat = [], [], []
     with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield number, stripped.split()
+        for number, tokens in enumerate(map(str.split, handle), start=1):
+            if tokens and not tokens[0].startswith("#"):
+                numbers.append(number)
+                counts.append(len(tokens))
+                flat += tokens
+    return numbers, counts, flat
+
+
+def _table(numbers, counts, flat, ints, size, wrong_size, malformed):
+    """The lines of :func:`_tokens` as an (E, size) float table, converted a
+    column at a time: ``ints`` integers, then reals.  On failure the first
+    bad line is named: ``wrong_size`` for a wrong token count, ``malformed``
+    for a token ``int`` or ``float`` refuses.
+    """
+    if counts.count(size) == len(counts):
+        with suppress(ValueError, OverflowError):  # the loop below names it
+            return np.column_stack([  # Python ints: past int64 is a float
+                np.fromiter(map(int if c < ints else float, flat[c::size]), float)
+                for c in range(size)
+            ])
+    tokens = iter(flat)
+    for number, count in zip(numbers, counts):
+        row = [next(tokens) for _ in range(count)]
+        if count != size:
+            raise ParseError(wrong_size, line=number)
+        try:  # an integer beyond the float range is malformed as well
+            [*map(float, map(int, row[:ints])), *map(float, row[ints:])]
+        except (ValueError, OverflowError):
+            raise ParseError(malformed, line=number) from None
 
 
 def parse_graph_file(path: str) -> Graph:
     """Read a graph file: header ``vertices N r R``, then ``i j w`` lines.
 
-    ``#`` starts a comment line; indices are 0-based.  Syntax errors and
-    repeated edges name the offending line; the checks of
-    :func:`~graphphase.graph_core.build_graph` (range, self loops, weights,
-    connectivity) name the edge or vertex instead.
+    ``#`` starts a comment line; indices are 0-based.  Syntax errors come
+    first and name the first bad line.  Then the edge checks of
+    :func:`~graphphase.graph_core.build_graph` run by category: range, self
+    loops and weights name the edge, a repeat its line and the line of its
+    first listing, and connectivity the unreachable vertices.
     """
-    header = None
-    edges = []
-    seen = {}
-    for number, tokens in _tokens(path):
-        if header is None:
-            if len(tokens) != 4 or tokens[0] != "vertices" or tokens[2] != "r":
-                raise ParseError(
-                    "expected header 'vertices N r R'", line=number
-                )
-            try:
-                header = (int(tokens[1]), float(tokens[3]))
-            except ValueError:
-                raise ParseError(
-                    "header needs an integer count and a real exponent",
-                    line=number,
-                ) from None
-            continue
-        if len(tokens) != 3:
-            raise ParseError("expected 'i j w' edge line", line=number)
-        try:
-            i, j, w = int(tokens[0]), int(tokens[1]), float(tokens[2])
-        except ValueError:
-            raise ParseError(
-                "edge needs two integer endpoints and a real weight",
-                line=number,
-            ) from None
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdge(
-                f"edge {key} already given on line {seen[key]}", line=number
-            )
-        seen[key] = number
-        edges.append((i, j, w))
-    if header is None:
+    numbers, counts, flat = _tokens(path)
+    if not numbers:
         raise ParseError("file has no header line", line=1)
-    return build_graph(header[0], edges, r=header[1])
+    number, tokens = numbers.pop(0), flat[:counts[0]]
+    if len(tokens) != 4 or tokens[0] != "vertices" or tokens[2] != "r":
+        raise ParseError("expected header 'vertices N r R'", line=number)
+    try:
+        num_vertices, r = int(tokens[1]), float(tokens[3])
+    except ValueError:
+        raise ParseError(
+            "header needs an integer count and a real exponent", line=number
+        ) from None
+    edges = _table(numbers, counts[1:], flat[counts[0]:], 2, 3,
+                   "expected 'i j w' edge line",
+                   "edge needs two integer endpoints and a real weight")
+    try:
+        return build_graph(num_vertices, edges, r=r)
+    except DuplicateEdge as exc:
+        first, repeat = exc.positions
+        pair = tuple(sorted(int(end) for end in edges[repeat, :2]))
+        raise DuplicateEdge(f"edge {pair} already given on line "
+                            f"{numbers[first]}", line=numbers[repeat]) from None
 
 
 def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
     """Read a state file: ``i value`` rows, or ``i v1 ... vK`` multi-class.
 
     Every vertex must appear exactly once.  Two-class values must lie in
-    [0, 1]; multi-class rows must sum to 1 within 1e-8 and are renormalized
-    to sum exactly 1.
+    [0, 1], which NaN does not; multi-class rows must sum to 1 within 1e-8
+    and are renormalized to sum exactly 1.
     """
     if num_classes is not None and num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     width = 1 if num_classes is None else num_classes
-    values = np.full((g.num_vertices, width), np.nan)
-    lines = {}
-    for number, tokens in _tokens(path):
-        if len(tokens) != 1 + width:
-            raise ParseError(
-                f"expected a vertex index and {width} value(s)", line=number
-            )
-        try:
-            vertex = int(tokens[0])
-            row = [float(token) for token in tokens[1:]]
-        except ValueError:
-            raise ParseError("malformed number", line=number) from None
-        if not 0 <= vertex < g.num_vertices:
-            raise ParseError(
-                f"vertex {vertex} outside 0..{g.num_vertices - 1}", line=number
-            )
-        if vertex in lines:
-            raise ParseError(
-                f"vertex {vertex} already given on line {lines[vertex]}",
-                line=number,
-            )
-        lines[vertex] = number
-        values[vertex] = row
-    missing = [i for i in range(g.num_vertices) if i not in lines]
-    if missing:
-        raise MissingVertex(f"no value for vertex {missing[0]}")
+    n = g.num_vertices
+    numbers, counts, flat = _tokens(path)
+    table = _table(numbers, counts, flat, 1, 1 + width,
+                   f"expected a vertex index and {width} value(s)",
+                   "malformed number")
+    vertex = table[:, 0]
+    # each value's first row, and for each row the first row of its value
+    present, first, same = np.unique(vertex, return_index=True,
+                                     return_inverse=True)
+    outside = (vertex < 0) | (vertex >= n)
+    bad = outside | (first[same] != np.arange(len(numbers)))  # or a repeat
+    if bad.any():
+        k = int(bad.argmax())
+        given = numbers[first[same[k]]]
+        raise ParseError(
+            f"vertex {int(vertex[k])} outside 0..{n - 1}" if outside[k]
+            else f"vertex {int(vertex[k])} already given on line {given}",
+            line=numbers[k],
+        )
+    if len(present) < n:
+        gap = np.append(present, n) != np.arange(len(present) + 1)
+        raise MissingVertex(f"no value for vertex {int(gap.argmax())}")
+    values = table[first, 1:]
     if num_classes is None:
         field = values[:, 0]
-        if field.min() < 0.0 or field.max() > 1.0:
-            bad = int(np.argmax((field < 0.0) | (field > 1.0)))
+        inside = (field >= 0.0) & (field <= 1.0)  # NaN is outside
+        if not inside.all():
+            bad = int(inside.argmin())
             raise DomainViolation(
                 f"vertex {bad} has value {field[bad]}, outside [0, 1]"
             )
         return field
     sums = values.sum(axis=1)
     off = np.abs(sums - 1.0)
-    if off.max() > 1e-8:
+    if not (off <= 1e-8).all():  # a NaN is off as well
         bad = int(off.argmax())
         raise ParseError(
             f"row for vertex {bad} sums to {sums[bad]}, expected 1",
-            line=lines[bad],
+            line=numbers[first[bad]],
         )
     values = values / sums[:, None]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)
@@ -182,13 +194,9 @@ def _fmt(value) -> str:
 
 
 def _state_lines(state) -> list:
-    if isinstance(state, SimplexField):
-        rows = state.values
-        return [
-            " ".join([str(i)] + [_fmt(v) for v in rows[i]])
-            for i in range(rows.shape[0])
-        ]
-    return [f"{i} {_fmt(v)}" for i, v in enumerate(state)]
+    rows = state.values if isinstance(state, SimplexField) else state[:, None]
+    return [" ".join([str(i)] + [_fmt(v) for v in row])
+            for i, row in enumerate(rows)]
 
 
 def _write_text(path: str, text: str):
@@ -233,8 +241,8 @@ def write_outputs(result, out_dir: str, mode: str, params: dict) -> list:
 
 
 def _infer_classes(path: str) -> int:
-    for _, tokens in _tokens(path):
-        return len(tokens) - 1
+    for count in _tokens(path)[1]:
+        return count - 1
     raise ParseError("state file has no data lines", line=1)
 
 
@@ -268,9 +276,8 @@ def _cmd_run(args, report_params: dict) -> int:
 
 def _cmd_multiclass(args, report_params: dict) -> int:
     params = _scheme_params(args)
-    g, s, field = _load(
-        args, args.num_classes or _infer_classes(args.init_path)
-    )
+    g, s, field = _load(args, _infer_classes(args.init_path)
+                        if args.num_classes is None else args.num_classes)
     trajectory = run_multiclass_trajectory(
         field,
         g,

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -66,8 +67,10 @@ def test_build_graph_rejects_bad_edges():
     with pytest.raises(DuplicateEdge, match=r"edge \(0, 1\) listed twice"):
         build_graph(3, [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0)])
     # the first edge listed again, in input order, is the one reported
-    with pytest.raises(DuplicateEdge, match=r"edge \(1, 2\) listed twice"):
+    with pytest.raises(DuplicateEdge, match=r"edge \(1, 2\) listed twice") as caught:
         build_graph(3, [(1, 2, 1.0), (0, 1, 1.0), (2, 1, 1.0), (1, 0, 1.0)])
+    # both listings, for a parser to name their lines
+    assert caught.value.positions == (0, 2)
     with pytest.raises(DisconnectedGraph, match=r"vertices \[2, 3\] unreachable"):
         build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraph, match=r"vertices \[1, 2\] unreachable"):
@@ -93,20 +96,91 @@ def test_degrees(triangle_r1, random_graphs):
         assert_allclose(g.degrees, _dense_weights(g).sum(axis=1), rtol=1e-15)
 
 
-def test_build_graph_is_linear_in_the_edges():
-    # a dense n-by-n matrix here would take 3.2 GB and many seconds
-    edges = _path_edges(20_001)
+def _build_within_bounds(n, edges):
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        g = build_graph(20_001, edges)
+        g = build_graph(n, edges)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.edge_i.shape == (20_000,)
+    assert g.edge_i.shape == (n - 1,)
     assert elapsed < 1.0
     assert peak < 20e6
+
+
+def test_build_graph_is_linear_in_the_edges():
+    # a dense n-by-n matrix here would take 3.2 GB and many seconds
+    _build_within_bounds(20_001, _path_edges(20_001))
+
+
+@pytest.mark.parametrize("shape", ["shuffled path", "star"])
+def test_connectivity_rounds_stay_few(shape):
+    # min-label propagation would take one round per path vertex; hooking
+    # with pointer jumping takes O(log n) rounds whatever the vertex order
+    n = 20_001
+    if shape == "star":  # the centre has the highest index
+        edges = [(v, n - 1, 1.0) for v in range(n - 1)]
+    else:
+        order = np.random.default_rng(5).permutation(n).tolist()
+        edges = [(order[v], order[v + 1], 1.0) for v in range(n - 1)]
+    _build_within_bounds(n, edges)
+
+
+def _bfs_message(n, edges):
+    """DisconnectedGraph's message from a plain breadth-first search, or None."""
+    neighbours = {v: [] for v in range(n)}
+    for i, j, _ in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    reached, queue = {0}, deque([0])
+    while queue:
+        for u in neighbours[queue.popleft()]:
+            if u not in reached:
+                reached.add(u)
+                queue.append(u)
+    missing = [v for v in range(n) if v not in reached]
+    if not missing:
+        return None
+    more = f" ({len(missing)} in all)" if len(missing) > 10 else ""
+    return f"vertices {missing[:10]}{more} unreachable from vertex 0"
+
+
+def test_connectivity_matches_breadth_first_search():
+    rng = np.random.default_rng(11)
+    disconnected = 0
+    for _ in range(3_000):
+        n = int(rng.integers(2, 41))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        count = min(int(rng.integers(0, 2 * n + 1)), len(pairs))
+        picked = rng.choice(len(pairs), size=count, replace=False)
+        edges = [
+            (*(pairs[k] if rng.random() < 0.5 else pairs[k][::-1]), 1.0)
+            for k in picked
+        ]
+        expected = _bfs_message(n, edges)
+        if expected is None:
+            build_graph(n, edges)
+        else:
+            disconnected += 1
+            with pytest.raises(DisconnectedGraph) as caught:
+                build_graph(n, edges)
+            assert str(caught.value) == expected
+    # both outcomes are well represented
+    assert disconnected > 500 and 3_000 - disconnected > 500
+
+
+def test_build_graph_takes_an_edge_array():
+    listed = [(2, 0, 0.5), (0, 1, 1.0), (1, 2, 2.0)]
+    edges = np.array(listed)
+    g = build_graph(3, edges, r=0.5)
+    assert g.edges == build_graph(3, listed, r=0.5).edges
+    assert edges.flags.writeable
+    assert_allclose(edges, listed)
+    with pytest.raises(DuplicateEdge) as caught:
+        build_graph(3, np.array(listed + [(1, 0, 3.0)]))
+    assert caught.value.positions == (1, 3)
 
 
 def test_disconnection_is_found_without_vertex_arrays():

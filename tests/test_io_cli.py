@@ -88,6 +88,52 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         parse_graph_file(_write(tmp_path, "dup.txt", text))
     assert info.value.line == 3
     assert str(info.value).startswith("line 3:")
+    # build_graph finds the repeat; the line numbers count comments and
+    # blank lines, and the edge is named in ascending order
+    text = "vertices 3 r 0\n# c\n1 0 1.0\n\n1 2 1.0\n0 1 2.0\n"
+    with pytest.raises(DuplicateEdge) as info:
+        parse_graph_file(_write(tmp_path, "dup.txt", text))
+    assert info.value.line == 6
+    assert str(info.value) == "line 6: edge (0, 1) already given on line 3"
+
+
+def test_parse_graph_reports_build_graph_categories_first(tmp_path):
+    # the edge checks run by category: a self loop anywhere is reported
+    # before a repeated edge, though the repeat comes first in the file
+    text = "vertices 3 r 0\n0 1 1\n1 2 1\n0 1 -1\n0 0 1\n"
+    with pytest.raises(SelfLoop, match="self loop at vertex 0"):
+        parse_graph_file(_write(tmp_path, "g.txt", text))
+    # syntax errors come before every edge check, wherever they are
+    text = "vertices 3 r 0\n0 0 1\n0 1 1\n0 1 x\n"
+    with pytest.raises(ParseError) as info:
+        parse_graph_file(_write(tmp_path, "g.txt", text))
+    assert info.value.line == 4
+
+
+def test_cli_refuses_indices_beyond_int64(tmp_path, capsys):
+    # the integer parses; the range checks refuse it, with a JSON error line
+    big = "100000000000000000000"
+    args = ["run", "--mode", "mbo", "--tau", "0.3", "--steps", "1",
+            "--out", str(tmp_path / "o")]
+    graph = _write(tmp_path, "g.txt", f"vertices 3 r 0\n0 1 1.0\n1 {big} 1.0\n")
+    init = _write(tmp_path, "u.txt", P2_INIT)
+    assert cli_main(args + ["--graph", graph, "--init", init]) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "IndexOutOfRange"
+    assert error["message"] == "edge (1, 1e+20) outside 0..2"
+    graph, _ = _p2_files(tmp_path)
+    init = _write(tmp_path, "u.txt", f"0 1.0\n{big} 0.0\n")
+    assert cli_main(args + ["--graph", graph, "--init", init]) == 1
+    assert _last_error(capsys) == {
+        "error": "ParseError", "message": f"line 2: vertex {big} outside 0..1"
+    }
+    # beyond the float range too: this ended in an OverflowError traceback
+    graph = _write(tmp_path, "g.txt", f"vertices 3 r 0\n0 1 1.0\n1 {'9' * 400} 1\n")
+    assert cli_main(args + ["--graph", graph, "--init", init]) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith("line 3: edge needs two integer")
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_field_two_class(tmp_path):
@@ -108,6 +154,10 @@ def test_parse_field_two_class(tmp_path):
         ("0 1.0 extra\n1 0.0\n", ParseError),
         ("0 abc\n1 0.0\n", ParseError),
         ("5 1.0\n1 0.0\n", ParseError),
+        # NaN compares false with both bounds, and once slipped through
+        ("0 nan\n1 0.0\n", DomainViolation),
+        ("0 1.0\n1 inf\n", DomainViolation),
+        ("0 -inf\n1 0.0\n", DomainViolation),
     ],
 )
 def test_parse_field_rejects(tmp_path, text, exc):
@@ -133,6 +183,17 @@ def test_parse_field_multiclass_reports_bad_row(tmp_path):
         parse_field_file(_write(tmp_path, "u.txt", text), g, 2)
     assert info.value.line == 1
     assert "vertex 0" in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["0.4", "nan", "inf", "-inf"])
+def test_parse_field_multiclass_names_the_line_of_a_bad_row(tmp_path, value):
+    # a NaN row sum compared false with the tolerance and once slipped through
+    g = parse_graph_file(_write(tmp_path, "g.txt", P2_GRAPH))
+    text = f"1 0.5 0.5\n# c\n0 0.5 {value}\n"
+    with pytest.raises(ParseError) as info:
+        parse_field_file(_write(tmp_path, "u.txt", text), g, 2)
+    assert info.value.line == 3
+    assert "row for vertex 0 sums to" in str(info.value)
 
 
 def test_log_csv_header_and_step_rows(tmp_path):
@@ -403,6 +464,21 @@ def test_cli_classes_flag_sets_the_state_width(tmp_path, capsys):
     assert err["error"] == "ParseError"
     assert "2 value(s)" in err["message"]
     assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("classes", ["0", "1"])
+def test_cli_refuses_fewer_than_two_classes(tmp_path, capsys, classes):
+    # --classes 0 once fell through to the inferred count and exited 0
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "0 0.7 0.3\n1 0.4 0.6\n2 0.1 0.9\n")
+    args = ["multiclass", "--graph", graph, "--init", init, "--eps", "0.4",
+            "--tau", "0.2", "--steps", "1", "--classes", classes,
+            "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+    assert _last_error(capsys) == {
+        "error": "ValueError", "message": f"need at least 2 classes, got {classes}"
+    }
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_graph_flag_shows_usage(tmp_path, capsys):
