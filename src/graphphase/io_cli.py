@@ -241,8 +241,12 @@ def write_outputs(result, out_dir: str, mode: str, params: dict) -> list:
 
 
 def _infer_classes(path: str) -> int:
-    for count in _tokens(path)[1]:
-        return count - 1
+    """Class count of a state file: the width of its first line that is not
+    blank or ``#``, as :func:`_tokens` reads them, less the vertex column."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for tokens in map(str.split, handle):
+            if tokens and not tokens[0].startswith("#"):
+                return len(tokens) - 1
     raise ParseError("state file has no data lines", line=1)
 
 
@@ -302,7 +306,7 @@ def _cmd_multiclass(args, report_params: dict) -> int:
 
 def _cmd_sweep(args, report_params: dict) -> int:
     g, s, u0 = _load(args)
-    rows = sweep_lambda(u0, g, s, args.tau, args.lambda_list)
+    rows = sweep_lambda(u0, g, s, args.tau, args.lambdas)
     table = {
         _fmt(row.lam): {"sup_distance_to_mbo": row.sup_distance_to_mbo}
         for row in rows
@@ -382,14 +386,11 @@ _NOT_PARAMS = ("command", "mode", "graph_path", "init_path", "output_dir")
 
 def _params_dict(args) -> dict:
     """The command's own flags that have a value, but ``_NOT_PARAMS``."""
-    out = {
+    return {
         name: value
         for name, value in vars(args).items()
         if name not in _NOT_PARAMS and value is not None
     }
-    if "lambda_list" in out:
-        out["lambdas"] = out.pop("lambda_list")
-    return out
 
 
 def _print_error(exc: BaseException):
@@ -473,8 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sweep)
     sweep.add_argument("--tau", type=float, required=True)
     sweep.add_argument(
-        "--lambdas", dest="lambda_list", metavar="LAMBDAS", type=_float_list,
-        required=True, help="comma-separated",
+        "--lambdas", type=_float_list, required=True, help="comma-separated",
     )
 
     conv = commands.add_parser(

@@ -278,19 +278,17 @@ def _step_length(matrix, weights, masses, mu, direction, x):
     """Step length along a Newton direction, and the rows it reaches.
 
     Along the ray the dual's slope ``s(t) = -F(mu + t d) . d`` starts at
-    ``s0 > 0`` and is non-increasing and piecewise linear in ``t``, falling
-    at the rate ``d^T J d`` of the support pattern it crosses.  The full
-    step stands when it cuts the largest mass defect to ``CURVATURE`` of its
-    value, or when its support pattern repeats without the slope staying
-    steep (the piece is then affine and the step exact).  Otherwise a step
-    ends where the slope lies in ``[0, 2c]`` with ``c = CURVATURE * s0 / 2``:
-    the dual has then risen by at least ``c t``.  While the slope stays
-    above that band the step doubles, since a direction the supports do not
-    see, such as raising an empty class, is flat up to its first kink.  Once
-    the band is bracketed, the root of ``s = c`` on the piece at either end
-    is tried first (exact when that piece reaches it), then Illinois regula
-    falsi.  Only slopes are compared, never dual values, whose differences
-    drown in rounding near the optimum.
+    ``s0 > 0`` and is non-increasing and piecewise linear in ``t``.  The
+    full step stands when it cuts the largest mass defect to ``CURVATURE``
+    of its value, or when its support pattern repeats without the slope
+    staying steep (the piece is then affine and the step exact).  Otherwise
+    a step ends where the slope lies in ``[0, CURVATURE * s0]``: the dual
+    has then risen by at least ``CURVATURE * s0 * t / 2``.  While the slope
+    stays above that band the step doubles, since a direction the supports
+    do not see, such as raising an empty class, is flat up to its first
+    kink; once the band is bracketed, the search bisects.  Only slopes are
+    compared, never dual values, whose differences drown in rounding near
+    the optimum.
     """
 
     def probe(t, rows=None):
@@ -299,11 +297,6 @@ def _step_length(matrix, weights, masses, mu, direction, x):
         balance = rows.T @ weights - masses
         return _Probe(t, rows, float(-balance @ direction), np.abs(balance).max())
 
-    def fall_rate(rows):
-        support = rows > 0.0
-        along = support @ direction
-        return weights @ (support @ direction**2 - along**2 / support.sum(axis=1))
-
     lo, here = probe(0.0, x), probe(1.0)
     target = 0.5 * CURVATURE * lo.slope
     if here.defect <= CURVATURE * lo.defect or (
@@ -311,31 +304,17 @@ def _step_length(matrix, weights, masses, mu, direction, x):
     ):
         return 1.0, here.rows
     hi = None
-    # regula falsi weights, halved Illinois-style when one end keeps moving
-    w_lo, w_hi = lo.slope - target, 0.0
-    side = 0
     for _ in range(MAX_LINE_SEARCH):
-        excess = here.slope - target
-        if abs(excess) <= target:
+        if abs(here.slope - target) <= target:
             return here.t, here.rows
-        if excess > 0.0:
-            lo, w_lo = here, excess
-            w_hi *= 0.5 if side == 1 else 1.0
-            side = 1
+        if here.slope > target:
+            lo = here
         else:
-            hi, w_hi = here, excess
-            w_lo *= 0.5 if side == -1 else 1.0
-            side = -1
+            hi = here
         if hi is None:
             here = probe(2.0 * lo.t)
             continue
-        for end in (lo, hi):
-            rate = fall_rate(end.rows)
-            t = end.t + (end.slope - target) / rate if rate > 0.0 else -1.0
-            if lo.t < t < hi.t:
-                break
-        else:
-            t = lo.t + w_lo * (hi.t - lo.t) / (w_lo - w_hi)
+        t = 0.5 * (lo.t + hi.t)
         if not lo.t < t < hi.t:
             # the bracket has shrunk to rounding: keep the rise reached so far
             if lo.t > 0.0:
@@ -358,10 +337,8 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
     ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue &
     Boyd 2020); otherwise the loop takes the plain step from the last
     accepted point, forgets its history and takes a run of plain steps,
-    twice as long after each rejection, before it extrapolates again.  The
-    plain step halves for good after two consecutive rises of the
-    displacement (oscillation), as in the plain damped iteration.  Every
-    returned iterate is an image of ``G``, so it is feasible; a
+    twice as long after each rejection, before it extrapolates again.
+    Every returned iterate is an image of ``G``, so it is feasible; a
     non-converged run hands back the image of least displacement, not the
     last.
     """
@@ -372,8 +349,7 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
     residual_steps = np.empty((ANDERSON_MEMORY, diffused.size))
     image_steps = np.empty((ANDERSON_MEMORY, diffused.size))
     stored = 0
-    omega = 1.0
-    rises = rejections = cooldown = 0
+    rejections = cooldown = 0
     extrapolated = converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -395,18 +371,16 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
             cooldown = 2**rejections
             stored = 0
             point, image, _ = accepted
-            current = point + omega * (image - point)
+            # a step from ``point`` like the plain step below, so both round alike
+            current = point + (image - point)
             extrapolated = False
             continue
         if accepted is not None:
-            point, last_image, last_disp = accepted
+            point, last_image, _ = accepted
             slot = stored % ANDERSON_MEMORY
             residual_steps[slot] = (residual - (last_image - point)).ravel()
             image_steps[slot] = (image - last_image).ravel()
             stored += 1
-            rises = rises + 1 if disp > last_disp else 0
-            if rises >= 2:
-                omega = 0.5
         accepted = (current, image, disp)
         extrapolated = cooldown == 0 and stored > 0
         if extrapolated:
@@ -416,7 +390,7 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
             )
         else:
             cooldown = max(cooldown - 1, 0)
-            current = current + omega * residual
+            current = current + residual
     _, final, correction, constants = best
     return final, correction, constants, iterations, converged, inner
 

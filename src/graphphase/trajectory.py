@@ -134,14 +134,9 @@ class TauRefinementReport:
     energy_gap_bounds: tuple
 
 
-def _choose_stride(entries_per_state: int, max_steps: int, stride) -> int:
+def _choose_stride(entries_per_state: int, max_steps: int) -> int:
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    if stride is not None:
-        stride = int(stride)
-        if stride < 1:
-            raise ValueError(f"snapshot stride must be >= 1, got {stride}")
-        return stride
     entries = entries_per_state * (max_steps + 1)
     return max(1, -(-entries // STATE_BUDGET))
 
@@ -192,7 +187,6 @@ def run_trajectory(
     params: SchemeParams,
     max_steps: int,
     fixed_point_tol: float | None = None,
-    snapshot_stride: int | None = None,
 ) -> Trajectory:
     """Iterate the scheme from ``u0`` until a fixed point or ``max_steps``.
 
@@ -201,7 +195,7 @@ def run_trajectory(
     ends the run; the default tolerance is 0 for thresholding (the selection
     rule is deterministic, exact repeats happen) and 1e-12 otherwise.
     """
-    stride = _choose_stride(g.num_vertices, max_steps, snapshot_stride)
+    stride = _choose_stride(g.num_vertices, max_steps)
     current = _check_box(u0, g)
     if fixed_point_tol is None:
         fixed_point_tol = 0.0 if params.lam == 1.0 else 1e-12
@@ -246,23 +240,20 @@ def run_multiclass_trajectory(
     params: SchemeParams,
     max_steps: int,
     conserve_masses: bool = True,
-    fixed_point_tol: float = 1e-12,
     max_iter: int = MAX_ITER,
     fp_tol: float = FP_TOL,
-    snapshot_stride: int | None = None,
 ) -> Trajectory:
     """Iterate a multi-class step; Lyapunov columns stay empty in the log.
 
     The logged mass is the total over classes, the energy column carries the
     multi-class Ginzburg-Landau value, and ``converged`` goes false if any
     inner fixed-point solve missed its tolerance (the run still continues
-    with the best iterate, which keeps the log honest).
+    with the best iterate, which keeps the log honest).  A step whose
+    sup-norm change is at most 1e-12 ends the run.
     """
     # checked here too, so a run of zero steps refuses them as well
     _check_settings(max_iter, fp_tol)
-    stride = _choose_stride(
-        g.num_vertices * U0.num_classes, max_steps, snapshot_stride
-    )
+    stride = _choose_stride(g.num_vertices * U0.num_classes, max_steps)
     stepper = multiclass_mass_conserving_step if conserve_masses else multiclass_step
     # every step targets the starting class masses, as in run_trajectory
     targets = {"target_mass": U0.class_masses()} if conserve_masses else {}
@@ -279,7 +270,7 @@ def run_multiclass_trajectory(
 
     _, GL = multi_obstacle_energy(U0, g, params.epsilon)
     entry = LogEntry(0, float(U0.class_masses().sum()), None, None, GL, None, None)
-    return _iterate(U0, entry, advance, params, max_steps, stride, fixed_point_tol)
+    return _iterate(U0, entry, advance, params, max_steps, stride, 1e-12)
 
 
 def sweep_lambda(
@@ -382,8 +373,7 @@ def converge_tau(
     for tau, steps in zip(taus, step_counts):
         params = SchemeParams.from_epsilon(epsilon=epsilon, tau=tau)
         runs.append(
-            run_trajectory(u0, g, s, params, max_steps=steps,
-                           fixed_point_tol=0.0, snapshot_stride=1)
+            run_trajectory(u0, g, s, params, max_steps=steps, fixed_point_tol=0.0)
         )
 
     # sample at multiples of the coarsest step (plus t_final) so the matched

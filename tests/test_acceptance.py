@@ -69,8 +69,7 @@ def conservation_runs():
             for lam in (0.5, 1.0):
                 params = SchemeParams.from_lambda(tau=tau, lam=lam)
                 traj = run_trajectory(
-                    u0, g, s, params, max_steps=1000,
-                    fixed_point_tol=0.0, snapshot_stride=1,
+                    u0, g, s, params, max_steps=1000, fixed_point_tol=0.0
                 )
                 runs.append((r, lam, g, s, params, traj))
     return runs, time.perf_counter() - start

@@ -88,6 +88,23 @@ def test_accelerated_matches_damped_reference():
     assert agreed >= 80
 
 
+def test_well_posed_iterations_stay_few():
+    # below lam = K / (2 (K - 1)) the plain map contracts at rate
+    # lam * 2 (K - 1) / K, so undamped steps settle: the 60 plain and
+    # mass-conserving solves there take about 600 iterations in all
+    iterations = []
+    for g, s, field, params in _instances(seed=2609):
+        num_classes = field.num_classes
+        if params.lam >= num_classes / (2 * (num_classes - 1)):
+            continue
+        for stepper in STEPPERS:
+            result = stepper(field, g, s, params)
+            assert result.converged
+            iterations.append(result.iterations)
+    assert len(iterations) == 60
+    assert sum(iterations) <= 650
+
+
 def test_naive_safeguard_cycle_instance_converges():
     # restarting the plain step from a rejected extrapolation, without a
     # cooldown, falls into a period-4 cycle here and runs out its 500

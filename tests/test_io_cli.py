@@ -26,6 +26,7 @@ from graphphase import (
     run_trajectory,
     write_outputs,
 )
+from graphphase import io_cli
 from graphphase.graph_core import spectral_decompose
 
 P2_GRAPH = "vertices 2 r 0\n0 1 1.0\n"
@@ -464,6 +465,27 @@ def test_cli_classes_flag_sets_the_state_width(tmp_path, capsys):
     assert err["error"] == "ParseError"
     assert "2 value(s)" in err["message"]
     assert not (tmp_path / "b").exists()
+
+
+def test_cli_reads_the_state_file_once(tmp_path, monkeypatch):
+    # the class count comes from the first data line, not a pass of its own
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt",
+                  "# state\n\n0 0.7 0.2 0.1\n1 0.3 0.4 0.3\n2 0.1 0.2 0.7\n")
+    paths = []
+    tokens = io_cli._tokens
+
+    def counted(path):
+        paths.append(path)
+        return tokens(path)
+
+    monkeypatch.setattr(io_cli, "_tokens", counted)
+    assert cli_main(["multiclass", "--graph", graph, "--init", init,
+                     "--eps", "0.4", "--tau", "0.2", "--steps", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert paths.count(init) == 1
+    final = (tmp_path / "o" / "final_state.txt").read_text().splitlines()
+    assert [len(line.split()) for line in final] == [4, 4, 4]
 
 
 @pytest.mark.parametrize("classes", ["0", "1"])

@@ -24,6 +24,7 @@ from graphphase import multiclass, oracles
 import references
 
 KINDS = ("generic", "ties", "empty", "one_hot")
+HARD_KINDS = KINDS[1:]
 
 
 def _instance(rng, n, num_classes, kind):
@@ -200,3 +201,37 @@ def test_projection_converges_on_hard_instances():
             1.0 + masses.max()
         )
         assert np.array_equal(x, multiclass._simplex_rows(matrix + mu))
+
+
+def test_step_length_lands_in_the_band(monkeypatch):
+    # every step is the full one, one whose slope lies in the acceptance
+    # band, or the last point before a bracket shrunk to adjacent floats;
+    # steps shorter than the full one were bisected out of [0, 1]
+    steps = []
+    search = multiclass._step_length
+
+    def checked(matrix, weights, masses, mu, direction, x):
+        t, rows = search(matrix, weights, masses, mu, direction, x)
+
+        def slope(rows):
+            return float(-(rows.T @ weights - masses) @ direction)
+
+        def reach(t):
+            return multiclass._simplex_rows(matrix + (mu + t * direction))
+
+        assert np.array_equal(rows, reach(t))
+        if t != 1.0 and not 0.0 <= slope(rows) <= multiclass.CURVATURE * slope(x):
+            assert t > 0.0
+            assert slope(reach(np.nextafter(t, np.inf))) < 0.0
+        steps.append(t)
+        return t, rows
+
+    monkeypatch.setattr(multiclass, "_step_length", checked)
+    rng = np.random.default_rng(13)
+    for index in range(360):
+        num_classes = (2, 3, 4, 5)[index % 4]
+        n = (5, 20, 60)[index // 4 % 3]
+        kind = HARD_KINDS[index // 12 % 3]
+        g, matrix, masses = _instance(rng, n, num_classes, kind)
+        _project(matrix, g, masses)
+    assert sum(t < 1.0 for t in steps) >= 100

@@ -82,13 +82,13 @@ def test_trajectory_rejects_bad_inputs(p2, p2_spectrum):
         run_trajectory(np.array([1.0, 0.0]), p2, p2_spectrum, params, max_steps=-1)
 
 
-def test_snapshot_stride_keeps_ends(p2, p2_spectrum):
-    # growing interior mode: no fixed point inside the 7-step budget
+def test_snapshot_stride_keeps_ends(p2, p2_spectrum, monkeypatch):
+    # growing interior mode: no fixed point inside the 7-step budget; 8
+    # states of 2 entries over a budget of 6 entries make the stride 3
+    monkeypatch.setattr(trajectory, "STATE_BUDGET", 6)
     params = SchemeParams.from_lambda(tau=0.01, lam=0.2)
     u0 = np.array([0.6, 0.4])
-    traj = run_trajectory(
-        u0, p2, p2_spectrum, params, max_steps=7, snapshot_stride=3
-    )
+    traj = run_trajectory(u0, p2, p2_spectrum, params, max_steps=7)
     assert traj.state_stride == 3
     assert len(traj.log) == 8
     # stored: step 0, 3, 6, and the final step 7
