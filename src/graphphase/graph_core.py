@@ -260,11 +260,13 @@ def spectral_decompose(g: Graph) -> Spectrum:
     """Build the rescaled Laplacian of ``g`` once, for every diffusion on it.
 
     O(E log E) time and O(n + E) memory: the directed edges are sorted into
-    rows, and no n-by-n array is made.
+    rows, and no n-by-n array is made.  The sort relies on ``g``'s canonical
+    edge order: with the reversed half first, one stable sort by head leaves
+    each row's tails ascending, below the head and then above it.
     """
-    heads = np.concatenate([g.edge_i, g.edge_j])
-    tails = np.concatenate([g.edge_j, g.edge_i])
-    order = np.lexsort((tails, heads))
+    heads = np.concatenate([g.edge_j, g.edge_i])
+    tails = np.concatenate([g.edge_i, g.edge_j])
+    order = np.argsort(heads, kind="stable")
     heads, tails = heads[order], tails[order]
     bound = 2.0 * float((g.degrees / g.degrees_r).max())
     scale = (2.0 / bound) / g.degrees_r

@@ -97,6 +97,45 @@ def _table(numbers, counts, flat, ints, size, wrong_size, malformed):
             raise ParseError(malformed, line=number) from None
 
 
+def _c_table(path, ints, size, header=False):
+    """The table of :func:`_table`, read by numpy's C reader, or None.
+
+    Returns the first line not blank or ``#`` as ``(number, tokens)`` if it
+    is a ``header`` (else ``(0, None)``), and the lines after it as an
+    (E, size) float table, ``ints`` int64 columns and then float64 ones.
+    Returns None where the C reader refuses the file: a ``#`` line among
+    the data, syntax only ``int`` or ``float`` take (``1_0``, past int64), a
+    wrong token count, no data.  The exact reader then names the bad line or
+    reads the file.  Text that is not ASCII is not handed over, because
+    numpy's integer parser reads letters past ASCII as digits (U+01FE before
+    ``0`` as 4620) and crashes on some.  Where it accepts ASCII text, the C
+    reader reads the numbers ``int`` and ``float`` read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:  # _tokens names the byte as it always has
+        return None
+    if not text.isascii():
+        return None
+    lines = text.split("\n")  # the lines that iterating the file yields
+    first = (0, None)
+    if header:
+        first = next(((number, tokens) for number, tokens
+                      in enumerate(map(str.split, lines), start=1)
+                      if tokens and not tokens[0].startswith("#")), None)
+    if first is None or not any(map(str.strip, lines[first[0]:])):
+        return None  # no data, which np.loadtxt warns of
+    columns = [(f"c{c}", np.int64 if c < ints else np.float64)
+               for c in range(size)]
+    try:
+        rows = np.loadtxt(lines, dtype=columns, comments=None, encoding="utf-8",
+                          skiprows=first[0], ndmin=1)
+    except ValueError:
+        return None
+    return first, np.column_stack([rows[name] for name, _ in columns])
+
+
 def parse_graph_file(path: str) -> Graph:
     """Read a graph file: header ``vertices N r R``, then ``i j w`` lines.
 
@@ -104,12 +143,19 @@ def parse_graph_file(path: str) -> Graph:
     first and name the first bad line.  Then the edge checks of
     :func:`~graphphase.graph_core.build_graph` run by category: range, self
     loops and weights name the edge, a repeat its line and the line of its
-    first listing, and connectivity the unreachable vertices.
+    first listing, and connectivity the unreachable vertices.  A well-formed
+    file is read by numpy's C reader.  The exact reader, ``str.split`` and
+    ``int`` or ``float`` per token, reads a file the C reader refuses and
+    names its first bad line; it also gives the line numbers of a repeat.
     """
-    numbers, counts, flat = _tokens(path)
-    if not numbers:
-        raise ParseError("file has no header line", line=1)
-    number, tokens = numbers.pop(0), flat[:counts[0]]
+    fast = _c_table(path, 2, 3, header=True)
+    if fast is not None:
+        (number, tokens), edges = fast
+    else:
+        numbers, counts, flat = _tokens(path)
+        if not numbers:
+            raise ParseError("file has no header line", line=1)
+        number, tokens, edges = numbers[0], flat[:counts[0]], None
     if len(tokens) != 4 or tokens[0] != "vertices" or tokens[2] != "r":
         raise ParseError("expected header 'vertices N r R'", line=number)
     try:
@@ -118,13 +164,15 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(
             "header needs an integer count and a real exponent", line=number
         ) from None
-    edges = _table(numbers, counts[1:], flat[counts[0]:], 2, 3,
-                   "expected 'i j w' edge line",
-                   "edge needs two integer endpoints and a real weight")
+    if edges is None:
+        edges = _table(numbers[1:], counts[1:], flat[counts[0]:], 2, 3,
+                       "expected 'i j w' edge line",
+                       "edge needs two integer endpoints and a real weight")
     try:
         return build_graph(num_vertices, edges, r=r)
     except DuplicateEdge as exc:
         first, repeat = exc.positions
+        numbers = _tokens(path)[0][1:]
         pair = tuple(sorted(int(end) for end in edges[repeat, :2]))
         raise DuplicateEdge(f"edge {pair} already given on line "
                             f"{numbers[first]}", line=numbers[repeat]) from None
@@ -135,24 +183,30 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
 
     Every vertex must appear exactly once.  Two-class values must lie in
     [0, 1], which NaN does not; multi-class rows must sum to 1 within 1e-8
-    and are renormalized to sum exactly 1.
+    and are renormalized to sum exactly 1.  As in :func:`parse_graph_file`,
+    a well-formed file is read by numpy's C reader, and the exact reader
+    names any failure and gives the line numbers of the checks that name one.
     """
     if num_classes is not None and num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     width = 1 if num_classes is None else num_classes
     n = g.num_vertices
-    numbers, counts, flat = _tokens(path)
-    table = _table(numbers, counts, flat, 1, 1 + width,
-                   f"expected a vertex index and {width} value(s)",
-                   "malformed number")
+    fast = _c_table(path, 1, 1 + width)
+    if fast is not None:
+        table = fast[1]
+    else:
+        table = _table(*_tokens(path), 1, 1 + width,
+                       f"expected a vertex index and {width} value(s)",
+                       "malformed number")
     vertex = table[:, 0]
     # each value's first row, and for each row the first row of its value
     present, first, same = np.unique(vertex, return_index=True,
                                      return_inverse=True)
     outside = (vertex < 0) | (vertex >= n)
-    bad = outside | (first[same] != np.arange(len(numbers)))  # or a repeat
+    bad = outside | (first[same] != np.arange(len(vertex)))  # or a repeat
     if bad.any():
         k = int(bad.argmax())
+        numbers = _tokens(path)[0]
         given = numbers[first[same[k]]]
         raise ParseError(
             f"vertex {int(vertex[k])} outside 0..{n - 1}" if outside[k]
@@ -178,7 +232,7 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
         bad = int(off.argmax())
         raise ParseError(
             f"row for vertex {bad} sums to {sums[bad]}, expected 1",
-            line=numbers[first[bad]],
+            line=_tokens(path)[0][first[bad]],
         )
     values = values / sums[:, None]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)

@@ -177,7 +177,7 @@ def variational_oracle(
 
 def random_connected_graph(
     num_vertices: int,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",  # unquoted, it imports numpy.random
     r: float = 0.0,
     extra_edges: "int | None" = None,
     weight_range: tuple[float, float] = (0.1, 1.0),

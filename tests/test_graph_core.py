@@ -25,6 +25,7 @@ from graphphase import (
     laplacian_apply,
     mass,
     norm,
+    random_connected_graph,
     spectral_decompose,
 )
 from graphphase.graph_core import _chebyshev_interpolate, heat_remainder
@@ -351,6 +352,26 @@ def test_spectrum_matches_dense_reference(random_graphs):
         sym = (np.diag(w.sum(axis=1)) - w) / half[:, None] / half[None, :]
         reference = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert_allclose(s.eigenvalues, reference, rtol=0, atol=1e-12 * top)
+
+
+def test_spectrum_rows_match_a_sort_by_head_and_tail():
+    # one stable sort by head, relying on the canonical edge order, must
+    # give the rows a two-key sort by (head, tail) gives, bit for bit
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        g = random_connected_graph(n, rng, r=float(rng.uniform()),
+                                   extra_edges=int(rng.integers(0, 2 * n)))
+        s = spectral_decompose(g)
+        heads = np.concatenate([g.edge_i, g.edge_j])
+        tails = np.concatenate([g.edge_j, g.edge_i])
+        order = np.lexsort((tails, heads))
+        scale = (2.0 / s.bound) / g.degrees_r
+        counts = np.bincount(heads, minlength=n)
+        assert np.array_equal(s.cols, tails[order])
+        weights = np.concatenate([g.edge_w, g.edge_w])
+        assert np.array_equal(s.vals, scale[heads[order]] * weights[order])
+        assert np.array_equal(s.starts, np.cumsum(counts) - counts)
 
 
 def test_diffuse_zero_time_is_identity(p2, p2_spectrum):

@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from graphphase import (
+    DisconnectedGraph,
     DomainViolation,
     DuplicateEdge,
+    Graph,
     IndexOutOfRange,
     IoError,
     MissingVertex,
@@ -19,6 +22,9 @@ from graphphase import (
     ParseError,
     SchemeParams,
     SelfLoop,
+    SimplexField,
+    ValidationError,
+    build_graph,
     cli_main,
     parse_field_file,
     parse_graph_file,
@@ -135,6 +141,179 @@ def test_cli_refuses_indices_beyond_int64(tmp_path, capsys):
     assert error["error"] == "ParseError"
     assert error["message"].startswith("line 3: edge needs two integer")
     assert not (tmp_path / "o").exists()
+
+
+# numbers as endpoints, weights, vertex indices and values; numpy's C
+# integer parser reads "\u01fe0" as 4620, so no text past ASCII reaches it
+CORPUS_TOKENS = [
+    "+5", "-0", "007", "1_0", "\u0661", "\uff11", "\u01fe0", "1.0", "1e3",
+    "inf", "Infinity", "nan", "-nan", "1e500", "1e-400", ".5", "5.",
+    str(2**63 - 1), str(2**63),
+]
+CORPUS_SEPARATORS = [
+    "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000",
+]
+CORPUS_PATH = "vertices 12 r 0.5\n" + "".join(
+    f"{v} {v + 1} 1.0\n" for v in range(11)
+)
+CORPUS_STATE = "".join(f"{v} 0.25\n" for v in range(12))
+CORPUS_CLASSES = "".join(f"{v} 0.25 0.25 0.5\n" for v in range(12))
+
+
+def _corpus():
+    """(id, kind, text): graph files, two-class and three-class states."""
+    cases = []
+    for k, tok in enumerate(CORPUS_TOKENS):
+        cases += [
+            (f"endpoint{k}", "graph", CORPUS_PATH + f"{tok} 11 0.5\n"),
+            (f"weight{k}", "graph", CORPUS_PATH + f"0 11 {tok}\n"),
+            (f"index{k}", "state", CORPUS_STATE.replace("5 0.25", f"{tok} 0.25")),
+            (f"value{k}", "state", CORPUS_STATE.replace("3 0.25", f"3 {tok}")),
+            (f"class{k}", "classes",
+             CORPUS_CLASSES.replace("3 0.25 0.25 0.5", f"3 0.5 0.5 {tok}")),
+        ]
+    for k, sep in enumerate(CORPUS_SEPARATORS):
+        cases += [
+            (f"sep{k}", "graph", CORPUS_PATH + f"{sep}0{sep}11{sep}0.5{sep}\n"),
+            (f"sep{k}", "state",
+             CORPUS_STATE.replace("3 0.25", f"{sep}3{sep}0.75{sep}")),
+            (f"sep{k}", "classes", CORPUS_CLASSES.replace(" ", sep)),
+        ]
+    for name, text, kind in [
+        ("path", CORPUS_PATH + "0 11 0.5\n", "graph"),
+        ("state", CORPUS_STATE, "state"),
+        ("classes", CORPUS_CLASSES, "classes"),
+    ]:
+        lines = text.splitlines(keepends=True)
+        cases += [
+            (f"{name}-cr", kind, text.replace("\n", "\r")),
+            (f"{name}-crlf", kind, text.replace("\n", "\r\n")),
+            (f"{name}-no-final-newline", kind, text.rstrip("\n")),
+            (f"{name}-bom", kind, "\ufeff" + text),
+            (f"{name}-comments-first", kind, "# a file\n\n \t\n#\n" + text),
+            (f"{name}-blank-between", kind,
+             "".join(lines[:3] + ["\n"] + lines[3:])),
+            (f"{name}-comment-between", kind,
+             "".join(lines[:3] + ["# middle\n"] + lines[3:])),
+            (f"{name}-trailing-comment", kind,
+             "".join(lines[:3] + [lines[3].rstrip("\n") + " # x\n"] + lines[4:])),
+            (f"{name}-short-line", kind,
+             "".join(lines[:3] + [lines[3].rsplit(" ", 1)[0] + "\n"] + lines[4:])),
+            (f"{name}-repeat", kind, text + lines[3]),
+        ]
+    cases += [
+        ("edge-comment", "graph", CORPUS_PATH + "0 1 1.0 # x\n"),
+        ("header-only", "graph", "vertices 2 r 0\n"),
+        ("header-only-blanks", "graph", "# c\nvertices 2 r 0\n\n  \n"),
+        ("no-header", "graph", "# c\n\n"),
+        ("empty", "state", ""),
+        ("blank", "state", "\n \n"),
+        ("empty", "classes", ""),
+    ]
+    return cases
+
+
+def _outcome(read):
+    """Bits of every array read, or the error's type, message and line."""
+    try:
+        result = read()
+    except (ValidationError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(result, Graph):
+        arrays = [np.float64(result.r), np.int64(result.num_vertices),
+                  result.degrees, result.degrees_r, result.edge_i,
+                  result.edge_j, result.edge_w]
+    else:
+        arrays = [result.values if isinstance(result, SimplexField) else result]
+    return [(np.asarray(a).dtype.str, np.shape(a), np.asarray(a).tobytes())
+            for a in arrays]
+
+
+@pytest.mark.parametrize("kind,text", [
+    pytest.param(kind, text, id=f"{kind}-{name}") for name, kind, text in _corpus()
+])
+def test_the_c_reader_and_the_exact_reader_agree(tmp_path, monkeypatch, kind,
+                                                  text):
+    # every file is read as shipped, then with the C reader refusing it, so
+    # the exact reader reads it alone: the arrays or the errors must match
+    path = tmp_path / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    graph = build_graph(12, [(v, v + 1, 1.0) for v in range(11)], r=0.5)
+    read = {
+        "graph": lambda: parse_graph_file(str(path)),
+        "state": lambda: parse_field_file(str(path), graph),
+        "classes": lambda: parse_field_file(str(path), graph, 3),
+    }[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shipped = _outcome(read)
+        monkeypatch.setattr(io_cli, "_c_table", lambda *args, **kwargs: None)
+        assert _outcome(read) == shipped
+
+
+def test_well_formed_files_skip_the_exact_reader(tmp_path, monkeypatch):
+    # comments and blank lines before the header, blank lines between the
+    # data, tabs and \r\n line ends are all well formed
+    graph = _write(tmp_path, "g.txt",
+                   "# g\n\nvertices 3 r 0.5\r\n0\t1 1.0\r\n\r\n1 2 2.5\r\n")
+    state = _write(tmp_path, "u.txt", "2 0.25\n\n0 1\n1 0.0\n")
+    classes = _write(tmp_path, "v.txt", "0 0.5 0.5\n1 1 0\n2 0.25 0.75\n")
+
+    def refuse(path):
+        raise AssertionError(f"the exact reader read {path}")
+
+    monkeypatch.setattr(io_cli, "_tokens", refuse)
+    g = parse_graph_file(graph)
+    assert g.edges == ((0, 1, 1.0), (1, 2, 2.5)) and g.r == 0.5
+    assert parse_field_file(state, g).tolist() == [1.0, 0.0, 0.25]
+    field = parse_field_file(classes, g, 2)
+    assert field.values.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
+
+
+@pytest.mark.parametrize(
+    "text,classes,exc,message",
+    [
+        ("0 1.0\n5 0.0\n", None, ParseError, "line 2: vertex 5 outside 0..1"),
+        ("0 1.0\n0 0.0\n1 0.0\n", None, ParseError,
+         "line 2: vertex 0 already given on line 1"),
+        ("0 0.5 0.5\n\n1 0.5 0.25\n", 2, ParseError,
+         "line 3: row for vertex 1 sums to 0.75, expected 1"),
+        ("", None, MissingVertex, "no value for vertex 0"),
+    ],
+)
+def test_state_errors_after_a_clean_c_read_name_their_lines(
+    tmp_path, text, classes, exc, message
+):
+    # no comment lines: the C reader accepts these files (or, empty, finds
+    # no data), and the exact reader only supplies the line numbers
+    g = parse_graph_file(_write(tmp_path, "g.txt", P2_GRAPH))
+    path = _write(tmp_path, "u.txt", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns of no data
+        with pytest.raises(exc) as info:
+            parse_field_file(path, g, classes)
+    assert str(info.value) == message
+
+
+def test_graph_errors_after_a_clean_c_read_name_their_lines(tmp_path, capsys):
+    text = "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n1 0 2.0\n"
+    with pytest.raises(DuplicateEdge) as info:
+        parse_graph_file(_write(tmp_path, "dup.txt", text))
+    assert info.value.line == 4
+    assert str(info.value) == "line 4: edge (0, 1) already given on line 2"
+    # a header with no edges: no warning, and one JSON line on stderr
+    graph = _write(tmp_path, "g.txt", "vertices 2 r 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DisconnectedGraph):
+            parse_graph_file(graph)
+    init = _write(tmp_path, "u.txt", P2_INIT)
+    assert cli_main(["run", "--graph", graph, "--init", init, "--mode", "mbo",
+                     "--tau", "0.3", "--steps", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DisconnectedGraph"
 
 
 def test_parse_field_two_class(tmp_path):
@@ -635,7 +814,8 @@ def test_write_outputs_rejects_unwritable_dir(tmp_path):
         write_outputs(traj, str(blocker), "sd", {})
 
 
-def test_python_dash_m_runs_the_command(tmp_path):
+def _package_env():
+    """The environment with this package first on ``PYTHONPATH``."""
     import graphphase
 
     env = dict(os.environ)
@@ -643,10 +823,37 @@ def test_python_dash_m_runs_the_command(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
     )
+    return env
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "graphphase", "oracle-check", "--instances", "1"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_package_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "passed" in proc.stdout
+
+
+def test_commands_do_not_import_numpy_random(tmp_path):
+    # importing numpy.random costs every command start-up time and
+    # megabytes of memory; only oracle-check draws random numbers
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "0 1.0\n1 0.0\n2 0.5\n")
+    script = (
+        "import sys, graphphase\n"
+        "loaded = ['numpy.random' in sys.modules]\n"
+        "code = graphphase.cli_main(sys.argv[1:])\n"
+        "print(code, loaded + ['numpy.random' in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--graph", graph, "--init", init,
+         "--mode", "sd", "--eps", "1.0", "--tau", "0.3", "--steps", "2",
+         "--out", str(tmp_path / "o")],
+        cwd=tmp_path, env=_package_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "0 [False, False]\n"
