@@ -227,7 +227,10 @@ def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
     Summed once per edge; the value equals ``<u, Lu> / 2``, which the tests
     check against :func:`laplacian_apply`.
     """
-    u = g.check_field(u)
+    return _dirichlet_energy(g.check_field(u), g)
+
+
+def _dirichlet_energy(u: np.ndarray, g: Graph) -> float:
     diff = u[g.edge_i] - u[g.edge_j]
     return 0.5 * float(g.edge_w @ (diff * diff))
 

@@ -62,15 +62,31 @@ __all__ = [
     "main",
 ]
 
+def _text(path):
+    """The file as text mode reads it; a byte that is not UTF-8 is a
+    :class:`ParseError` naming its line and its offset in the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(re.split("\r\n?|\n", data[: exc.start].decode("utf-8")))
+        message = f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        raise ParseError(message, line=line) from None
+    if "\r" in text:  # a scan is much cheaper than a replace that finds nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _tokens(path):
     """Numbers, token counts and tokens of the lines not blank or ``#``."""
     numbers, counts, flat = [], [], []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, tokens in enumerate(map(str.split, handle), start=1):
-            if tokens and not tokens[0].startswith("#"):
-                numbers.append(number)
-                counts.append(len(tokens))
-                flat += tokens
+    lines = _text(path).split("\n")
+    for number, tokens in enumerate(map(str.split, lines), start=1):
+        if tokens and not tokens[0].startswith("#"):
+            numbers.append(number)
+            counts.append(len(tokens))
+            flat += tokens
     return numbers, counts, flat
 
 
@@ -111,14 +127,10 @@ def _c_table(path, ints, size, header=False):
     ``0`` as 4620) and crashes on some.  Where it accepts ASCII text, the C
     reader reads the numbers ``int`` and ``float`` read.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:  # _tokens names the byte as it always has
-        return None
+    text = _text(path)
     if not text.isascii():
         return None
-    lines = text.split("\n")  # the lines that iterating the file yields
+    lines = text.split("\n")
     first = (0, None)
     if header:
         first = next(((number, tokens) for number, tokens
@@ -297,10 +309,13 @@ def write_outputs(result, out_dir: str, mode: str, params: dict) -> list:
 def _infer_classes(path: str) -> int:
     """Class count of a state file: the width of its first line that is not
     blank or ``#``, as :func:`_tokens` reads them, less the vertex column."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for tokens in map(str.split, handle):
-            if tokens and not tokens[0].startswith("#"):
-                return len(tokens) - 1
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for tokens in map(str.split, handle):
+                if tokens and not tokens[0].startswith("#"):
+                    return len(tokens) - 1
+    except UnicodeDecodeError:
+        _text(path)  # raises the error that names the byte
     raise ParseError("state file has no data lines", line=1)
 
 
@@ -337,23 +352,14 @@ def _cmd_multiclass(args, report_params: dict) -> int:
     g, s, field = _load(args, _infer_classes(args.init_path)
                         if args.num_classes is None else args.num_classes)
     trajectory = run_multiclass_trajectory(
-        field,
-        g,
-        s,
-        params,
-        max_steps=args.steps,
+        field, g, s, params, max_steps=args.steps,
         conserve_masses=args.mode == "multiclass-msd",
-        max_iter=args.max_iter,
-        fp_tol=args.fp_tol,
+        max_iter=args.max_iter, fp_tol=args.fp_tol,
     )
     write_outputs(trajectory, args.output_dir, args.mode, report_params)
     if not trajectory.converged:
-        _print_error(
-            NumericalError(
-                "a fixed-point solve missed its tolerance; outputs carry the "
-                "best iterates"
-            )
-        )
+        _print_error(NumericalError("a fixed-point solve missed its tolerance; "
+                                    "outputs carry the best iterates"))
         return 2
     return 0
 
@@ -372,12 +378,7 @@ def _cmd_sweep(args, report_params: dict) -> int:
 def _cmd_converge(args, report_params: dict) -> int:
     g, s, u0 = _load(args)
     report = converge_tau(
-        u0,
-        g,
-        s,
-        epsilon=args.epsilon,
-        t_final=args.t_final,
-        taus=args.taus,
+        u0, g, s, epsilon=args.epsilon, t_final=args.t_final, taus=args.taus,
         grid_points=args.grid_points,
     )
     # json writes the report's tuples as lists; epsilon and t_final are params

@@ -198,7 +198,7 @@ def _simplex_rows(values: np.ndarray) -> np.ndarray:
 
 
 def _row_center_exact(matrix: np.ndarray) -> np.ndarray:
-    out = matrix - matrix.mean(axis=1, keepdims=True)
+    out = matrix - matrix.sum(axis=1, keepdims=True) / matrix.shape[1]
     # centering in floats leaves row-sum dust; balance the last class exactly
     out[:, -1] = -out[:, :-1].sum(axis=1)
     return out
@@ -239,8 +239,8 @@ def _project_transport(
     spread = float(matrix.max() - matrix.min()) + 1.0
 
     x = _simplex_rows(matrix + mu)
+    balance = x.T @ weights - masses
     for steps in range(NEWTON_MAX_ITER + 1):
-        balance = x.T @ weights - masses
         if np.abs(balance).max() <= tol:
             return x, mu, steps
         if steps == NEWTON_MAX_ITER:
@@ -257,8 +257,9 @@ def _project_transport(
         # class, or classes that share no row); no multiplier needs to move
         # further than the spread of the data
         direction *= min(1.0, spread / float(np.abs(direction).max()))
-        t, x = _step_length(matrix, weights, masses, mu, direction, x)
-        mu = mu + t * direction
+        reached = _step_length(matrix, weights, masses, mu, direction, x, balance)
+        x, balance = reached.rows, reached.balance
+        mu = mu + reached.t * direction
     raise NoConvergence(
         f"mass projection missed its tolerance after {NEWTON_MAX_ITER} Newton "
         f"steps; defect {np.abs(balance).max():.3e}"
@@ -266,47 +267,47 @@ def _project_transport(
 
 
 class _Probe(NamedTuple):
-    """A point on the line search's ray: the dual's slope and the defect."""
+    """A point on the line search's ray: its rows, mass balance and slope."""
 
     t: float
     rows: np.ndarray
+    balance: np.ndarray
     slope: float
-    defect: float
 
 
-def _step_length(matrix, weights, masses, mu, direction, x):
-    """Step length along a Newton direction, and the rows it reaches.
+def _step_length(matrix, weights, masses, mu, direction, x, balance):
+    """The probe a Newton direction's step reaches from ``x``.
 
-    Along the ray the dual's slope ``s(t) = -F(mu + t d) . d`` starts at
-    ``s0 > 0`` and is non-increasing and piecewise linear in ``t``.  The
-    full step stands when it cuts the largest mass defect to ``CURVATURE``
-    of its value, or when its support pattern repeats without the slope
-    staying steep (the piece is then affine and the step exact).  Otherwise
-    a step ends where the slope lies in ``[0, CURVATURE * s0]``: the dual
-    has then risen by at least ``CURVATURE * s0 * t / 2``.  While the slope
-    stays above that band the step doubles, since a direction the supports
-    do not see, such as raising an empty class, is flat up to its first
-    kink; once the band is bracketed, the search bisects.  Only slopes are
-    compared, never dual values, whose differences drown in rounding near
-    the optimum.
+    ``balance`` is the mass balance at ``x``.  Along the ray the dual's
+    slope ``s(t) = -F(mu + t d) . d`` starts at ``s0 > 0`` and is
+    non-increasing and piecewise linear in ``t``.  The full step stands when
+    it cuts the largest mass defect to ``CURVATURE`` of its value, or when
+    its support pattern repeats without the slope staying steep (the piece
+    is then affine and the step exact).  Otherwise a step ends where the
+    slope lies in ``[0, CURVATURE * s0]``: the dual has then risen by at
+    least ``CURVATURE * s0 * t / 2``.  While the slope stays above that band
+    the step doubles, since a direction the supports do not see, such as
+    raising an empty class, is flat up to its first kink; once the band is
+    bracketed, the search bisects.  Only slopes are compared, never dual
+    values, whose differences drown in rounding near the optimum.
     """
 
-    def probe(t, rows=None):
+    def probe(t, rows=None, balance=None):
         if rows is None:
             rows = _simplex_rows(matrix + (mu + t * direction))
-        balance = rows.T @ weights - masses
-        return _Probe(t, rows, float(-balance @ direction), np.abs(balance).max())
+            balance = rows.T @ weights - masses
+        return _Probe(t, rows, balance, float(-balance @ direction))
 
-    lo, here = probe(0.0, x), probe(1.0)
+    lo, here = probe(0.0, x, balance), probe(1.0)
     target = 0.5 * CURVATURE * lo.slope
-    if here.defect <= CURVATURE * lo.defect or (
+    if np.abs(here.balance).max() <= CURVATURE * np.abs(balance).max() or (
         here.slope <= 2.0 * target and np.array_equal(here.rows > 0.0, x > 0.0)
     ):
-        return 1.0, here.rows
+        return here
     hi = None
     for _ in range(MAX_LINE_SEARCH):
         if abs(here.slope - target) <= target:
-            return here.t, here.rows
+            return here
         if here.slope > target:
             lo = here
         else:
@@ -318,7 +319,7 @@ def _step_length(matrix, weights, masses, mu, direction, x):
         if not lo.t < t < hi.t:
             # the bracket has shrunk to rounding: keep the rise reached so far
             if lo.t > 0.0:
-                return lo.t, lo.rows
+                return lo
             break
         here = probe(t)
     raise NoConvergence("mass projection line search did not settle")
@@ -524,6 +525,6 @@ def multiclass_mass_conserving_step(
     def project(matrix):
         nonlocal mu
         projected, mu, steps = _project_transport(matrix, g.degrees_r, masses_in, mu)
-        return projected, matrix + mu - projected, mu - mu.mean(), steps
+        return projected, matrix + mu - projected, mu - mu.sum() / mu.size, steps
 
     return _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in)

@@ -18,6 +18,12 @@ is the same solve at ``lam = 1``, where that profile is always the answer.
 
 Vertices sharing a diffused value always receive the same new value, so steps
 preserve the symmetries of the input exactly.
+
+Inputs are checked once, where they enter a public function; the unchecked
+bodies behind those checks are handed only arrays the package made itself.
+Diffused values are grouped after numpy's default sort, which orders distinct
+values uniquely; only exact ties (``0.0`` and ``-0.0`` included) take the
+stable sort, which fixes a level's value and the order its weights are summed.
 """
 
 import bisect
@@ -35,7 +41,7 @@ from .errors import (
     LambdaIsOne,
     MassOutOfRange,
 )
-from .graph_core import Graph, Spectrum, diffuse, dirichlet_energy, inner_product, mass
+from .graph_core import Graph, Spectrum, _dirichlet_energy, diffuse, inner_product, mass
 
 __all__ = [
     "SchemeParams",
@@ -96,8 +102,6 @@ class SchemeParams:
     @classmethod
     def from_lambda(cls, tau: float, lam: float) -> "SchemeParams":
         """Build params with ``lam`` stored exactly as given."""
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {lam}")
         epsilon = tau / lam if lam > 0 else math.inf
         return cls(epsilon=epsilon, tau=tau, lam=lam)
 
@@ -202,8 +206,11 @@ def threshold_levels(diffused: np.ndarray, g: Graph) -> ThresholdLevels:
     ties (the symmetric case) keep their value bit for bit.
     """
     diffused = g.check_field(diffused)
-    order = np.argsort(diffused, kind="stable")
+    order = np.argsort(diffused)
     ordered = diffused[order]
+    if np.any(ordered[1:] == ordered[:-1]):  # ties: see the module docstring
+        order = np.argsort(diffused, kind="stable")
+        ordered = diffused[order]
     # the gap is taken to the previous value, not to the level's first one,
     # so a chain of small gaps stays one level
     starts = np.concatenate([[True], np.diff(ordered) > GROUP_TOL])
@@ -310,7 +317,9 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
     def balance(j: int) -> float:
         # non-increasing in j in floating point too: every clipped term is,
         # and the dot product sums them in the same order at every j
-        return float(np.clip((alphas - points[j]) / s, 0.0, 1.0) @ weights)
+        terms = (alphas - points[j]) / s
+        np.maximum(terms, 0.0, out=terms)
+        return float(np.minimum(terms, 1.0, out=terms) @ weights)
 
     def first(predicate) -> int:
         return bisect.bisect_left(range(points.size), True, key=predicate)
@@ -365,38 +374,36 @@ def solve_multiplier(
     return MultiplierSolution(nu, max(lo, 0.0), min(hi, lam))
 
 
-def _beta_relaxed(
-    diffused: np.ndarray, u_next: np.ndarray, nu: float, lam: float
-) -> np.ndarray:
-    """Subgradient matching a relaxed step, zero on strictly interior values."""
-    if lam == 0.0:
-        return np.zeros_like(diffused)
-    s = 1.0 - lam
-    beta = np.zeros_like(diffused)
+def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
+    """The step's subgradient, checked against the sign pattern at ``u_next``.
+
+    The relaxed form is zero on strictly interior values.  Rounding-size sign
+    violations are zeroed; anything larger is refused.
+    """
     at_zero = u_next == 0.0
     at_one = u_next == 1.0
-    beta[at_zero] = (nu - diffused[at_zero]) / lam
-    beta[at_one] = (nu - diffused[at_one] + s) / lam
-    return beta
-
-
-def _snap_subgradient(
-    beta: np.ndarray, u_next: np.ndarray, snap: float = 1e-8
-) -> np.ndarray:
-    """Zero out rounding-size sign violations; reject anything larger."""
-    beta = beta.copy()
-    bad_low = (u_next == 0.0) & (beta < 0.0)
-    bad_high = (u_next == 1.0) & (beta > 0.0)
-    interior = (u_next > 0.0) & (u_next < 1.0) & (beta != 0.0)
-    for mask in (bad_low, bad_high, interior):
-        if np.any(np.abs(beta[mask]) > snap):
-            raise InconsistentInputs(
-                "subgradient sign pattern violates the state beyond rounding"
-            )
-        beta[mask] = 0.0
+    if isinstance(multiplier, MboMultiplier):
+        beta = multiplier.threshold - diffused
+    else:
+        nu = float(multiplier)
+        beta = np.zeros_like(diffused)
+        if lam > 0.0:
+            s = 1.0 - lam
+            beta[at_zero] = (nu - diffused[at_zero]) / lam
+            beta[at_one] = (nu - diffused[at_one] + s) / lam
+    wrong = (
+        (at_zero & (beta < 0.0))
+        | (at_one & (beta > 0.0))
+        | ((u_next > 0.0) & (u_next < 1.0) & (beta != 0.0))
+    )
+    if np.any(np.abs(beta[wrong]) > snap):
+        raise InconsistentInputs(
+            "subgradient sign pattern violates the state beyond rounding"
+        )
+    beta[wrong] = 0.0
     if np.abs(beta).max(initial=0.0) > 1.0 + snap:
         raise InconsistentInputs("subgradient leaves [-1, 1]")
-    return np.clip(beta, -1.0, 1.0)
+    return np.clip(beta, -1.0, 1.0, out=beta)
 
 
 def recover_subgradient(
@@ -417,19 +424,11 @@ def recover_subgradient(
     u_next = np.asarray(u_next, dtype=float)
     if diffused.shape != u_next.shape:
         raise InconsistentInputs("diffused state and new state differ in length")
-    if isinstance(multiplier, MboMultiplier):
-        if params.lam != 1.0:
-            raise InconsistentInputs(
-                "threshold multiplier passed with lam < 1 parameters"
-            )
-        beta = multiplier.threshold - diffused
-    else:
-        if params.lam == 1.0:
-            raise InconsistentInputs(
-                "scalar multiplier passed with lam = 1 parameters"
-            )
-        beta = _beta_relaxed(diffused, u_next, float(multiplier), params.lam)
-    return _snap_subgradient(beta, u_next)
+    if isinstance(multiplier, MboMultiplier) and params.lam != 1.0:
+        raise InconsistentInputs("threshold multiplier passed with lam < 1 parameters")
+    if not isinstance(multiplier, MboMultiplier) and params.lam == 1.0:
+        raise InconsistentInputs("scalar multiplier passed with lam = 1 parameters")
+    return _subgradient(diffused, u_next, multiplier, params.lam)
 
 
 def step_residual(
@@ -458,44 +457,40 @@ def _residual_from_diffused(diffused, u_next, beta, g, params):
     total = _ones_mass(g)
     avg_next = float(np.dot(u_next, g.degrees_r)) / total
     avg_beta = float(np.dot(beta, g.degrees_r)) / total
-    defect = (
-        u_next
-        - diffused
-        - lam * (u_next - avg_next)
-        - lam * (beta - avg_beta)
-    )
+    defect = u_next - diffused - lam * (u_next - avg_next) - lam * (beta - avg_beta)
     return float(np.abs(defect).max())
 
 
 def _diffused_state(u_n, g, s, tau, diffused=None):
-    """``u_n`` boxed, its mass, and its diffusion, reusing ``diffused`` if given."""
+    """``u_n`` boxed, its mass, and its diffusion, reusing ``diffused`` if
+    given; the caller checks a given ``diffused``."""
     u_n = _check_box(u_n, g)
     if diffused is None:
         diffused = diffuse(u_n, tau, s)
-    return u_n, mass(u_n, g), g.check_field(diffused)
+    return u_n, float(np.dot(u_n, g.degrees_r)), np.asarray(diffused, dtype=float)
 
 
 def _step_result(diffused, u_next, multiplier, mass_in, g, params) -> StepResult:
-    beta = recover_subgradient(diffused, u_next, multiplier, params)
+    beta = _subgradient(diffused, u_next, multiplier, params.lam)
     return StepResult(
         u_next=u_next,
         multiplier=multiplier,
         subgradient=beta,
         residual=_residual_from_diffused(diffused, u_next, beta, g, params),
         mass_in=mass_in,
-        mass_out=mass(u_next, g),
+        mass_out=float(np.dot(u_next, g.degrees_r)),
     )
 
 
-def _step_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
-    """Step for ``0 < lam <= 1`` from the grouped diffused values.
+def _level_step(levels, mass_in, lam):
+    """New state and multiplier for ``0 < lam <= 1`` from the grouped values.
 
     At ``lam = 1`` the multiplier is read off the threshold profile: the
     lowest level not left empty, its value and its fill; the top level if
     all are empty, as no diffused value lies above its threshold.
     """
-    nu, _, _, level_values = _solve_profile(levels, mass_in, params.lam)
-    if params.lam == 1.0:
+    nu, _, _, level_values = _solve_profile(levels, mass_in, lam)
+    if lam == 1.0:
         filled = np.flatnonzero(level_values)
         k = int(filled[0]) if filled.size else levels.num_levels - 1
         multiplier = MboMultiplier(
@@ -503,7 +498,11 @@ def _step_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
         )
     else:
         multiplier = nu
-    u_next = level_values[levels.labels]
+    return level_values[levels.labels], multiplier
+
+
+def _step_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
+    u_next, multiplier = _level_step(levels, mass_in, params.lam)
     return _step_result(diffused, u_next, multiplier, mass_in, g, params)
 
 
@@ -513,6 +512,7 @@ def _step(u_n, g, s, params, diffused, target_mass) -> StepResult:
     if target_mass is not None:
         mass_in = _check_target(target_mass, _ones_mass(g))
     if params.lam == 0.0:
+        diffused = g.check_field(diffused)  # else threshold_levels checks it
         u_next = np.clip(diffused, 0.0, 1.0)
         return _step_result(diffused, u_next, 0.0, mass_in, g, params)
     levels = threshold_levels(diffused, g)
@@ -566,16 +566,6 @@ def mbo_step(
     return _step(u_n, g, s, params, diffused, target_mass)
 
 
-def _profile_is_unique(levels: ThresholdLevels, target_mass: float) -> bool:
-    total = float(levels.weights.sum())
-    if target_mass <= 0.0 or target_mass >= total:
-        return True
-    k, fill = _threshold_fill(levels, target_mass)
-    if fill >= 1.0 - 1e-12:
-        return True
-    return int(levels.level_sizes()[k]) == 1
-
-
 def mbo_is_unique(u_n: np.ndarray, g: Graph, s: Spectrum, tau: float) -> bool:
     """Whether the threshold step from ``u_n`` has a single minimizer.
 
@@ -585,7 +575,11 @@ def mbo_is_unique(u_n: np.ndarray, g: Graph, s: Spectrum, tau: float) -> bool:
     uniform one.
     """
     _, mass_in, diffused = _diffused_state(u_n, g, s, tau)
-    return _profile_is_unique(threshold_levels(diffused, g), mass_in)
+    levels = threshold_levels(diffused, g)
+    if mass_in <= 0.0 or mass_in >= float(levels.weights.sum()):
+        return True
+    k, fill = _threshold_fill(levels, mass_in)
+    return fill >= 1.0 - 1e-12 or int(levels.level_sizes()[k]) == 1
 
 
 def lyapunov_energy(
@@ -602,9 +596,11 @@ def lyapunov_energy(
     converges to the Ginzburg-Landau energy as ``tau`` shrinks.
     ``diffused``, if given, must be ``diffuse(u, params.tau, s)``.
     """
-    u, _, diffused = _diffused_state(u, g, s, params.tau, diffused)
-    smooth = inner_product(u, u - diffused, g)
-    obstacle = params.lam * inner_product(u, 1.0 - u, g)
+    u, _, given = _diffused_state(u, g, s, params.tau, diffused)
+    diffused = given if diffused is None else g.check_field(given)
+    weighted = u * g.degrees_r
+    smooth = float(np.dot(weighted, u - diffused))
+    obstacle = params.lam * float(np.dot(weighted, 1.0 - u))
     value = obstacle + smooth
     return value, value / (2.0 * params.tau)
 
@@ -620,7 +616,7 @@ def ginzburg_landau(u: np.ndarray, g: Graph, epsilon: float) -> float:
     if u.min() < -BOX_TOL or u.max() > 1.0 + BOX_TOL:
         return math.inf
     u = np.clip(u, 0.0, 1.0)
-    smooth = dirichlet_energy(u, g)
+    smooth = _dirichlet_energy(u, g)
     well = 0.5 * float(np.dot(g.degrees_r, u * (1.0 - u)))
     if math.isinf(epsilon):
         return smooth

@@ -40,7 +40,8 @@ from .scheme import (
     SchemeParams,
     _check_box,
     _diffused_state,
-    _step_from_levels,
+    _level_step,
+    _subgradient,
     ginzburg_landau,
     lyapunov_energy,
     mbo_step,
@@ -202,7 +203,7 @@ def run_trajectory(
 
     def diagnostics(u):
         # one diffusion per state serves its log entry and the step leaving it
-        _, _, diffused = _diffused_state(u, g, s, params.tau)
+        diffused = scheme.diffuse(u, params.tau, s)
         H, H_tau = lyapunov_energy(u, g, s, params, diffused=diffused)
         return diffused, H, H_tau, ginzburg_landau(u, g, params.epsilon)
 
@@ -213,14 +214,11 @@ def run_trajectory(
         nonlocal diffused
         # every step targets the starting mass: a settled run then repeats
         # its state bit for bit and stops
+        given = {"diffused": diffused, "target_mass": mass0}
         if params.lam == 1.0:
-            result = mbo_step(
-                u, g, s, params.tau, diffused=diffused, target_mass=mass0
-            )
+            result = mbo_step(u, g, s, params.tau, **given)
         else:
-            result = semi_discrete_step(
-                u, g, s, params, diffused=diffused, target_mass=mass0
-            )
+            result = semi_discrete_step(u, g, s, params, **given)
         change = float(np.abs(result.u_next - u).max())
         diffused, H, H_tau, GL = diagnostics(result.u_next)
         multiplier = _scalar_multiplier(result.multiplier)
@@ -299,8 +297,9 @@ def sweep_lambda(
     levels = scheme.threshold_levels(diffused, g)
 
     def step(lam):
-        params = SchemeParams.from_lambda(tau=tau, lam=lam)
-        return _step_from_levels(diffused, levels, mass_in, g, params).u_next
+        u_next, multiplier = _level_step(levels, mass_in, lam)
+        _subgradient(diffused, u_next, multiplier, lam)  # refuses a bad step
+        return u_next
 
     reference = step(1.0)
     return tuple(

@@ -262,3 +262,32 @@ def test_threshold_step_is_the_lambda_one_profile(instances, monkeypatch):
     assert filled >= INSTANCES
     assert clamped >= 10
     assert underflow >= 10
+
+
+def test_tied_values_are_grouped_in_stable_order():
+    # exact duplicates send the grouping to the stable sort: a level's value
+    # is its first member in input order (0.0 or -0.0) and its weights are
+    # summed in input order, which moves their bits for ties of three or
+    # more; the default sort alone would miss both
+    rng = np.random.default_rng(77)
+    signed = summed = 0
+    for _ in range(150):
+        n = int(rng.integers(20, 200))
+        g = random_connected_graph(n, rng, r=float(rng.choice([0.5, 1.0])))
+        pool = np.concatenate([[0.0, -0.0], rng.uniform(-1.0, 1.0, size=4)])
+        diffused = rng.uniform(-1.0, 1.0, size=n)
+        tied = rng.random(n) < 0.7
+        diffused[tied] = rng.choice(pool, size=tied.sum())
+        fast = threshold_levels(diffused, g)
+        slow = loop_threshold_levels(diffused, g)
+        assert fast.values.tobytes() == slow.values.tobytes()
+        assert fast.weights.tobytes() == slow.weights.tobytes()
+        assert np.array_equal(fast.labels, slow.labels)
+        order = np.argsort(diffused)
+        ordered = diffused[order]
+        starts = np.concatenate([[True], np.diff(ordered) > GROUP_TOL])
+        unstable = np.bincount(np.cumsum(starts) - 1, weights=g.degrees_r[order])
+        signed += ordered[starts].tobytes() != slow.values.tobytes()
+        summed += unstable.tobytes() != slow.weights.tobytes()
+    assert signed >= 10
+    assert summed >= 10

@@ -32,8 +32,9 @@ from graphphase import (
     run_trajectory,
     write_outputs,
 )
-from graphphase import io_cli
+from graphphase import io_cli, scheme, trajectory
 from graphphase.graph_core import spectral_decompose
+from graphphase.oracles import random_connected_graph
 
 P2_GRAPH = "vertices 2 r 0\n0 1 1.0\n"
 P2_INIT = "0 1.0\n1 0.0\n"
@@ -512,6 +513,95 @@ def test_converge_report_params_carry_the_flags(tmp_path):
         "taus": [0.2, 0.1],
         "grid_points": 9,
     }
+
+
+def _with_bad_byte(lines, past):
+    """``lines`` as UTF-8 with 0xff in place of the last character of the
+    first data line that starts past byte ``past``; returns the bytes, the
+    byte's offset and its 1-based line."""
+    data = bytearray("".join(lines).encode("utf-8"))
+    start = 0
+    for number, line in enumerate(lines, start=1):
+        if start > past and line[0].isdigit():
+            offset = start + len(line.rstrip("\r\n")) - 1
+            data[offset] = 0xFF
+            return bytes(data), offset, number
+        start += len(line.encode("utf-8"))
+    raise AssertionError("file too short")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("past", [20, 8192], ids=["first-8k", "after-8k"])
+@pytest.mark.parametrize("kind", ["graph", "state", "classes"])
+def test_a_byte_that_is_not_utf8_is_named_by_line_and_offset(
+    tmp_path, capsys, kind, past, newline
+):
+    # a decode error raised while reading names the byte's offset in its
+    # 8 KB read chunk and no line; the refusal names the file offset
+    n = 2000
+    graph = [f"vertices {n} r 0.5{newline}"] + [
+        f"{v} {v + 1} 0.5{newline}" for v in range(n - 1)]
+    row = " 0.5 0.25 0.25" if kind == "classes" else " 0.375"
+    state = [f"{v}{row}{newline}" for v in range(n)]
+    files = {"graph": graph, "state": state}
+    bad = "graph" if kind == "graph" else "state"
+    files[bad], offset, line = _with_bad_byte(files[bad], past)
+    assert (offset > 8192) == (past == 8192) and len(files[bad]) > 16384
+    paths = {}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_bytes(content if isinstance(content, bytes)
+                         else "".join(content).encode("utf-8"))
+        paths[name] = str(path)
+    common = ["--graph", paths["graph"], "--init", paths["state"],
+              "--tau", "0.1", "--out", str(tmp_path / "o")]
+    if kind == "classes":  # the class count is read from the state file
+        command = ["multiclass", "--eps", "0.4", "--steps", "1", *common]
+    else:
+        command = ["run", "--mode", "mbo", "--steps", "1", *common]
+    assert cli_main(command) == 1
+    err = _last_error(capsys)
+    assert err["error"] == "ParseError"
+    assert err["message"] == (
+        f"line {line}: byte 0xff at offset {offset} is not UTF-8"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+# the module-level names bench/child.py rebinds to time each layer of a run;
+# a run that stops calling one through its name reads 0 for that layer
+TRACED = [(scheme, "diffuse"), (scheme, "threshold_levels"),
+          (scheme, "_solve_profile")]
+TRACED_RUN = TRACED + [(trajectory, "lyapunov_energy"),
+                       (trajectory, "ginzburg_landau")]
+
+
+@pytest.mark.parametrize("command,names", [
+    (["run", "--mode", "sd", "--eps", "0.4", "--steps", "3"],
+     TRACED_RUN + [(trajectory, "semi_discrete_step")]),
+    (["run", "--mode", "mbo", "--steps", "3"],
+     TRACED_RUN + [(trajectory, "mbo_step")]),
+    (["sweep-lambda", "--lambdas", "0.25,0.999"], TRACED),
+], ids=["sd", "mbo", "sweep"])
+def test_runs_call_the_layers_the_benchmark_times(tmp_path, monkeypatch,
+                                                  command, names):
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(30, rng, r=0.5)
+    graph = _write(tmp_path, "g.txt", "vertices 30 r 0.5\n" + "".join(
+        f"{i} {j} {float(w)!r}\n" for i, j, w in g.edges))
+    start = rng.uniform(0.0, 1.0, size=30)
+    init = _write(tmp_path, "u.txt", "".join(
+        f"{v} {float(x)!r}\n" for v, x in enumerate(start)))
+    calls = {}
+    for module, name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli_main([*command, "--graph", graph, "--init", init, "--tau", "0.1",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == sorted(name for _, name in names)
 
 
 def _last_error(capsys):

@@ -210,8 +210,12 @@ def test_step_length_lands_in_the_band(monkeypatch):
     steps = []
     search = multiclass._step_length
 
-    def checked(matrix, weights, masses, mu, direction, x):
-        t, rows = search(matrix, weights, masses, mu, direction, x)
+    def checked(matrix, weights, masses, mu, direction, x, balance):
+        # the balance handed in and the one handed back belong to their rows
+        assert np.array_equal(balance, x.T @ weights - masses)
+        reached = search(matrix, weights, masses, mu, direction, x, balance)
+        t, rows = reached.t, reached.rows
+        assert np.array_equal(reached.balance, rows.T @ weights - masses)
 
         def slope(rows):
             return float(-(rows.T @ weights - masses) @ direction)
@@ -224,7 +228,7 @@ def test_step_length_lands_in_the_band(monkeypatch):
             assert t > 0.0
             assert slope(reach(np.nextafter(t, np.inf))) < 0.0
         steps.append(t)
-        return t, rows
+        return reached
 
     monkeypatch.setattr(multiclass, "_step_length", checked)
     rng = np.random.default_rng(13)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from graphphase import (
     DomainViolation,
+    Graph,
     GraphTooLarge,
     LambdaIsOne,
     SchemeParams,
@@ -167,6 +168,53 @@ def test_sweep_distance_decreases_with_lambda():
         params = SchemeParams.from_lambda(tau=0.35, lam=lam)
         out = semi_discrete_step(u0, g, s, params).u_next
         assert distance == float(np.abs(out - reference).max())
+
+
+def test_sweep_rows_are_the_public_steps_distances():
+    # a lambda grid up to the ladder near 1: every row is the distance
+    # between the public steps, bit for bit; six leaves on one vertex with
+    # one weight and one start value diffuse to exactly equal values, so the
+    # grouping takes its stable sort
+    rng = np.random.default_rng(22)
+    base = random_connected_graph(80, rng, r=0.5)
+    leaves = [(0, v, 1.0) for v in range(80, 86)]
+    g = build_graph(86, [*base.edges, *leaves], r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=86)
+    u0[80:] = 0.5
+    assert len(set(scheme.diffuse(u0, 0.1, s)[80:])) == 1
+    lambdas = [k / 9 for k in range(1, 9)] + [1.0 - 2.0**-j for j in range(4, 31, 2)]
+    rows = sweep_lambda(u0, g, s, 0.1, lambdas)
+    reference = mbo_step(u0, g, s, 0.1).u_next
+    locked = 0
+    for lam, row in zip(lambdas, rows):
+        params = SchemeParams.from_lambda(tau=0.1, lam=lam)
+        out = semi_discrete_step(u0, g, s, params).u_next
+        assert row == (lam, float(np.abs(out - reference).max()))
+        locked += row.sup_distance_to_mbo == 0.0
+    assert 0 < locked < len(lambdas)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+def test_run_checks_inputs_at_public_entry_only(monkeypatch, lam):
+    # the run loop's steps and diagnostics each check what they are handed,
+    # and their bodies check nothing again: at most 6 calls a step
+    rng = np.random.default_rng(23)
+    g = random_connected_graph(50, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=50)
+    params = SchemeParams.from_lambda(tau=0.1 if lam < 1.0 else 2.0, lam=lam)
+    calls = []
+    check = Graph.check_field
+
+    def counted(self, u):
+        calls.append(None)
+        return check(self, u)
+
+    monkeypatch.setattr(Graph, "check_field", counted)
+    traj = run_trajectory(u0, g, s, params, max_steps=20, fixed_point_tol=-1.0)
+    assert traj.num_steps == 20
+    assert len(calls) <= 6 * traj.num_steps
 
 
 def test_sweep_validates_lambda(p2, p2_spectrum):
