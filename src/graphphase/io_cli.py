@@ -352,14 +352,23 @@ def _cmd_multiclass(args, report_params: dict) -> int:
     g, s, field = _load(args, _infer_classes(args.init_path)
                         if args.num_classes is None else args.num_classes)
     trajectory = run_multiclass_trajectory(
-        field, g, s, params, max_steps=args.steps,
+        field,
+        g,
+        s,
+        params,
+        max_steps=args.steps,
         conserve_masses=args.mode == "multiclass-msd",
-        max_iter=args.max_iter, fp_tol=args.fp_tol,
+        max_iter=args.max_iter,
+        fp_tol=args.fp_tol,
     )
     write_outputs(trajectory, args.output_dir, args.mode, report_params)
     if not trajectory.converged:
-        _print_error(NumericalError("a fixed-point solve missed its tolerance; "
-                                    "outputs carry the best iterates"))
+        _print_error(
+            NumericalError(
+                "a fixed-point solve missed its tolerance; outputs carry the "
+                "best iterates"
+            )
+        )
         return 2
     return 0
 
@@ -378,7 +387,12 @@ def _cmd_sweep(args, report_params: dict) -> int:
 def _cmd_converge(args, report_params: dict) -> int:
     g, s, u0 = _load(args)
     report = converge_tau(
-        u0, g, s, epsilon=args.epsilon, t_final=args.t_final, taus=args.taus,
+        u0,
+        g,
+        s,
+        epsilon=args.epsilon,
+        t_final=args.t_final,
+        taus=args.taus,
         grid_points=args.grid_points,
     )
     # json writes the report's tuples as lists; epsilon and t_final are params

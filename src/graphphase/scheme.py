@@ -457,7 +457,12 @@ def _residual_from_diffused(diffused, u_next, beta, g, params):
     total = _ones_mass(g)
     avg_next = float(np.dot(u_next, g.degrees_r)) / total
     avg_beta = float(np.dot(beta, g.degrees_r)) / total
-    defect = u_next - diffused - lam * (u_next - avg_next) - lam * (beta - avg_beta)
+    defect = (
+        u_next
+        - diffused
+        - lam * (u_next - avg_next)
+        - lam * (beta - avg_beta)
+    )
     return float(np.abs(defect).max())
 
 
@@ -501,11 +506,6 @@ def _level_step(levels, mass_in, lam):
     return level_values[levels.labels], multiplier
 
 
-def _step_from_levels(diffused, levels, mass_in, g, params) -> StepResult:
-    u_next, multiplier = _level_step(levels, mass_in, params.lam)
-    return _step_result(diffused, u_next, multiplier, mass_in, g, params)
-
-
 def _step(u_n, g, s, params, diffused, target_mass) -> StepResult:
     """Both public steps; ``lam = 0`` is plain diffusion."""
     u_n, mass_in, diffused = _diffused_state(u_n, g, s, params.tau, diffused)
@@ -516,7 +516,8 @@ def _step(u_n, g, s, params, diffused, target_mass) -> StepResult:
         u_next = np.clip(diffused, 0.0, 1.0)
         return _step_result(diffused, u_next, 0.0, mass_in, g, params)
     levels = threshold_levels(diffused, g)
-    return _step_from_levels(diffused, levels, mass_in, g, params)
+    u_next, multiplier = _level_step(levels, mass_in, params.lam)
+    return _step_result(diffused, u_next, multiplier, mass_in, g, params)
 
 
 def semi_discrete_step(

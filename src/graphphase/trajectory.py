@@ -293,6 +293,7 @@ def sweep_lambda(
             raise LambdaIsOne(f"sweep requires lambda < 1, got {lam}")
         if lam <= 0.0:
             raise ValueError(f"sweep requires lambda > 0, got {lam}")
+        SchemeParams.from_lambda(tau=tau, lam=lam)  # refuses a NaN lam or a bad tau
     u0, mass_in, diffused = _diffused_state(u0, g, s, tau)
     levels = scheme.threshold_levels(diffused, g)
 

@@ -238,7 +238,6 @@ def test_threshold_step_is_the_lambda_one_profile(instances, monkeypatch):
         scheme, "_step_result", lambda diffused, u_next, mult, *rest: (u_next, mult)
     )
     rng, cases = instances
-    params = SchemeParams.from_lambda(tau=0.5, lam=1.0)
     filled = clamped = underflow = 0
     for g, diffused, lam in cases:
         levels = threshold_levels(diffused, g)
@@ -247,9 +246,7 @@ def test_threshold_step_is_the_lambda_one_profile(instances, monkeypatch):
         # above 0, the clamp at the total and the running-sum gap, plus the
         # full budget
         for target in [*_targets(rng, levels, lam), total]:
-            u_next, multiplier = scheme._step_from_levels(
-                diffused, levels, target, g, params
-            )
+            u_next, multiplier = scheme._level_step(levels, target, 1.0)
             ref_u_next, ref_multiplier = fill_threshold_step(
                 diffused, levels, target, g, 0.5
             )

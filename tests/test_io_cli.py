@@ -648,6 +648,27 @@ def test_cli_refuses_missing_eps_and_empty_lists(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "tau, lambdas, named",
+    [("0.3", "nan", "lam"), ("0.3", "0.5,nan", "lam"), ("0", "0.5", "tau"),
+     ("inf", "0.5", "tau"), ("nan", "0.5", "tau")],
+)
+def test_cli_sweep_refuses_a_nan_lambda_and_a_bad_tau(tmp_path, capsys, tau,
+                                                      lambdas, named):
+    # a NaN lambda passes both range guards (every comparison with it is
+    # False), and a zero tau diffuses to a copy: each is a ValueError before
+    # any step, and nothing is written
+    graph, init = _p2_files(tmp_path)
+    out = tmp_path / "o"
+    args = ["sweep-lambda", "--graph", graph, "--init", init, "--tau", tau,
+            "--lambdas", lambdas, "--out", str(out)]
+    assert cli_main(args) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "ValueError"
+    assert named in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, named",
     [("--t-final", "inf", "t_final"), ("--taus", "nan", "step sizes")],
 )

@@ -596,10 +596,10 @@ def test_threshold_fill_clamps_running_sum_gap():
         in_gap += 1
         assert scheme._threshold_fill(levels, target) == (0, 1.0)
         full = np.ones(levels.num_levels)
-        params = SchemeParams.from_lambda(tau=0.5, lam=1.0)
-        result = scheme._step_from_levels(diffused, levels, target, g, params)
-        assert np.array_equal(result.u_next, np.ones(g.num_vertices))
-        assert result.multiplier.level == 0 and result.multiplier.fill == 1.0
+        u_next, multiplier = scheme._level_step(levels, target, 1.0)
+        scheme._subgradient(diffused, u_next, multiplier, 1.0)  # certifies it
+        assert np.array_equal(u_next, np.ones(g.num_vertices))
+        assert multiplier.level == 0 and multiplier.fill == 1.0
         for lam in (0.25, 0.9):
             _, lo, hi, values = scheme._solve_profile(levels, target, lam)
             assert lo == -math.inf
