@@ -125,6 +125,11 @@ class ThresholdLevels:
     def level_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_levels)
 
+    @functools.cached_property
+    def suffix(self) -> np.ndarray:
+        """Weight of level ``l`` and all above it at ``l``, then a final 0."""
+        return np.concatenate([np.cumsum(self.weights[::-1])[::-1], [0.0]])
+
 
 class MboMultiplier(NamedTuple):
     """Threshold-step multiplier: the chosen level, its value, its fill."""
@@ -232,7 +237,7 @@ def _threshold_fill(levels: ThresholdLevels, target_mass: float):
     carries ``fill`` in (0, 1].  ``(0, 1.0)`` is the all-full profile.
     """
     weights = levels.weights
-    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
+    suffix = levels.suffix
     # last index whose suffix weight still covers the target
     k = int(np.searchsorted(-suffix[:-1], -target_mass, side="right")) - 1
     if k < 0:
@@ -268,7 +273,16 @@ def _invert_segment(p0: float, p1: float, r0: float, r1: float, m: float) -> flo
     return float(p0 + min(max(t, 0.0), 1.0) * (p1 - p0))
 
 
-def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
+def _balance_at(alphas, weights, point, s) -> float:
+    """``sum_l a_l clip((alpha_l - point)/s, 0, 1)``, non-increasing in
+    ``point`` in floating point too: every clipped term is, and the dot
+    product sums them in the same order at every point."""
+    terms = (alphas - point) / s
+    np.maximum(terms, 0.0, out=terms)
+    return float(np.minimum(terms, 1.0, out=terms) @ weights)
+
+
+def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint=None):
     """Exact solve of ``sum_l a_l clip((alpha_l - nu)/(1-lam), 0, 1) = M``.
 
     Returns ``(nu, lo, hi, level_values)`` with ``[lo, hi]`` the full solution
@@ -277,8 +291,13 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
     ``1 - lam`` whenever the threshold profile is already consistent, which
     keeps the near-threshold regime exact; otherwise the fractional levels
     get a single uniform mass repair so the step conserves mass to rounding.
-    The balance is evaluated at O(log L) of the 2L breakpoints, found by
-    bisection, so the solve costs O(L log L).
+    The balance is evaluated at O(log L) of the 2L breakpoints: the search
+    gallops outward from the breakpoint nearest ``hint``, a guess at ``nu``,
+    until it brackets the crossing and then bisects the bracket (all 2L
+    without a hint or with one past the last).  A close guess costs two
+    evaluations, a far one about twice the bisection's.  The balance is
+    non-increasing in the breakpoint index, so any hint, NaN included,
+    gives the same result bit for bit.
 
     At ``lam = 1`` the threshold profile is always consistent: level values
     rise strictly, so both gaps are at least ``0 = 1 - lam`` times the fill.
@@ -315,23 +334,29 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float):
 
     @functools.cache
     def balance(j: int) -> float:
-        # non-increasing in j in floating point too: every clipped term is,
-        # and the dot product sums them in the same order at every j
-        terms = (alphas - points[j]) / s
-        np.maximum(terms, 0.0, out=terms)
-        return float(np.minimum(terms, 1.0, out=terms) @ weights)
+        return _balance_at(alphas, weights, points[j], s)
 
-    def first(predicate) -> int:
-        return bisect.bisect_left(range(points.size), True, key=predicate)
+    def first(predicate, start=None) -> int:
+        # gallop from start, doubling the stride, until the predicate is
+        # false at lo and true at hi, then bisect between them
+        lo, hi, near, stride = -1, points.size, start, 1
+        while near is not None and lo < near < hi:
+            if predicate(near):
+                hi, near = near, near - stride
+            else:
+                lo, near = near, near + stride
+            stride *= 2
+        return bisect.bisect_left(range(points.size), True, lo + 1, hi, key=predicate)
 
-    above_end = first(lambda j: balance(j) <= target_mass)
+    start = None if hint is None else int(np.searchsorted(points, hint))
+    above_end = first(lambda j: balance(j) <= target_mass, start)
     if above_end == 0:
         # rounding put the target at or past the balance of the first
         # breakpoint, below which every level is full
         lo, hi = -math.inf, float(points[0])
         return _clip_midpoint(lo, hi, lam), lo, hi, np.ones(count)
     j1 = above_end - 1                              # last balance above target
-    j0 = first(lambda j: balance(j) < target_mass)  # first balance below it
+    j0 = first(lambda j: balance(j) < target_mass, above_end)  # first below it
     lo = _invert_segment(
         points[j1], points[j1 + 1], balance(j1), balance(j1 + 1), target_mass
     )
@@ -384,13 +409,14 @@ def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
     at_one = u_next == 1.0
     if isinstance(multiplier, MboMultiplier):
         beta = multiplier.threshold - diffused
+    elif lam > 0.0:
+        nu, s = float(multiplier), 1.0 - lam
+        # a quotient that overflows (lam near 0) is dropped or refused below
+        with np.errstate(over="ignore"):
+            low, high = (nu - diffused) / lam, (nu - diffused + s) / lam
+        beta = np.where(at_zero, low, np.where(at_one, high, 0.0))
     else:
-        nu = float(multiplier)
         beta = np.zeros_like(diffused)
-        if lam > 0.0:
-            s = 1.0 - lam
-            beta[at_zero] = (nu - diffused[at_zero]) / lam
-            beta[at_one] = (nu - diffused[at_one] + s) / lam
     wrong = (
         (at_zero & (beta < 0.0))
         | (at_one & (beta > 0.0))
@@ -487,14 +513,14 @@ def _step_result(diffused, u_next, multiplier, mass_in, g, params) -> StepResult
     )
 
 
-def _level_step(levels, mass_in, lam):
+def _level_step(levels, mass_in, lam, hint=None):
     """New state and multiplier for ``0 < lam <= 1`` from the grouped values.
 
     At ``lam = 1`` the multiplier is read off the threshold profile: the
     lowest level not left empty, its value and its fill; the top level if
     all are empty, as no diffused value lies above its threshold.
     """
-    nu, _, _, level_values = _solve_profile(levels, mass_in, lam)
+    nu, _, _, level_values = _solve_profile(levels, mass_in, lam, hint)
     if lam == 1.0:
         filled = np.flatnonzero(level_values)
         k = int(filled[0]) if filled.size else levels.num_levels - 1
@@ -506,7 +532,7 @@ def _level_step(levels, mass_in, lam):
     return level_values[levels.labels], multiplier
 
 
-def _step(u_n, g, s, params, diffused, target_mass) -> StepResult:
+def _step(u_n, g, s, params, diffused, target_mass, hint=None) -> StepResult:
     """Both public steps; ``lam = 0`` is plain diffusion."""
     u_n, mass_in, diffused = _diffused_state(u_n, g, s, params.tau, diffused)
     if target_mass is not None:
@@ -516,7 +542,7 @@ def _step(u_n, g, s, params, diffused, target_mass) -> StepResult:
         u_next = np.clip(diffused, 0.0, 1.0)
         return _step_result(diffused, u_next, 0.0, mass_in, g, params)
     levels = threshold_levels(diffused, g)
-    u_next, multiplier = _level_step(levels, mass_in, params.lam)
+    u_next, multiplier = _level_step(levels, mass_in, params.lam, hint)
     return _step_result(diffused, u_next, multiplier, mass_in, g, params)
 
 
@@ -528,6 +554,7 @@ def semi_discrete_step(
     *,
     diffused: np.ndarray | None = None,
     target_mass: float | None = None,
+    multiplier_hint: float | None = None,
 ) -> StepResult:
     """One relaxed mass-conserving step (``lam < 1``).
 
@@ -537,14 +564,16 @@ def semi_discrete_step(
     ``diffuse(u_n, params.tau, s)`` and replaces the step's own.  The new
     state has mass ``target_mass``, by default the mass of ``u_n``; a run
     passes its starting mass, so rounding in one step's mass does not move
-    the next step's target.  Raises
+    the next step's target.  ``multiplier_hint``, a guess at the multiplier
+    such as the previous step's, only speeds up the solve: any float, NaN
+    and infinities included, gives the same step bit for bit.  Raises
     :class:`~graphphase.errors.LambdaIsOne` for ``lam = 1`` (use
     :func:`mbo_step`) and :class:`~graphphase.errors.DomainViolation` for
     states outside [0, 1].
     """
     if params.lam == 1.0:
         raise LambdaIsOne("semi_discrete_step requires lam < 1")
-    return _step(u_n, g, s, params, diffused, target_mass)
+    return _step(u_n, g, s, params, diffused, target_mass, multiplier_hint)
 
 
 def mbo_step(

@@ -209,19 +209,20 @@ def run_trajectory(
 
     diffused, H, H_tau, GL = diagnostics(current)
     mass0 = float(mass(current, g))
+    hint = None  # the last step's multiplier seeds the next relaxed solve
 
     def advance(u, step):
-        nonlocal diffused
+        nonlocal diffused, hint
         # every step targets the starting mass: a settled run then repeats
         # its state bit for bit and stops
         given = {"diffused": diffused, "target_mass": mass0}
         if params.lam == 1.0:
             result = mbo_step(u, g, s, params.tau, **given)
         else:
-            result = semi_discrete_step(u, g, s, params, **given)
+            result = semi_discrete_step(u, g, s, params, multiplier_hint=hint, **given)
         change = float(np.abs(result.u_next - u).max())
         diffused, H, H_tau, GL = diagnostics(result.u_next)
-        multiplier = _scalar_multiplier(result.multiplier)
+        multiplier = hint = _scalar_multiplier(result.multiplier)
         entry = LogEntry(step, result.mass_out, H, H_tau, GL, change, multiplier)
         return result.u_next, entry, True
 
@@ -284,6 +285,8 @@ def sweep_lambda(
     threshold below 1: the relaxed minimizer stops moving and equals the
     thresholding output exactly.  Rows keep the input order.  All steps
     start from ``u0``, so its diffusion and level grouping are done once.
+    Each multiplier solve is seeded with the line through the previous two
+    solved multipliers, which changes its cost and never its result.
     """
     lambdas = [float(lam) for lam in lambdas]
     if not lambdas:
@@ -297,16 +300,24 @@ def sweep_lambda(
     u0, mass_in, diffused = _diffused_state(u0, g, s, tau)
     levels = scheme.threshold_levels(diffused, g)
 
-    def step(lam):
-        u_next, multiplier = _level_step(levels, mass_in, lam)
+    def step(lam, hint=None):
+        u_next, multiplier = _level_step(levels, mass_in, lam, hint)
         _subgradient(diffused, u_next, multiplier, lam)  # refuses a bad step
-        return u_next
+        return u_next, multiplier
 
-    reference = step(1.0)
-    return tuple(
-        SweepRow(lam, float(np.abs(step(lam) - reference).max()))
-        for lam in lambdas
-    )
+    reference, _ = step(1.0)
+    rows = []
+    last = before = None  # (lam, nu) of the latest two solves
+    for lam in lambdas:
+        hint = None if last is None else last[1]
+        if before is not None and before[0] != last[0]:
+            # plain floats: an overflow gives inf or NaN, still a valid hint
+            slope = (last[1] - before[1]) / (last[0] - before[0])
+            hint = last[1] + slope * (lam - last[0])
+        u_next, nu = step(lam, hint)
+        before, last = last, (lam, nu)
+        rows.append(SweepRow(lam, float(np.abs(u_next - reference).max())))
+    return tuple(rows)
 
 
 def _state_at(trajectory: Trajectory, t: float, tau: float):

@@ -5,9 +5,10 @@ eigendecomposition of the Laplacian is the reference for the Chebyshev heat
 diffusion of :mod:`graphphase.graph_core`, Dykstra's alternating corrections
 between the row simplices and the class-mass planes (Boyle & Dykstra 1986)
 for the exact multi-class mass projection, the plain damped iteration for
-the accelerated multi-class fixed point, and a composed fine-step flow for
-time-step refinement studies.  The package never calls them; they live here
-so that it ships only what it runs.
+the accelerated multi-class fixed point, the boolean-masked subgradient for
+the mask-free certificate of the two-class steps, and a composed fine-step
+flow for time-step refinement studies.  The package never calls them; they
+live here so that it ships only what it runs.
 """
 
 import math
@@ -15,10 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from graphphase.errors import GraphTooLarge, NoConvergence, NumericalError
+from graphphase.errors import (
+    GraphTooLarge,
+    InconsistentInputs,
+    NoConvergence,
+    NumericalError,
+)
 from graphphase.graph_core import Graph, Spectrum
 from graphphase.multiclass import _force, project_rows_to_simplex
-from graphphase.scheme import SchemeParams, semi_discrete_step
+from graphphase.scheme import MboMultiplier, SchemeParams, semi_discrete_step
 
 # The dense eigendecomposition holds about five n-by-n float64 arrays at once
 # (the symmetric conjugate, the eigensolver's copy and workspace, and the
@@ -81,6 +87,38 @@ def dense_diffuse(u: np.ndarray, t: float, ds: DenseSpectrum) -> np.ndarray:
     coeffs = ds.phi.T @ (ds.scale_fwd * np.asarray(u, dtype=float))
     coeffs *= np.exp(-t * ds.eigenvalues)
     return ds.scale_back * (ds.phi @ coeffs)
+
+
+def masked_subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
+    """The two-class step's subgradient, built by boolean-mask assignment.
+
+    The relaxed form is zero on strictly interior values.  Rounding-size sign
+    violations are zeroed; anything larger is refused.
+    """
+    at_zero = u_next == 0.0
+    at_one = u_next == 1.0
+    if isinstance(multiplier, MboMultiplier):
+        beta = multiplier.threshold - diffused
+    else:
+        nu = float(multiplier)
+        beta = np.zeros_like(diffused)
+        if lam > 0.0:
+            s = 1.0 - lam
+            beta[at_zero] = (nu - diffused[at_zero]) / lam
+            beta[at_one] = (nu - diffused[at_one] + s) / lam
+    wrong = (
+        (at_zero & (beta < 0.0))
+        | (at_one & (beta > 0.0))
+        | ((u_next > 0.0) & (u_next < 1.0) & (beta != 0.0))
+    )
+    if np.any(np.abs(beta[wrong]) > snap):
+        raise InconsistentInputs(
+            "subgradient sign pattern violates the state beyond rounding"
+        )
+    beta[wrong] = 0.0
+    if np.abs(beta).max(initial=0.0) > 1.0 + snap:
+        raise InconsistentInputs("subgradient leaves [-1, 1]")
+    return np.clip(beta, -1.0, 1.0, out=beta)
 
 
 def _project_masses(

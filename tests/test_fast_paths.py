@@ -1,6 +1,7 @@
-"""The bisected multiplier solve, the vectorised level grouping and the
-threshold step read off the relaxed profile, against the full breakpoint
-scan, the per-vertex loop and the separate threshold fill they replaced.
+"""The seeded multiplier search, the vectorised level grouping, the
+threshold step read off the relaxed profile and the mask-free certificate,
+against the full breakpoint scan, the per-vertex loop, the separate
+threshold fill and the boolean-masked subgradient they replaced.
 
 Every fast path evaluates the same floating-point expressions as the code it
 replaced, so every output must match exactly, not to a tolerance.
@@ -11,7 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from graphphase import random_connected_graph
+from graphphase import (
+    InconsistentInputs,
+    random_connected_graph,
+    run_trajectory,
+    spectral_decompose,
+    sweep_lambda,
+)
 from graphphase import scheme
 from graphphase.scheme import (
     GROUP_TOL,
@@ -20,6 +27,7 @@ from graphphase.scheme import (
     ThresholdLevels,
     threshold_levels,
 )
+from references import masked_subgradient
 
 LAMS = (0.25, 0.9, 0.99, 0.999, 0.9999)
 INSTANCES = 1200
@@ -288,3 +296,182 @@ def test_tied_values_are_grouped_in_stable_order():
         summed += unstable.tobytes() != slow.weights.tobytes()
     assert signed >= 10
     assert summed >= 10
+
+
+def _bits(solve):
+    nu, lo, hi, values = solve
+    return np.array([nu, lo, hi]).tobytes(), values.tobytes()
+
+
+def _hints(rng, levels, lam, nu):
+    s = 1.0 - lam
+    points = np.concatenate([levels.values - s, levels.values])
+    return [
+        None, nu, nu - 10.0, nu + 10.0, math.inf, -math.inf, math.nan,
+        *rng.uniform(-1.5, 2.5, size=3),
+        *(float(p) for p in rng.choice(points, size=2)),  # on a breakpoint
+    ]
+
+
+def test_solve_profile_is_hint_neutral():
+    # every hint, absurd ones included, returns the scan's breakpoints and
+    # values bit for bit: the seeded search changes the cost, not the answer
+    rng = np.random.default_rng(20261019)
+    lams = (5e-324, 0.25, 0.9, 0.999, 1.0 - 2.0**-30, 1.0 - 2.0**-40)
+    graphs = [random_connected_graph(n, rng, r=0.5) for n in (7, 16, 33)]
+    searched = signed = 0
+    for index in range(240):
+        g = graphs[index % len(graphs)]
+        lam = lams[index // len(graphs) % len(lams)]
+        diffused = _diffused(rng, g.num_vertices, min(lam, 0.9999))
+        # levels at +-0.0 and at 1 - lam put breakpoints at +-0.0
+        picks = rng.choice(g.num_vertices, size=3, replace=False)
+        diffused[picks] = [*rng.permutation([0.0, -0.0]), 1.0 - lam]
+        levels = threshold_levels(diffused, g)
+        points = np.concatenate([levels.values - (1.0 - lam), levels.values])
+        zeros = points[points == 0.0]
+        signed += np.signbit(zeros).any() and not np.signbit(zeros).all()
+        # targets met exactly at a breakpoint, where the balance may be flat
+        exact = [
+            scheme._balance_at(levels.values, levels.weights, p, 1.0 - lam)
+            for p in rng.choice(points, size=2)
+        ]
+        for target in [*_targets(rng, levels, lam), *exact]:
+            cold = scheme._solve_profile(levels, target, lam)
+            try:
+                expected, was_scan = scan_solve_profile(levels, target, lam)
+            except IndexError:  # every level full: the scan has no crossing
+                expected, was_scan = cold, False
+            assert _bits(cold) == _bits(expected)
+            searched += was_scan
+            for hint in _hints(rng, levels, lam, cold[0]):
+                warm = scheme._solve_profile(levels, target, lam, hint)
+                assert _bits(warm) == _bits(expected), (index, target, hint)
+    assert searched >= 240
+    assert signed >= 20
+
+
+def _count_evaluations(monkeypatch):
+    """Balance evaluations of each solve that evaluated any, in call order."""
+    counts = []
+    balance, solve = scheme._balance_at, scheme._solve_profile
+
+    def counted_balance(*args):
+        counts[-1] += 1
+        return balance(*args)
+
+    def counted_solve(*args, **kwargs):
+        counts.append(0)
+        result = solve(*args, **kwargs)
+        if not counts[-1]:
+            counts.pop()
+        return result
+
+    monkeypatch.setattr(scheme, "_balance_at", counted_balance)
+    monkeypatch.setattr(scheme, "_solve_profile", counted_solve)
+    return counts
+
+
+def test_cold_and_far_searches_stay_logarithmic(instances, monkeypatch):
+    # without a hint the search is the plain bisection; a hint at either end
+    # of the breakpoints costs at most about twice as much
+    counts = _count_evaluations(monkeypatch)
+    rng, cases = instances
+    for g, diffused, lam in cases[::4]:
+        levels = threshold_levels(diffused, g)
+        bound = math.ceil(math.log2(2 * levels.num_levels)) + 2
+        for target in _targets(rng, levels, lam):
+            for hint in (None, -math.inf, float(levels.values[-1])):
+                del counts[:]
+                scheme._solve_profile(levels, target, lam, hint)
+                assert sum(counts) <= (bound if hint is None else 2 * bound)
+
+
+@pytest.fixture(scope="module")
+def stepping_instance():
+    rng = np.random.default_rng(1107)
+    g = random_connected_graph(600, rng, r=0.5, extra_edges=1800)
+    return g, spectral_decompose(g), rng.uniform(0.0, 1.0, size=600)
+
+
+def test_seeded_sweep_averages_few_evaluations(stepping_instance, monkeypatch):
+    # the benchmark's grid: 32 even lambdas, then the ladder 1 - 2^-j
+    g, s, u0 = stepping_instance
+    lambdas = [k / 33 for k in range(1, 33)] + [1.0 - 2.0**-j for j in range(6, 31)]
+    assert len(lambdas) == 57
+    counts = _count_evaluations(monkeypatch)
+    sweep_lambda(u0, g, s, 0.1, lambdas)
+    assert len(counts) >= 20
+    assert sum(counts) / len(counts) <= 4.0
+
+
+def test_seeded_run_averages_few_evaluations(stepping_instance, monkeypatch):
+    g, s, u0 = stepping_instance
+    counts = _count_evaluations(monkeypatch)
+    params = SchemeParams.from_epsilon(epsilon=0.4, tau=0.1)
+    traj = run_trajectory(u0, g, s, params, max_steps=40, fixed_point_tol=-1.0)
+    assert traj.num_steps == 40
+    assert len(counts) >= 20
+    assert sum(counts) / traj.num_steps <= 4.0
+
+
+def _outcome(subgradient, diffused, u_next, multiplier, lam):
+    try:
+        return subgradient(diffused, u_next, multiplier, lam).tobytes()
+    except InconsistentInputs as exc:
+        return str(exc)
+
+
+def test_subgradient_matches_the_masked_reference():
+    # the mask-free certificate returns the masked one's bits, signed zeros
+    # included, and refuses what it refuses with the same message
+    rng = np.random.default_rng(4411)
+    certified = refused = signed = 0
+    for _ in range(400):
+        n = int(rng.integers(5, 40))
+        lam = float(rng.choice([0.0, 0.25, 0.6, 0.9, 1.0 - 2.0**-30, 1.0]))
+        s = 1.0 - lam
+        if rng.random() < 0.5:
+            # an exact profile around a multiplier of +-0.0: beta is -0.0
+            # where diffused is +0.0 and u_next is 0
+            nu = float(rng.choice([0.0, -0.0]))
+            diffused = rng.choice([0.0, -0.0, 0.5 * s, s, s + 0.5 * lam], size=n)
+            if lam == 1.0:
+                u_next, multiplier = (diffused > 0.0) * 1.0, MboMultiplier(0, nu, 1.0)
+            else:
+                u_next, multiplier = np.clip((diffused - nu) / s, 0.0, 1.0), nu
+        else:
+            g = random_connected_graph(n, rng, r=0.5)
+            diffused = rng.uniform(0.0, 1.0, size=n)
+            diffused[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            if lam == 0.0:
+                u_next, multiplier = np.clip(diffused, 0.0, 1.0), 0.0
+            else:
+                levels = threshold_levels(diffused, g)
+                total = float(levels.weights.sum())
+                u_next, multiplier = scheme._level_step(
+                    levels, total * rng.random(), lam
+                )
+        variants = [(u_next, multiplier)]
+        bad = u_next.copy()
+        flips = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        bad[flips] = rng.choice([0.0, 1.0, 0.5], size=flips.size)
+        variants.append((bad, multiplier))
+        if isinstance(multiplier, MboMultiplier):
+            shifted = multiplier._replace(threshold=multiplier.threshold + 0.3)
+        else:
+            shifted = multiplier + float(rng.choice([-0.3, 0.3]))
+        variants.append((u_next, shifted))
+        for state, mult in variants:
+            fast = _outcome(scheme._subgradient, diffused, state, mult, lam)
+            slow = _outcome(masked_subgradient, diffused, state, mult, lam)
+            assert fast == slow
+            if isinstance(fast, bytes):
+                certified += 1
+                beta = np.frombuffer(fast)
+                signed += bool((np.signbit(beta) & (beta == 0.0)).any())
+            else:
+                refused += 1
+    assert certified >= 400
+    assert refused >= 200
+    assert signed >= 20

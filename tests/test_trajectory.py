@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,41 @@ def test_sweep_rows_are_the_public_steps_distances():
         assert row == (lam, float(np.abs(out - reference).max()))
         locked += row.sup_distance_to_mbo == 0.0
     assert 0 < locked < len(lambdas)
+
+
+def test_seeded_sweep_takes_any_lambda_order():
+    # unsorted, repeated (also back to back) and subnormal lambdas: each row
+    # is the public step's distance bit for bit, the line through the last
+    # two multipliers never divides by zero, and nothing warns
+    rng = np.random.default_rng(24)
+    g = random_connected_graph(120, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=120)
+    lambdas = [0.9, 0.1, 0.9, 0.5, 0.5, 0.7, 5e-324, 1e-300, 5e-324, 5e-324,
+               0.3, 1e-300, 0.999, 1.0 - 2.0**-30, 0.1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_lambda(u0, g, s, 0.1, lambdas)
+        reference = mbo_step(u0, g, s, 0.1).u_next
+        for lam, row in zip(lambdas, rows):
+            params = SchemeParams.from_lambda(tau=0.1, lam=lam)
+            out = semi_discrete_step(u0, g, s, params).u_next
+            assert row == (lam, float(np.abs(out - reference).max()))
+
+
+def test_multiplier_hint_never_changes_the_step():
+    rng = np.random.default_rng(25)
+    g = random_connected_graph(60, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=60)
+    for lam in (5e-324, 0.3, 0.9, 0.999):
+        params = SchemeParams.from_lambda(tau=0.1, lam=lam)
+        cold = semi_discrete_step(u0, g, s, params)
+        for hint in (cold.multiplier, -3.0, 0.42, math.inf, math.nan):
+            warm = semi_discrete_step(u0, g, s, params, multiplier_hint=hint)
+            assert warm.u_next.tobytes() == cold.u_next.tobytes()
+            assert warm.subgradient.tobytes() == cold.subgradient.tobytes()
+            assert (warm.multiplier, warm.residual) == (cold.multiplier, cold.residual)
 
 
 @pytest.mark.parametrize("lam", [0.25, 1.0])
