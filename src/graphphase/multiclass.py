@@ -2,16 +2,16 @@
 
 States are |V| x K matrices whose rows live on the simplex; the obstacle
 well rewards rows that sit on a vertex of it.  The implicit stepping schemes
-here have no closed-form solve, so both run a safeguarded Anderson-accelerated
-fixed-point iteration around exact projections and are flagged experimental:
-every result reports its residual and a converged flag instead of assuming
-success.  The mass-conserving variant projects onto the transportation
-polytope (simplex rows with prescribed per-class masses) exactly: the
-projection has one multiplier per class, found by a semismooth Newton solve
-on the monotone, piecewise-linear mass balance, and those multipliers are the
-per-class constants of the update equation.  The test suite checks the
-projection against Dykstra's alternating corrections and the accelerated
-loop against the plain damped iteration (both in ``tests/references.py``).
+here have no closed-form solve, so both run safeguarded semismooth Newton
+steps on the fixed point around exact projections (the linear systems are
+invertible while lam < K / (2 (K - 1))) and are flagged experimental: every
+result reports its residual and a converged flag instead of assuming
+success.  The mass-conserving variant projects exactly onto the
+transportation polytope (simplex rows with prescribed class masses) by a
+semismooth Newton solve for its K multipliers on the monotone, piecewise-
+linear mass balance; they are the per-class constants of the update
+equation.  The tests check the projection against Dykstra's corrections and
+the Newton loop against the plain damped one (``tests/references.py``).
 """
 
 import math
@@ -45,7 +45,6 @@ ROW_SUM_TOL = 1e-10   # admissible defect of row sums on construction
 SIGMA_TOL = 1e-12     # admissible negative dust for simplex membership
 FP_TOL = 1e-10        # default fixed-point displacement tolerance
 MAX_ITER = 500        # default fixed-point iteration budget
-ANDERSON_MEMORY = 5   # residual and image differences the extrapolation keeps
 NEWTON_TOL = 1e-12    # class-mass defect of a projection, relative to 1 + max mass
 NEWTON_MAX_ITER = 50  # Newton steps per projection before NoConvergence
 RIDGE = 1e-9          # Jacobian ridge, relative to the total measure
@@ -325,33 +324,27 @@ def _step_length(matrix, weights, masses, mu, direction, x, balance):
     raise NoConvergence("mass projection line search did not settle")
 
 
-def _fixed_point(project, diffused, lam, max_iter, fp_tol):
-    """Safeguarded Anderson acceleration, shared by both multi-class steps.
+def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
+    """Safeguarded semismooth Newton, shared by both multi-class steps.
 
     ``project`` maps a matrix to (feasible iterate, correction, constants,
     inner iterations); the step is a fixed point of the map
-    ``G(x) = project(diffused + lam * force(x))``.  Type-II Anderson
-    acceleration (Walker & Ni 2011) keeps the last ``ANDERSON_MEMORY``
-    differences of the residuals ``G(x) - x`` and of the images ``G(x)`` and
-    moves to the image combination whose residual combination is smallest
-    in least squares.  An extrapolated point stands only if its displacement
-    ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue &
-    Boyd 2020); otherwise the loop takes the plain step from the last
-    accepted point, forgets its history and takes a run of plain steps,
-    twice as long after each rejection, before it extrapolates again.
-    Every returned iterate is an image of ``G``, so it is feasible; a
-    non-converged run hands back the image of least displacement, not the
-    last.
+    ``G(x) = project(diffused + lam * force(x))``.  From the second
+    iteration on, the loop takes the Newton step of ``x - G(x)``
+    (:func:`_newton_step`; ``weights`` are the mass weights, ``None`` when
+    masses are free).  A Newton point stands only if its displacement
+    ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue
+    & Boyd 2020); otherwise, or on a singular system, the loop takes the
+    plain step from the last accepted point and then plain steps, twice as
+    many after each rejection, before it tries Newton again.  Every
+    returned iterate is an image of ``G``, so it is feasible; a
+    non-converged run hands back the image of least displacement.
     """
     current, correction, constants, inner = project(diffused)
     best = (math.inf, current, correction, constants)
     accepted = None  # (point, image, displacement) last accepted
-    # ring buffers of flattened differences; ``stored`` counts since a reset
-    residual_steps = np.empty((ANDERSON_MEMORY, diffused.size))
-    image_steps = np.empty((ANDERSON_MEMORY, diffused.size))
-    stored = 0
     rejections = cooldown = 0
-    extrapolated = converged = False
+    newton = converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         target = diffused + lam * _force(current)
@@ -364,49 +357,73 @@ def _fixed_point(project, diffused, lam, max_iter, fp_tol):
         if disp <= fp_tol:
             converged = True
             break
-        if extrapolated and disp >= accepted[2]:
-            # stepping on from the rejected point and extrapolating again
-            # at once can cycle (period 4 on a K=2 instance at lam = 0.95);
+        if newton and disp >= accepted[2]:
+            # trying Newton again at once from the rejected point can cycle;
             # go back to the accepted point and wait longer each time
             rejections += 1
             cooldown = 2**rejections
-            stored = 0
             point, image, _ = accepted
             # a step from ``point`` like the plain step below, so both round alike
             current = point + (image - point)
-            extrapolated = False
+            newton = False
             continue
-        if accepted is not None:
-            point, last_image, _ = accepted
-            slot = stored % ANDERSON_MEMORY
-            residual_steps[slot] = (residual - (last_image - point)).ravel()
-            image_steps[slot] = (image - last_image).ravel()
-            stored += 1
+        # from the projection of the bare diffusion a Newton step overshoots
+        newton = cooldown == 0 and accepted is not None
         accepted = (current, image, disp)
-        extrapolated = cooldown == 0 and stored > 0
-        if extrapolated:
-            rows = min(stored, ANDERSON_MEMORY)
-            current = image - _anderson_shift(
-                residual_steps[:rows], image_steps[:rows], residual
-            )
-        else:
+        if newton:
+            try:
+                current = current + _newton_step(current, image, lam, weights)
+            except np.linalg.LinAlgError:
+                newton = False
+        if not newton:
             cooldown = max(cooldown - 1, 0)
             current = current + residual
     _, final, correction, constants = best
     return final, correction, constants, iterations, converged, inner
 
 
-def _anderson_shift(residual_steps, image_steps, residual):
-    """``sum_j gamma_j * image_steps[j]`` for the least-squares ``gamma``.
+def _well_jacobians(values):
+    """Jacobians of the uncentred force, ``H[i, k, j] = -prod_{l not in {k, j}}
+    (1 - values[i, l])`` off the diagonal and 0 on it, built from products
+    alone, without division, so one-hot rows come out exact."""
+    eye = np.eye(values.shape[1], dtype=bool)
+    skipped = eye[:, None, :, None] | eye[:, None, None, :]  # class l, row, k, j
+    # with the class axis outermost and contiguous the product multiplies blocks
+    factors = np.where(skipped, 1.0, (1.0 - values).T.copy()[:, :, None, None])
+    return np.where(eye, 0.0, -factors.prod(axis=0))
 
-    ``gamma`` minimizes ``|residual - sum_j gamma_j residual_steps[j]|``;
-    the small Gram system is solved by ``lstsq``, which drops directions
-    the residual differences no longer separate.
+
+def _newton_step(current, image, lam, weights):
+    """Newton displacement ``dx`` solving ``(I - J_G) dx = image - current``.
+
+    On the support ``S_i`` of image row ``i`` the simplex projection has
+    Jacobian ``P_i = diag(s_i) - s_i s_i^T / |S_i|``, which absorbs the
+    force's row centering, so ``dx_i = M_i^{-1} r_i`` with
+    ``M_i = I - lam P_i H_i`` (:func:`_well_jacobians`), invertible on the
+    simplex while ``lam < K / (2 (K - 1))``, where the well's curvature
+    cannot cancel the step's.  With ``weights`` the rows share a shift
+    ``dmu`` of the K multipliers (pinned and ridged as in the projection)
+    that keeps the class masses at the image's: ``dx_i = M_i^{-1} (r_i +
+    P_i dmu)``.  A singular system raises ``LinAlgError``.
     """
-    gram = residual_steps @ residual_steps.T
-    rhs = residual_steps @ residual.ravel()
-    gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return (gamma @ image_steps).reshape(residual.shape)
+    num_classes = image.shape[1]
+    support = (image > 0.0).astype(float)
+    size = support.sum(axis=1)[:, None, None]
+    jacobians = _well_jacobians(current)
+    system = np.eye(num_classes) - lam * support[:, :, None] * (
+        jacobians - support[:, None, :] @ jacobians / size
+    )
+    residual = (image - current)[:, :, None]
+    if weights is None:
+        return np.linalg.solve(system, residual)[:, :, 0]
+    projector = support[:, :, None] * (np.eye(num_classes) - support[:, None, :] / size)
+    solved = np.linalg.solve(system, np.concatenate([projector, residual], axis=2))
+    spread, moved = solved[:, :, :-1], solved[:, :, -1]
+    total = float(weights.sum())
+    coupled = np.tensordot(weights, spread, axes=1) + total / num_classes
+    coupled += RIDGE * total * np.eye(num_classes)
+    shift = np.linalg.solve(coupled, weights @ (residual[:, :, 0] - moved))
+    return moved + spread @ shift
 
 
 def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
@@ -424,11 +441,12 @@ def _check_settings(max_iter, fp_tol) -> None:
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
 
 
-def _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in):
+def _solve_step(start, g, s, params, project, weights, max_iter, fp_tol, masses_in):
     """Run the fixed point from ``start`` and certify the returned iterate.
 
     The residual is the sup-norm defect of the update equation at the
     returned iterate, subgradient and per-class constants included.
+    ``weights`` go to the fixed point (``None`` when masses are free) and
     ``masses_in`` is reported as the step's ``class_masses_in``.  The
     fixed-point settings are checked before any work is done.
     """
@@ -436,7 +454,7 @@ def _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in):
     diffused = diffuse(start, params.tau, s)
     lam = params.lam
     final, correction, constants, iterations, converged, inner = _fixed_point(
-        project, diffused, lam, max_iter, fp_tol
+        project, diffused, lam, weights, max_iter, fp_tol
     )
     beta = _subgradient(correction, lam)
     defect = final - diffused - lam * _force(final) - lam * beta - constants
@@ -474,7 +492,7 @@ def multiclass_step(
 
     start = _check_start(U_n, g)
     return _solve_step(
-        start, g, s, params, project, max_iter, fp_tol, start.T @ g.degrees_r
+        start, g, s, params, project, None, max_iter, fp_tol, start.T @ g.degrees_r
     )
 
 
@@ -527,4 +545,6 @@ def multiclass_mass_conserving_step(
         projected, mu, steps = _project_transport(matrix, g.degrees_r, masses_in, mu)
         return projected, matrix + mu - projected, mu - mu.sum() / mu.size, steps
 
-    return _solve_step(start, g, s, params, project, max_iter, fp_tol, masses_in)
+    return _solve_step(
+        start, g, s, params, project, g.degrees_r, max_iter, fp_tol, masses_in
+    )

@@ -152,12 +152,13 @@ def _project_masses(
     raise NoConvergence(f"mass projection did not settle in {max_rounds} rounds")
 
 
-def _damped_fixed_point(project, diffused, lam, max_iter, fp_tol):
+def _damped_fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
     """Damped fixed-point loop: the reference for the multi-class steps.
 
     Same contract as ``multiclass._fixed_point``, which accelerates it:
     ``project`` maps a matrix to (feasible iterate, correction, constants,
-    inner iterations), and the loop iterates
+    inner iterations), ``weights`` (the Newton step's) go unused, and the
+    loop iterates
     ``x <- x + omega (G(x) - x)`` with ``G(x) = project(diffused + lam *
     force(x))``, halving ``omega`` for good after two consecutive rises of
     the displacement (oscillation).  Returns the image of least
