@@ -13,9 +13,10 @@ generates conserves ``<u, 1>``.  A graph is stored only as its edge arrays.
 Diffusion is matrix-free: :func:`spectral_decompose` rescales the Laplacian
 onto [-1, 1] once per graph, by the Gershgorin bound on its spectrum, and
 :func:`diffuse` applies ``exp(-tL)`` as a Chebyshev series in that operator
-(Hammond, Vandergheynst & Gribonval 2011), one sparse product over the 2E
-directed edges per term.  The series is cut where its coefficient tail drops
-below ``2**-60``, so it is exact to rounding; no n-by-n array is made.
+(Hammond, Vandergheynst & Gribonval 2011), one pass over the E edges per
+term, the pass :func:`laplacian_apply` makes.  The series is cut where its
+coefficient tail drops below ``2**-60``, so it is exact to rounding; no
+n-by-n array and no second copy of the edges is made.
 """
 
 import functools
@@ -214,11 +215,14 @@ def average(u: np.ndarray, g: Graph) -> float:
 
 def laplacian_apply(u: np.ndarray, g: Graph) -> np.ndarray:
     """Apply the graph Laplacian ``d**-r (D - W)`` to a vertex function."""
-    u = g.check_field(u)
+    return _outflow(g.check_field(u), g) / g.degrees_r
+
+
+def _outflow(u: np.ndarray, g: Graph) -> np.ndarray:
+    """``(D - W) u``: the net flow ``w_ij (u_i - u_j)`` out of each vertex."""
     flow = g.edge_w * (u[g.edge_i] - u[g.edge_j])  # out of edge_i, into edge_j
     n = g.num_vertices
-    outflow = np.bincount(g.edge_i, flow, n) - np.bincount(g.edge_j, flow, n)
-    return outflow / g.degrees_r
+    return np.bincount(g.edge_i, flow, n) - np.bincount(g.edge_j, flow, n)
 
 
 def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
@@ -241,56 +245,37 @@ class Spectrum:
 
     ``bound`` is ``b = 2 max_i d_i**(1-r)``, Gershgorin's bound on the
     spectrum of the Laplacian, so ``X = (2/b) L - I`` has its spectrum in
-    [-1, 1].  ``X`` is stored in compressed sparse rows over the 2E directed
-    edges, with the scalings folded in: ``(X y)_i = diag_i y_i`` minus the
-    sum of ``vals[k] y[cols[k]]`` over the row's edges ``k``, which run from
-    ``starts[i]`` to ``starts[i + 1]``.  Every row is non-empty because the
-    graph is connected.
+    [-1, 1].  ``X`` is applied over the edge arrays of ``graph``, which is
+    held, not copied: ``X y = scale (D - W) y - y`` with the per-vertex
+    ``scale = (2/b) / d**r``.
     """
 
     bound: float
-    diag: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-    starts: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    graph: Graph = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
-        return self.diag.shape[0]
+        return self.graph.num_vertices
 
 
 def spectral_decompose(g: Graph) -> Spectrum:
     """Build the rescaled Laplacian of ``g`` once, for every diffusion on it.
 
-    O(E log E) time and O(n + E) memory: the directed edges are sorted into
-    rows, and no n-by-n array is made.  The sort relies on ``g``'s canonical
-    edge order: with the reversed half first, one stable sort by head leaves
-    each row's tails ascending, below the head and then above it.
+    O(n) time and memory: the bound and the per-vertex scale are all that is
+    made, and the edges stay in ``g``.
     """
-    heads = np.concatenate([g.edge_j, g.edge_i])
-    tails = np.concatenate([g.edge_i, g.edge_j])
-    order = np.argsort(heads, kind="stable")
-    heads, tails = heads[order], tails[order]
     bound = 2.0 * float((g.degrees / g.degrees_r).max())
     scale = (2.0 / bound) / g.degrees_r
-    counts = np.bincount(heads, minlength=g.num_vertices)
-    spectrum = Spectrum(
-        bound=bound,
-        diag=scale * g.degrees - 1.0,
-        cols=tails,
-        vals=scale[heads] * np.concatenate([g.edge_w, g.edge_w])[order],
-        starts=np.cumsum(counts) - counts,
-    )
-    for arr in (spectrum.diag, spectrum.cols, spectrum.vals, spectrum.starts):
-        arr.setflags(write=False)
-    return spectrum
+    scale.setflags(write=False)
+    return Spectrum(bound=bound, scale=scale, graph=g)
 
 
 def _apply_x(y: np.ndarray, s: Spectrum) -> np.ndarray:
     """``X y``, one column at a time for an (n, K) block."""
     if y.ndim == 2:
         return np.column_stack([_apply_x(column, s) for column in y.T])
-    return s.diag * y - np.add.reduceat(s.vals * y[s.cols], s.starts)
+    return s.scale * _outflow(y, s.graph) - y
 
 
 def _chebyshev_series(u: np.ndarray, coeffs: np.ndarray, s: Spectrum) -> np.ndarray:

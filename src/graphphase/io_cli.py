@@ -78,10 +78,10 @@ def _text(path):
     return text
 
 
-def _tokens(path):
+def _tokens(text):
     """Numbers, token counts and tokens of the lines not blank or ``#``."""
     numbers, counts, flat = [], [], []
-    lines = _text(path).split("\n")
+    lines = text.split("\n")
     for number, tokens in enumerate(map(str.split, lines), start=1):
         if tokens and not tokens[0].startswith("#"):
             numbers.append(number)
@@ -113,7 +113,7 @@ def _table(numbers, counts, flat, ints, size, wrong_size, malformed):
             raise ParseError(malformed, line=number) from None
 
 
-def _c_table(path, ints, size, header=False):
+def _c_table(text, ints, size, header=False):
     """The table of :func:`_table`, read by numpy's C reader, or None.
 
     Returns the first line not blank or ``#`` as ``(number, tokens)`` if it
@@ -127,7 +127,6 @@ def _c_table(path, ints, size, header=False):
     ``0`` as 4620) and crashes on some.  Where it accepts ASCII text, the C
     reader reads the numbers ``int`` and ``float`` read.
     """
-    text = _text(path)
     if not text.isascii():
         return None
     lines = text.split("\n")
@@ -160,11 +159,12 @@ def parse_graph_file(path: str) -> Graph:
     ``int`` or ``float`` per token, reads a file the C reader refuses and
     names its first bad line; it also gives the line numbers of a repeat.
     """
-    fast = _c_table(path, 2, 3, header=True)
+    text = _text(path)
+    fast = _c_table(text, 2, 3, header=True)
     if fast is not None:
         (number, tokens), edges = fast
     else:
-        numbers, counts, flat = _tokens(path)
+        numbers, counts, flat = _tokens(text)
         if not numbers:
             raise ParseError("file has no header line", line=1)
         number, tokens, edges = numbers[0], flat[:counts[0]], None
@@ -184,7 +184,7 @@ def parse_graph_file(path: str) -> Graph:
         return build_graph(num_vertices, edges, r=r)
     except DuplicateEdge as exc:
         first, repeat = exc.positions
-        numbers = _tokens(path)[0][1:]
+        numbers = _tokens(text)[0][1:]
         pair = tuple(sorted(int(end) for end in edges[repeat, :2]))
         raise DuplicateEdge(f"edge {pair} already given on line "
                             f"{numbers[first]}", line=numbers[repeat]) from None
@@ -203,11 +203,12 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     width = 1 if num_classes is None else num_classes
     n = g.num_vertices
-    fast = _c_table(path, 1, 1 + width)
+    text = _text(path)
+    fast = _c_table(text, 1, 1 + width)
     if fast is not None:
         table = fast[1]
     else:
-        table = _table(*_tokens(path), 1, 1 + width,
+        table = _table(*_tokens(text), 1, 1 + width,
                        f"expected a vertex index and {width} value(s)",
                        "malformed number")
     vertex = table[:, 0]
@@ -218,7 +219,7 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
     bad = outside | (first[same] != np.arange(len(vertex)))  # or a repeat
     if bad.any():
         k = int(bad.argmax())
-        numbers = _tokens(path)[0]
+        numbers = _tokens(text)[0]
         given = numbers[first[same[k]]]
         raise ParseError(
             f"vertex {int(vertex[k])} outside 0..{n - 1}" if outside[k]
@@ -244,7 +245,7 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
         bad = int(off.argmax())
         raise ParseError(
             f"row for vertex {bad} sums to {sums[bad]}, expected 1",
-            line=_tokens(path)[0][first[bad]],
+            line=_tokens(text)[0][first[bad]],
         )
     values = values / sums[:, None]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)

@@ -417,11 +417,10 @@ def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
         beta = np.where(at_zero, low, np.where(at_one, high, 0.0))
     else:
         beta = np.zeros_like(diffused)
-    wrong = (
-        (at_zero & (beta < 0.0))
-        | (at_one & (beta > 0.0))
-        | ((u_next > 0.0) & (u_next < 1.0) & (beta != 0.0))
-    )
+    wrong = (at_zero & (beta < 0.0)) | (at_one & (beta > 0.0))
+    if isinstance(multiplier, MboMultiplier):
+        # the other forms are built exactly 0 off {0, 1}
+        wrong |= (u_next > 0.0) & (u_next < 1.0) & (beta != 0.0)
     if np.any(np.abs(beta[wrong]) > snap):
         raise InconsistentInputs(
             "subgradient sign pattern violates the state beyond rounding"

@@ -28,7 +28,7 @@ from graphphase import (
     random_connected_graph,
     spectral_decompose,
 )
-from graphphase.graph_core import _chebyshev_interpolate, heat_remainder
+from graphphase.graph_core import _apply_x, _chebyshev_interpolate, heat_remainder
 from references import DENSE_VERTEX_LIMIT, dense_diffuse, dense_spectrum
 
 
@@ -354,24 +354,41 @@ def test_spectrum_matches_dense_reference(random_graphs):
         assert_allclose(s.eigenvalues, reference, rtol=0, atol=1e-12 * top)
 
 
-def test_spectrum_rows_match_a_sort_by_head_and_tail():
-    # one stable sort by head, relying on the canonical edge order, must
-    # give the rows a two-key sort by (head, tail) gives, bit for bit
+def test_spectrum_holds_the_graph_and_no_copy_of_its_edges():
+    n = 20_001
+    g = build_graph(n, _path_edges(n))
+    tracemalloc.start()
+    try:
+        s = spectral_decompose(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a bound and one scale per vertex; a copy of the 2E directed edges
+    # would take 120 bytes a vertex here
+    assert peak < 24 * n
+    for mine, theirs in zip((s.graph.edge_i, s.graph.edge_j, s.graph.edge_w),
+                            (g.edge_i, g.edge_j, g.edge_w)):
+        assert np.shares_memory(mine, theirs)
+
+
+def test_rescaled_laplacian_matches_laplacian_apply():
+    # X = (2/b) L - I, applied over the edges; a block goes column by column
     rng = np.random.default_rng(15)
-    for _ in range(300):
+    for k in range(300):
         n = int(rng.integers(2, 40))
-        g = random_connected_graph(n, rng, r=float(rng.uniform()),
+        r = (0.0, 0.5, 1.0, float(rng.uniform()))[k % 4]
+        g = random_connected_graph(n, rng, r=r,
                                    extra_edges=int(rng.integers(0, 2 * n)))
         s = spectral_decompose(g)
-        heads = np.concatenate([g.edge_i, g.edge_j])
-        tails = np.concatenate([g.edge_j, g.edge_i])
-        order = np.lexsort((tails, heads))
-        scale = (2.0 / s.bound) / g.degrees_r
-        counts = np.bincount(heads, minlength=n)
-        assert np.array_equal(s.cols, tails[order])
-        weights = np.concatenate([g.edge_w, g.edge_w])
-        assert np.array_equal(s.vals, scale[heads[order]] * weights[order])
-        assert np.array_equal(s.starts, np.cumsum(counts) - counts)
+        block = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
+        out = _apply_x(block, s)
+        assert out.shape == block.shape
+        for column, image in zip(block.T, out.T):
+            single = _apply_x(column, s)
+            assert np.array_equal(image, single)
+            expected = (2.0 / s.bound) * laplacian_apply(column, g) - column
+            assert_allclose(single, expected, rtol=0,
+                            atol=1e-15 * np.abs(column).max())
 
 
 def test_diffuse_zero_time_is_identity(p2, p2_spectrum):

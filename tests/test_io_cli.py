@@ -271,6 +271,51 @@ def test_well_formed_files_skip_the_exact_reader(tmp_path, monkeypatch):
     assert field.values.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
 
 
+@pytest.mark.parametrize("kind,text,exc", [
+    pytest.param("graph", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n", None,
+                 id="graph-valid"),
+    pytest.param("graph", "vertices 3 r 0\n0 1 1.0\n# c\n1 2 1.0\n", None,
+                 id="graph-fallback"),
+    pytest.param("graph", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n1 0 2.0\n",
+                 DuplicateEdge, id="graph-duplicate"),
+    pytest.param("graph", "vertices 3 r 0\n0 1 1.0\n# c\n1 0 2.0\n",
+                 DuplicateEdge, id="graph-fallback-duplicate"),
+    pytest.param("state", "0 1.0\n1 0.0\n2 0.5\n", None, id="state-valid"),
+    pytest.param("state", "0 1.0\n# c\n1 0.0\n2 0.5\n", None,
+                 id="state-fallback"),
+    pytest.param("state", "0 1.0\n0 0.0\n1 0.0\n", ParseError,
+                 id="state-repeat"),
+    pytest.param("state", "0 1.0\n# c\n0 0.0\n1 0.0\n", ParseError,
+                 id="state-fallback-repeat"),
+    pytest.param("classes", "0 0.5 0.5\n1 0.5 0.25\n2 1 0\n", ParseError,
+                 id="classes-row-sum"),
+])
+def test_each_input_file_is_read_once(tmp_path, monkeypatch, kind, text, exc):
+    # the C reader, the exact reader and the line numbers of an error all
+    # work from one read of the file
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    path = _write(tmp_path, "f.txt", text)
+    reads = []
+    read_text = io_cli._text
+
+    def counted(name):
+        reads.append(name)
+        return read_text(name)
+
+    monkeypatch.setattr(io_cli, "_text", counted)
+    read = {
+        "graph": lambda: parse_graph_file(path),
+        "state": lambda: parse_field_file(path, g),
+        "classes": lambda: parse_field_file(path, g, 2),
+    }[kind]
+    if exc is None:
+        read()
+    else:
+        with pytest.raises(exc):
+            read()
+    assert reads == [path]
+
+
 @pytest.mark.parametrize(
     "text,classes,exc,message",
     [
@@ -763,13 +808,13 @@ def test_cli_reads_the_state_file_once(tmp_path, monkeypatch):
     init = _write(tmp_path, "u.txt",
                   "# state\n\n0 0.7 0.2 0.1\n1 0.3 0.4 0.3\n2 0.1 0.2 0.7\n")
     paths = []
-    tokens = io_cli._tokens
+    read_text = io_cli._text
 
     def counted(path):
         paths.append(path)
-        return tokens(path)
+        return read_text(path)
 
-    monkeypatch.setattr(io_cli, "_tokens", counted)
+    monkeypatch.setattr(io_cli, "_text", counted)
     assert cli_main(["multiclass", "--graph", graph, "--init", init,
                      "--eps", "0.4", "--tau", "0.2", "--steps", "1",
                      "--out", str(tmp_path / "o")]) == 0
