@@ -32,6 +32,7 @@ from .graph_core import (
     build_graph,
     diffuse,
     dirichlet_energy,
+    heat_remainder,
     inner_product,
     laplacian_apply,
     mass,
@@ -73,7 +74,6 @@ from .trajectory import (
 from .scheme import (
     DualCertificate,
     MboMultiplier,
-    MultiplierSolution,
     SchemeParams,
     StepResult,
     ThresholdLevels,
@@ -83,10 +83,7 @@ from .scheme import (
     lyapunov_gradient,
     mbo_is_unique,
     mbo_step,
-    recover_subgradient,
     semi_discrete_step,
-    solve_multiplier,
-    step_residual,
     threshold_levels,
 )
 

@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from contextlib import suppress
 from dataclasses import fields
 
 import numpy as np
@@ -59,7 +58,6 @@ __all__ = [
     "parse_field_file",
     "write_outputs",
     "cli_main",
-    "main",
 ]
 
 def _text(path):
@@ -91,26 +89,23 @@ def _tokens(text):
 
 
 def _table(numbers, counts, flat, ints, size, wrong_size, malformed):
-    """The lines of :func:`_tokens` as an (E, size) float table, converted a
-    column at a time: ``ints`` integers, then reals.  On failure the first
-    bad line is named: ``wrong_size`` for a wrong token count, ``malformed``
-    for a token ``int`` or ``float`` refuses.
+    """The lines of :func:`_tokens` as an (E, size) float table: ``ints``
+    integers, then reals.  On failure the first bad line is named:
+    ``wrong_size`` for a wrong token count, ``malformed`` for a token ``int``
+    or ``float`` refuses.
     """
-    if counts.count(size) == len(counts):
-        with suppress(ValueError, OverflowError):  # the loop below names it
-            return np.column_stack([  # Python ints: past int64 is a float
-                np.fromiter(map(int if c < ints else float, flat[c::size]), float)
-                for c in range(size)
-            ])
-    tokens = iter(flat)
+    values = []
+    end = 0
     for number, count in zip(numbers, counts):
-        row = [next(tokens) for _ in range(count)]
+        start, end = end, end + count
         if count != size:
             raise ParseError(wrong_size, line=number)
-        try:  # an integer beyond the float range is malformed as well
-            [*map(float, map(int, row[:ints])), *map(float, row[ints:])]
+        try:  # Python ints: past int64 is a float, past the float range malformed
+            values += map(float, map(int, flat[start:start + ints]))
+            values += map(float, flat[start + ints:end])
         except (ValueError, OverflowError):
             raise ParseError(malformed, line=number) from None
+    return np.array(values, dtype=float).reshape(-1, size)
 
 
 def _c_table(text, ints, size, header=False):
@@ -121,8 +116,10 @@ def _c_table(text, ints, size, header=False):
     (E, size) float table, ``ints`` int64 columns and then float64 ones.
     Returns None where the C reader refuses the file: a ``#`` line among
     the data, syntax only ``int`` or ``float`` take (``1_0``, past int64), a
-    wrong token count, no data.  The exact reader then names the bad line or
-    reads the file.  Text that is not ASCII is not handed over, because
+    wrong token count, no data.  The C reader is asked for ``size`` columns
+    only if the first data line has them, so a wrong count there costs no
+    table that wide.  The exact reader then names the bad line or reads the
+    file.  Text that is not ASCII is not handed over, because
     numpy's integer parser reads letters past ASCII as digits (U+01FE before
     ``0`` as 4620) and crashes on some.  Where it accepts ASCII text, the C
     reader reads the numbers ``int`` and ``float`` read.
@@ -135,8 +132,11 @@ def _c_table(text, ints, size, header=False):
         first = next(((number, tokens) for number, tokens
                       in enumerate(map(str.split, lines), start=1)
                       if tokens and not tokens[0].startswith("#")), None)
-    if first is None or not any(map(str.strip, lines[first[0]:])):
-        return None  # no data, which np.loadtxt warns of
+    if first is None:
+        return None
+    row = next(filter(None, map(str.split, lines[first[0]:])), None)
+    if row is None or len(row) != size:
+        return None  # no data, which np.loadtxt warns of, or the wrong width
     columns = [(f"c{c}", np.int64 if c < ints else np.float64)
                for c in range(size)]
     try:

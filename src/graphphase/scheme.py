@@ -47,16 +47,12 @@ __all__ = [
     "SchemeParams",
     "ThresholdLevels",
     "MboMultiplier",
-    "MultiplierSolution",
     "StepResult",
     "DualCertificate",
     "threshold_levels",
-    "solve_multiplier",
     "semi_discrete_step",
     "mbo_step",
     "mbo_is_unique",
-    "recover_subgradient",
-    "step_residual",
     "lyapunov_energy",
     "ginzburg_landau",
     "lyapunov_gradient",
@@ -139,20 +135,15 @@ class MboMultiplier(NamedTuple):
     fill: float
 
 
-class MultiplierSolution(NamedTuple):
-    """Solved mass multiplier and the interval of equally valid choices."""
-
-    value: float
-    lo: float
-    hi: float
-
-
 @dataclass(frozen=True)
 class StepResult:
-    """One accepted step with its optimality certificate pieces.
+    """One accepted step with its optimality certificate.
 
-    ``mass_in`` is the mass the step conserves: the mass of its input, or
-    the ``target_mass`` it was given.
+    The certificate is ``multiplier`` (the mass multiplier), ``subgradient``
+    (the obstacle subgradient, checked against the sign pattern at
+    ``u_next``) and ``residual`` (the sup-norm defect of the update equation
+    they satisfy).  ``mass_in`` is the mass the step conserves: the mass of
+    its input, or the ``target_mass`` it was given.
     """
 
     u_next: np.ndarray
@@ -380,25 +371,6 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint
     return nu, lo, hi, values
 
 
-def solve_multiplier(
-    levels: ThresholdLevels, target_mass: float, lam: float
-) -> MultiplierSolution:
-    """Solve the mass balance equation for the multiplier ``nu``.
-
-    The solution set is a closed interval; the returned ``value`` is the
-    midpoint of that interval intersected with [0, lam], and ``lo``/``hi``
-    report the intersected interval.  Infinite ends (all-empty or all-full
-    targets) are reported clipped as well.
-    """
-    if lam == 1.0:
-        raise LambdaIsOne("the multiplier equation needs lam < 1")
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    target_mass = _check_target(target_mass, float(levels.weights.sum()))
-    nu, lo, hi, _ = _solve_profile(levels, target_mass, lam)
-    return MultiplierSolution(nu, max(lo, 0.0), min(hi, lam))
-
-
 def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
     """The step's subgradient, checked against the sign pattern at ``u_next``.
 
@@ -431,53 +403,9 @@ def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
     return np.clip(beta, -1.0, 1.0, out=beta)
 
 
-def recover_subgradient(
-    diffused: np.ndarray,
-    u_next: np.ndarray,
-    multiplier: "float | MboMultiplier",
-    params: SchemeParams,
-) -> np.ndarray:
-    """Rebuild the step's subgradient from the diffused input and multiplier.
-
-    ``diffused`` is the heat-evolved previous state (the step's only
-    dependence on it).  A float multiplier selects the relaxed form, an
-    :class:`MboMultiplier` the threshold form; the recovered vector is
-    validated against the sign pattern admissible at ``u_next`` and snapped
-    where rounding left dust.
-    """
-    diffused = np.asarray(diffused, dtype=float)
-    u_next = np.asarray(u_next, dtype=float)
-    if diffused.shape != u_next.shape:
-        raise InconsistentInputs("diffused state and new state differ in length")
-    if isinstance(multiplier, MboMultiplier) and params.lam != 1.0:
-        raise InconsistentInputs("threshold multiplier passed with lam < 1 parameters")
-    if not isinstance(multiplier, MboMultiplier) and params.lam == 1.0:
-        raise InconsistentInputs("scalar multiplier passed with lam = 1 parameters")
-    return _subgradient(diffused, u_next, multiplier, params.lam)
-
-
-def step_residual(
-    u_n: np.ndarray,
-    u_next: np.ndarray,
-    subgradient: np.ndarray,
-    g: Graph,
-    s: Spectrum,
-    params: SchemeParams,
-) -> float:
-    """Sup-norm defect of the update equation linking ``u_n`` to ``u_next``.
-
-    The equation balances the new state against its diffused predecessor,
-    the mean-zero relaxation term, and the mean-zero subgradient term; a
-    correct step leaves rounding-size defect only.
-    """
-    u_n = g.check_field(u_n)
-    u_next = g.check_field(u_next)
-    beta = g.check_field(subgradient)
-    diffused = diffuse(u_n, params.tau, s)
-    return _residual_from_diffused(diffused, u_next, beta, g, params)
-
-
 def _residual_from_diffused(diffused, u_next, beta, g, params):
+    """Sup-norm defect of the update equation ``u_next = diffused + lam (w - avg w)``,
+    with ``w = u_next + beta`` and ``avg`` the mean weighted by ``degrees_r``."""
     lam = params.lam
     total = _ones_mass(g)
     avg_next = float(np.dot(u_next, g.degrees_r)) / total

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -800,6 +801,35 @@ def test_cli_classes_flag_sets_the_state_width(tmp_path, capsys):
     assert err["error"] == "ParseError"
     assert "2 value(s)" in err["message"]
     assert not (tmp_path / "b").exists()
+
+
+def test_a_class_count_far_above_the_file_builds_no_table_that_wide(
+    tmp_path, capsys
+):
+    # the C reader must not be asked for a row wider than the file's first
+    # one: at 2e7 classes the table it builds for that row does not fit
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "0 0.5 0.5\n1 1 0\n2 0.25 0.75\n")
+    g = parse_graph_file(graph)
+    message = "line 1: expected a vertex index and 1000000 value(s)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_field_file(init, g, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 1_000_000
+    args = ["multiclass", "--graph", graph, "--init", init, "--eps", "0.4",
+            "--tau", "0.2", "--steps", "1", "--classes", str(10**6),
+            "--out", str(tmp_path / "o")]
+    assert cli_main(args) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ParseError", "message": message}
+    ]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_reads_the_state_file_once(tmp_path, monkeypatch):

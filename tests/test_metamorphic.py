@@ -1,0 +1,142 @@
+"""Whole-run metamorphic relations: the same run, described another way.
+
+Scaling every weight by ``c`` scales the degrees by ``c`` and the graph
+Laplacian by ``c**(1 - r)``.  Dividing ``tau`` and ``epsilon`` by that factor
+leaves the heat operator and ``lam = tau / epsilon`` unchanged, so a run
+visits the same states.  Its diagnostics scale: the mass and the Lyapunov
+value ``H`` by ``c**r``, the Ginzburg-Landau energy and ``H_tau`` by ``c``;
+the multiplier and the step change do not move.  Every factor here is a
+power of two, so each scaling is exact in floating point and bits are
+compared throughout.  Listing the edges in another order, each either way
+round, describes the same graph, so the run is the same too.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from graphphase import (
+    SchemeParams,
+    build_graph,
+    cli_main,
+    random_connected_graph,
+    run_trajectory,
+    spectral_decompose,
+    sweep_lambda,
+)
+
+N = 300
+STEPS = 30
+SCALINGS = [(0.5, 4.0), (1.0, 2.0), (0.0, 2.0)]  # (r, c): c**(1 - r) is 2 or 1
+LAMBDAS = [0.1, 0.5, 0.9, 0.99, 1.0 - 2.0**-12, 1.0 - 2.0**-20]
+
+
+def _instance(r, seed=21):
+    rng = np.random.default_rng([seed, int(4 * r)])
+    return random_connected_graph(N, rng, r=r, extra_edges=3 * N), rng.random(N)
+
+
+def _scaled(g, c):
+    return build_graph(g.num_vertices, [(i, j, c * w) for i, j, w in g.edges], r=g.r)
+
+
+def _run(g, mode, u0, shrink=1.0):
+    """An sd (lam = 0.25) or mbo run of ``STEPS`` steps, with tau and
+    epsilon divided by ``shrink``."""
+    if mode == "sd":
+        params = SchemeParams.from_epsilon(0.4 / shrink, 0.1 / shrink)
+    else:
+        params = SchemeParams.from_lambda(2.0 / shrink, 1.0)
+        u0 = (u0 > 0.5) * 1.0
+    return run_trajectory(u0, g, spectral_decompose(g), params, STEPS)
+
+
+def _factors(r, c):
+    return {"mass": c**r, "H": c**r, "H_tau": c, "GL": c}
+
+
+@pytest.mark.parametrize("mode", ["sd", "mbo"])
+@pytest.mark.parametrize("r,c", SCALINGS)
+def test_weight_scaling_keeps_the_run_and_scales_its_energies(r, c, mode):
+    g, u0 = _instance(r)
+    run = _run(g, mode, u0)
+    scaled = _run(_scaled(g, c), mode, u0, shrink=c ** (1.0 - r))
+    assert scaled.final_state.tobytes() == run.final_state.tobytes()
+    assert scaled.num_steps == run.num_steps
+    assert scaled.terminated_reason == run.terminated_reason
+    factors = _factors(r, c)
+    for entry, other in zip(run.log, scaled.log, strict=True):
+        for name, value in entry._asdict().items():
+            if value is not None:
+                value *= factors.get(name, 1.0)
+            assert getattr(other, name) == value, (entry.step, name)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_edge_order_and_orientation_keep_the_run(r):
+    g, u0 = _instance(r)
+    rng = np.random.default_rng(5)
+    edges = [g.edges[k] for k in rng.permutation(len(g.edges))]
+    edges = [(j, i, w) if flip else (i, j, w)
+             for (i, j, w), flip in zip(edges, rng.random(len(edges)) < 0.5)]
+    shuffled = build_graph(N, edges, r=r)
+    run, again = _run(g, "sd", u0), _run(shuffled, "sd", u0)
+    assert again.final_state.tobytes() == run.final_state.tobytes()
+    assert again.log == run.log
+
+
+@pytest.mark.parametrize("r,c", SCALINGS)
+def test_weight_scaling_keeps_the_sweep_rows(r, c):
+    g, u0 = _instance(r)
+    scaled = _scaled(g, c)
+    rows = sweep_lambda(u0, g, spectral_decompose(g), 0.1, LAMBDAS)
+    again = sweep_lambda(
+        u0, scaled, spectral_decompose(scaled), 0.1 / c ** (1.0 - r), LAMBDAS
+    )
+    assert again == rows
+
+
+def _write_graph(path, g, edges):
+    lines = [f"vertices {g.num_vertices} r {g.r!r}"]
+    lines += [f"{i} {j} {format(w, '.17g')}" for i, j, w in edges]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _cli_run(tmp_path, name, graph, init, epsilon, tau):
+    out = tmp_path / name
+    code = cli_main(["run", "--mode", "sd", "--graph", graph, "--init", init,
+                     "--eps", repr(epsilon), "--tau", repr(tau),
+                     "--steps", str(STEPS), "--out", str(out)])
+    assert code == 0
+    return (out / "log.csv").read_text(), (out / "final_state.txt").read_bytes()
+
+
+def test_cli_runs_agree_across_weight_scaling_and_edge_order(tmp_path):
+    # the parser and the writer sit inside the relations here
+    r, c = 0.5, 4.0
+    g, u0 = _instance(r, seed=23)
+    init = tmp_path / "u.txt"
+    init.write_text("".join(f"{v} {format(x, '.17g')}\n" for v, x in enumerate(u0)))
+    init = str(init)
+    plain = _write_graph(tmp_path / "g.txt", g, g.edges)
+    scaled = _write_graph(tmp_path / "gc.txt", g,
+                          [(i, j, c * w) for i, j, w in g.edges])
+    reordered = _write_graph(tmp_path / "gr.txt", g,
+                             [(j, i, w) for i, j, w in g.edges[::-1]])
+
+    log, state = _cli_run(tmp_path, "plain", plain, init, 0.4, 0.1)
+    assert _cli_run(tmp_path, "reordered", reordered, init, 0.4, 0.1) == (log, state)
+    scaled_log, scaled_state = _cli_run(tmp_path, "scaled", scaled, init, 0.2, 0.05)
+    assert scaled_state == state
+    factors = _factors(r, c)
+    rows = list(csv.DictReader(log.splitlines()))
+    scaled_rows = list(csv.DictReader(scaled_log.splitlines()))
+    assert len(scaled_rows) == len(rows) == STEPS + 1
+    for row, other in zip(rows, scaled_rows):
+        for name, text in row.items():
+            if name in factors:
+                assert float(other[name]) == float(text) * factors[name], name
+            else:
+                assert other[name] == text, name

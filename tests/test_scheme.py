@@ -26,11 +26,8 @@ from graphphase import (
     mbo_step,
     norm,
     random_connected_graph,
-    recover_subgradient,
     semi_discrete_step,
-    solve_multiplier,
     spectral_decompose,
-    step_residual,
     threshold_levels,
 )
 from graphphase import scheme
@@ -134,44 +131,33 @@ def _two_level_fixture():
 
 def test_solve_multiplier_two_levels():
     levels = _two_level_fixture()
-    sol = solve_multiplier(levels, 1.0, 0.5)
-    assert sol.value == 0.25
-    assert sol.lo == sol.hi == 0.25
+    nu, lo, hi, _ = scheme._solve_profile(levels, 1.0, 0.5)
+    assert nu == 0.25
+    assert lo == hi == 0.25
 
 
 def test_solve_multiplier_lambda_zero():
     levels = _two_level_fixture()
     # with lam = 0 the balance holds at nu = 0 and the state is untouched
-    sol = solve_multiplier(levels, 1.0, 0.0)
-    assert sol.value == 0.0
-    assert sol.lo <= 0.0 <= sol.hi
+    nu, lo, hi, _ = scheme._solve_profile(levels, 1.0, 0.0)
+    assert nu == 0.0
+    assert lo <= 0.0 <= hi
 
 
 def test_solve_multiplier_constant_level():
     g = build_graph(2, [(0, 1, 1.0)])
     levels = threshold_levels(np.array([0.6, 0.6]), g)
-    sol = solve_multiplier(levels, 1.2, 0.5)
-    assert_allclose(sol.value, 0.5 * 0.6, rtol=1e-14)
+    nu, _, _, _ = scheme._solve_profile(levels, 1.2, 0.5)
+    assert_allclose(nu, 0.5 * 0.6, rtol=1e-14)
 
 
 def test_solve_multiplier_full_mass_interval():
     g = build_graph(2, [(0, 1, 1.0)])
     levels = threshold_levels(np.array([1.0, 1.0]), g)
-    sol = solve_multiplier(levels, 2.0, 0.5)
-    assert_allclose(sol.value, 0.25, rtol=1e-14)  # midpoint of [0, lam]
-    assert sol.lo == 0.0 and sol.hi == 0.5
-
-
-def test_solve_multiplier_rejects():
-    levels = _two_level_fixture()
-    with pytest.raises(LambdaIsOne):
-        solve_multiplier(levels, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        solve_multiplier(levels, 1.0, -0.1)
-    with pytest.raises(MassOutOfRange):
-        solve_multiplier(levels, 3.0, 0.5)
-    with pytest.raises(MassOutOfRange):
-        solve_multiplier(levels, -1.0, 0.5)
+    nu, lo, hi, _ = scheme._solve_profile(levels, 2.0, 0.5)
+    assert_allclose(nu, 0.25, rtol=1e-14)  # midpoint of [0, lam]
+    # the interval before clipping into [0, lam]: every nu up to hi fills all
+    assert lo == -math.inf and hi == 0.5
 
 
 def test_multiplier_stays_in_scaled_value_range(random_graphs_with_spectra):
@@ -182,10 +168,10 @@ def test_multiplier_stays_in_scaled_value_range(random_graphs_with_spectra):
             u0 = rng.random(g.num_vertices)
             diffused = diffuse(u0, 0.3, s)
             levels = threshold_levels(diffused, g)
-            sol = solve_multiplier(levels, mass(u0, g), lam)
-            assert sol.value >= lam * levels.values[0] - 1e-12
-            assert sol.value <= lam * levels.values[-1] + 1e-12
-            assert sol.lo - 1e-15 <= sol.value <= sol.hi + 1e-15
+            nu, lo, hi, _ = scheme._solve_profile(levels, mass(u0, g), lam)
+            assert nu >= lam * levels.values[0] - 1e-12
+            assert nu <= lam * levels.values[-1] + 1e-12
+            assert lo - 1e-15 <= nu <= hi + 1e-15
 
 
 def test_balance_equation_holds_at_solution(random_graphs_with_spectra):
@@ -196,8 +182,8 @@ def test_balance_equation_holds_at_solution(random_graphs_with_spectra):
             diffused = diffuse(u0, 0.25, s)
             levels = threshold_levels(diffused, g)
             target = mass(u0, g)
-            sol = solve_multiplier(levels, target, lam)
-            filled = np.clip((levels.values - sol.value) / (1.0 - lam), 0.0, 1.0)
+            nu, _, _, _ = scheme._solve_profile(levels, target, lam)
+            filled = np.clip((levels.values - nu) / (1.0 - lam), 0.0, 1.0)
             assert_allclose(filled @ levels.weights, target, rtol=1e-9)
 
 
@@ -367,41 +353,6 @@ def test_mbo_uniqueness_detection(p2, p2_spectrum, triangle):
     assert mbo_is_unique(np.ones(3), triangle, s, 0.2)
 
 
-def test_recover_subgradient_matches_steps():
-    for g, s, u0, tau in _random_cases(10, seed=29):
-        diffused = diffuse(np.clip(u0, 0.0, 1.0), tau, s)
-        params = SchemeParams.from_lambda(tau=tau, lam=0.6)
-        result = semi_discrete_step(u0, g, s, params)
-        again = recover_subgradient(diffused, result.u_next, result.multiplier, params)
-        assert_allclose(again, result.subgradient, rtol=0, atol=0)
-
-        result = mbo_step(u0, g, s, tau)
-        params = SchemeParams.from_lambda(tau=tau, lam=1.0)
-        again = recover_subgradient(diffused, result.u_next, result.multiplier, params)
-        assert_allclose(again, result.subgradient, rtol=0, atol=0)
-
-
-def test_recover_subgradient_rejects_mismatches(p2, p2_spectrum):
-    diffused = diffuse(np.array([1.0, 0.0]), TAU_P2, p2_spectrum)
-    mbo_mult = MboMultiplier(level=1, threshold=0.75, fill=1.0)
-    with pytest.raises(InconsistentInputs):
-        recover_subgradient(
-            diffused, np.array([1.0, 0.0]), mbo_mult,
-            SchemeParams.from_lambda(tau=TAU_P2, lam=0.5),
-        )
-    with pytest.raises(InconsistentInputs):
-        recover_subgradient(
-            diffused, np.array([1.0, 0.0]), 0.25,
-            SchemeParams.from_lambda(tau=TAU_P2, lam=1.0),
-        )
-    with pytest.raises(InconsistentInputs):
-        # a multiplier far from the solved one breaks the sign pattern
-        recover_subgradient(
-            diffused, np.array([1.0, 0.0]), 0.7,
-            SchemeParams.from_lambda(tau=TAU_P2, lam=0.5),
-        )
-
-
 def test_subgradient_bounds_and_signs():
     for g, s, u0, tau in _random_cases(20, seed=31):
         for lam in (0.25, 0.75, 1.0):
@@ -437,20 +388,17 @@ def test_step_residual_detects_perturbation(p2, p2_spectrum):
     params = SchemeParams.from_lambda(tau=TAU_P2, lam=0.5)
     u0 = np.array([1.0, 0.0])
     result = semi_discrete_step(u0, p2, p2_spectrum, params)
-    good = step_residual(u0, result.u_next, result.subgradient, p2, p2_spectrum, params)
+    diffused = diffuse(u0, TAU_P2, p2_spectrum)
+
+    def residual(beta):
+        return scheme._residual_from_diffused(diffused, result.u_next, beta, p2, params)
+
+    good = residual(result.subgradient)
+    assert good == result.residual
     assert good <= 1e-12
-    bad = step_residual(
-        u0, result.u_next, result.subgradient + 0.1, p2, p2_spectrum, params
-    )
+    bad = residual(result.subgradient + 0.1)
     assert bad == good  # constant shifts of the subgradient are invisible
-    bad = step_residual(
-        u0,
-        result.u_next,
-        result.subgradient + np.array([0.1, 0.0]),
-        p2,
-        p2_spectrum,
-        params,
-    )
+    bad = residual(result.subgradient + np.array([0.1, 0.0]))
     assert bad > 1e-3
 
 
