@@ -31,6 +31,7 @@ from .errors import (
     DomainViolation,
     DuplicateEdge,
     GraphTooLarge,
+    InconsistentInputs,
     IndexOutOfRange,
     NegativeTime,
     NonPositiveWeight,
@@ -96,6 +97,11 @@ class Graph:
         if not np.all(np.isfinite(u)):
             raise DomainViolation("field has non-finite entries")
         return u
+
+    def check_spectrum(self, s: "Spectrum") -> None:
+        """Refuse a spectrum that was built on another graph."""
+        if s.graph is not self:
+            raise InconsistentInputs("spectrum was built on another graph")
 
 
 def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:

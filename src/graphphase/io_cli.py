@@ -12,8 +12,8 @@ numerics.  The commands read the argparse namespace as it is; the two flag
 combinations argparse cannot refuse (``run --mode sd`` without ``--eps`` and
 ``oracle-check --instances`` below 1) are refused by the command that reads
 them, before any file is read.  ``multiclass --classes`` below 2, zero
-included, is refused by :func:`parse_field_file` before it reads the state
-file.  The columns of ``log.csv`` are the fields of ``LogEntry``, in order.
+included, is refused by :func:`parse_field_file`.  The columns of
+``log.csv`` are the fields of ``LogEntry``, in order.
 """
 
 import argparse
@@ -59,6 +59,9 @@ __all__ = [
     "write_outputs",
     "cli_main",
 ]
+
+_FROM_FILE = object()  # num_classes read off the state file's first data line
+
 
 def _text(path):
     """The file as text mode reads it; a byte that is not UTF-8 is a
@@ -127,11 +130,7 @@ def _c_table(text, ints, size, header=False):
     if not text.isascii():
         return None
     lines = text.split("\n")
-    first = (0, None)
-    if header:
-        first = next(((number, tokens) for number, tokens
-                      in enumerate(map(str.split, lines), start=1)
-                      if tokens and not tokens[0].startswith("#")), None)
+    first = _first_line(lines) if header else (0, None)
     if first is None:
         return None
     row = next(filter(None, map(str.split, lines[first[0]:])), None)
@@ -145,6 +144,13 @@ def _c_table(text, ints, size, header=False):
     except ValueError:
         return None
     return first, np.column_stack([rows[name] for name, _ in columns])
+
+
+def _first_line(lines):
+    """``(number, tokens)`` of the first line not blank or ``#``, or None."""
+    return next(((number, tokens) for number, tokens
+                 in enumerate(map(str.split, lines), start=1)
+                 if tokens and not tokens[0].startswith("#")), None)
 
 
 def parse_graph_file(path: str) -> Graph:
@@ -199,11 +205,16 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
     a well-formed file is read by numpy's C reader, and the exact reader
     names any failure and gives the line numbers of the checks that name one.
     """
+    text = _text(path)
+    if num_classes is _FROM_FILE:
+        first = _first_line(text.split("\n"))
+        if first is None:
+            raise ParseError("state file has no data lines", line=1)
+        num_classes = len(first[1]) - 1
     if num_classes is not None and num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     width = 1 if num_classes is None else num_classes
     n = g.num_vertices
-    text = _text(path)
     fast = _c_table(text, 1, 1 + width)
     if fast is not None:
         table = fast[1]
@@ -307,19 +318,6 @@ def write_outputs(result, out_dir: str, mode: str, params: dict) -> list:
     return written
 
 
-def _infer_classes(path: str) -> int:
-    """Class count of a state file: the width of its first line that is not
-    blank or ``#``, as :func:`_tokens` reads them, less the vertex column."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for tokens in map(str.split, handle):
-                if tokens and not tokens[0].startswith("#"):
-                    return len(tokens) - 1
-    except UnicodeDecodeError:
-        _text(path)  # raises the error that names the byte
-    raise ParseError("state file has no data lines", line=1)
-
-
 def _scheme_params(args) -> SchemeParams:
     """The step's parameters, checked before any file is read.
 
@@ -350,8 +348,8 @@ def _cmd_run(args, report_params: dict) -> int:
 
 def _cmd_multiclass(args, report_params: dict) -> int:
     params = _scheme_params(args)
-    g, s, field = _load(args, _infer_classes(args.init_path)
-                        if args.num_classes is None else args.num_classes)
+    g, s, field = _load(args, _FROM_FILE if args.num_classes is None
+                        else args.num_classes)
     trajectory = run_multiclass_trajectory(
         field,
         g,

@@ -334,15 +334,15 @@ def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
     (:func:`_newton_step`; ``weights`` are the mass weights, ``None`` when
     masses are free).  A Newton point stands only if its displacement
     ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue
-    & Boyd 2020); otherwise, or on a singular system, the loop takes the
-    plain step from the last accepted point and then plain steps, twice as
-    many after each rejection, before it tries Newton again.  Every
+    & Boyd 2020); otherwise the loop steps on to the rejected point's own
+    image and takes plain steps, twice as many after each rejection, before
+    it tries Newton again; a singular system takes the plain step.  Every
     returned iterate is an image of ``G``, so it is feasible; a
     non-converged run hands back the image of least displacement.
     """
     current, correction, constants, inner = project(diffused)
     best = (math.inf, current, correction, constants)
-    accepted = None  # (point, image, displacement) last accepted
+    accepted = math.inf  # displacement of the last accepted point
     rejections = cooldown = 0
     newton = converged = False
     iterations = 0
@@ -357,19 +357,15 @@ def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
         if disp <= fp_tol:
             converged = True
             break
-        if newton and disp >= accepted[2]:
+        if newton and disp >= accepted:
             # trying Newton again at once from the rejected point can cycle;
-            # go back to the accepted point and wait longer each time
+            # step on from its image and wait longer after each rejection
             rejections += 1
             cooldown = 2**rejections
-            point, image, _ = accepted
-            # a step from ``point`` like the plain step below, so both round alike
-            current = point + (image - point)
-            newton = False
-            continue
+        else:
+            accepted = disp
         # from the projection of the bare diffusion a Newton step overshoots
-        newton = cooldown == 0 and accepted is not None
-        accepted = (current, image, disp)
+        newton = cooldown == 0 and iterations > 1
         if newton:
             try:
                 current = current + _newton_step(current, image, lam, weights)
@@ -448,9 +444,10 @@ def _solve_step(start, g, s, params, project, weights, max_iter, fp_tol, masses_
     returned iterate, subgradient and per-class constants included.
     ``weights`` go to the fixed point (``None`` when masses are free) and
     ``masses_in`` is reported as the step's ``class_masses_in``.  The
-    fixed-point settings are checked before any work is done.
+    fixed-point settings and the spectrum are checked before any work.
     """
     _check_settings(max_iter, fp_tol)
+    g.check_spectrum(s)
     diffused = diffuse(start, params.tau, s)
     lam = params.lam
     final, correction, constants, iterations, converged, inner = _fixed_point(

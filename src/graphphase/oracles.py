@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GraphTooLarge, LambdaIsOne, MassOutOfRange, NoConvergence
 from .graph_core import Graph, Spectrum, build_graph, diffuse, inner_product, mass, norm
-from .scheme import SchemeParams
+from .scheme import SchemeParams, _diffused_state
 
 __all__ = [
     "ExtremePoint",
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 12
+DESCENT_MAX_ITERS = 2000  # projected-gradient iterations before NoConvergence
+DESCENT_TOL = 1e-10       # weighted norm of the update that ends the descent
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,7 @@ def mbo_oracle(
     when its solution is unique the returned list is that single point.
     """
     u_n = g.check_field(u_n)
+    g.check_spectrum(s)
     diffused = diffuse(u_n, tau, s)
     points = enumerate_extreme_points(g, mass(u_n, g))
     scores = np.array([inner_product(p.values, diffused, g) for p in points])
@@ -136,36 +139,27 @@ def _project_box_plane(
 
 
 def variational_oracle(
-    u_n: np.ndarray,
-    g: Graph,
-    s: Spectrum,
-    params: SchemeParams,
-    step_size: "float | None" = None,
-    max_iters: int = 2000,
-    tol: float = 1e-10,
+    u_n: np.ndarray, g: Graph, s: Spectrum, params: SchemeParams
 ) -> np.ndarray:
     """Minimize the relaxed step's objective by projected gradient descent.
 
     The objective ``(1-lam)<u,u> - 2<u,diffused>`` is smooth and strongly
-    convex for ``lam < 1``; the default step size stays safely inside the
-    stable range for every such ``lam``.  Iterates stop when the weighted
-    norm of a full update falls below ``tol``.
+    convex for ``lam < 1``; the step size ``1 / (2 (2 - lam))`` stays safely
+    inside the stable range for every such ``lam``.  Iterates stop when the
+    weighted norm of a full update falls below ``DESCENT_TOL``.
     """
     if params.lam >= 1.0:
         raise LambdaIsOne("the relaxed objective needs lam < 1")
-    u = np.clip(g.check_field(u_n), 0.0, 1.0)
-    target_mass = mass(u, g)
-    diffused = diffuse(u, params.tau, s)
-    if step_size is None:
-        step_size = 0.5 / (1.0 - params.lam + 1.0)
+    u, target_mass, diffused = _diffused_state(u_n, g, s, params.tau)
+    step_size = 0.5 / (1.0 - params.lam + 1.0)
 
     objective = math.inf
-    for _ in range(max_iters):
+    for _ in range(DESCENT_MAX_ITERS):
         gradient = 2.0 * (1.0 - params.lam) * u - 2.0 * diffused
         candidate = _project_box_plane(u - step_size * gradient, g, target_mass)
         moved = norm(candidate - u, g)
         u = candidate
-        if moved <= tol:
+        if moved <= DESCENT_TOL:
             return u
         objective = (1.0 - params.lam) * inner_product(u, u, g) - 2.0 * inner_product(
             u, diffused, g

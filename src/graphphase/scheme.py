@@ -62,6 +62,7 @@ __all__ = [
 GROUP_TOL = 1e-12   # absolute tolerance for tying diffused values
 SNAP_TOL = 1e-12    # post-step snap of values this close to 0 or 1
 BOX_TOL = 1e-12     # admissible overshoot of [0, 1] on input states
+SIGN_TOL = 1e-8     # subgradient sign violations zeroed as rounding
 
 
 @dataclass(frozen=True)
@@ -371,7 +372,7 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint
     return nu, lo, hi, values
 
 
-def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
+def _subgradient(diffused, u_next, multiplier, lam) -> np.ndarray:
     """The step's subgradient, checked against the sign pattern at ``u_next``.
 
     The relaxed form is zero on strictly interior values.  Rounding-size sign
@@ -393,12 +394,12 @@ def _subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:
     if isinstance(multiplier, MboMultiplier):
         # the other forms are built exactly 0 off {0, 1}
         wrong |= (u_next > 0.0) & (u_next < 1.0) & (beta != 0.0)
-    if np.any(np.abs(beta[wrong]) > snap):
+    if np.any(np.abs(beta[wrong]) > SIGN_TOL):
         raise InconsistentInputs(
             "subgradient sign pattern violates the state beyond rounding"
         )
     beta[wrong] = 0.0
-    if np.abs(beta).max(initial=0.0) > 1.0 + snap:
+    if np.abs(beta).max(initial=0.0) > 1.0 + SIGN_TOL:
         raise InconsistentInputs("subgradient leaves [-1, 1]")
     return np.clip(beta, -1.0, 1.0, out=beta)
 
@@ -422,6 +423,7 @@ def _residual_from_diffused(diffused, u_next, beta, g, params):
 def _diffused_state(u_n, g, s, tau, diffused=None):
     """``u_n`` boxed, its mass, and its diffusion, reusing ``diffused`` if
     given; the caller checks a given ``diffused``."""
+    g.check_spectrum(s)
     u_n = _check_box(u_n, g)
     if diffused is None:
         diffused = diffuse(u_n, tau, s)
@@ -590,6 +592,7 @@ def lyapunov_gradient(
     inside the box are exactly its zeros.
     """
     u = g.check_field(u)
+    g.check_spectrum(s)
     if u.min() <= 0.0 or u.max() >= 1.0:
         raise BoundaryState("gradient needs a strictly interior state")
     avg = mass(u, g) / _ones_mass(g)
@@ -618,7 +621,7 @@ def dual_certificate(
     if isinstance(step.multiplier, MboMultiplier):
         raise InconsistentInputs("threshold steps carry no scalar multiplier")
     nu = float(step.multiplier)
-    diffused = diffuse(_check_box(u_n, g), params.tau, s)
+    _, _, diffused = _diffused_state(u_n, g, s, params.tau)
     u_next = g.check_field(step.u_next)
     s_comp = 1.0 - params.lam
 

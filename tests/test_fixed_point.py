@@ -95,7 +95,7 @@ def test_accelerated_matches_damped_reference():
 def test_well_posed_iterations_stay_few():
     # below lam = K / (2 (K - 1)) the plain map contracts at rate
     # lam * 2 (K - 1) / K and every Newton system is invertible: the 60
-    # plain and mass-conserving solves there take 336 iterations in all
+    # plain and mass-conserving solves there take 237 iterations in all
     iterations = []
     for g, s, field, params in _instances(seed=2609):
         num_classes = field.num_classes
@@ -106,30 +106,32 @@ def test_well_posed_iterations_stay_few():
             assert result.converged
             iterations.append(result.iterations)
     assert len(iterations) == 60
-    assert sum(iterations) <= 400
+    assert sum(iterations) <= 300
 
 
 def test_naive_safeguard_cycle_instance_converges():
-    # while the support still changes, Newton steps overshoot here four
-    # times; the safeguard and its cooldown carry the solve in 41
-    # iterations (61 without the cooldown, and a loop that extrapolated
-    # again at once after a rejection cycled with period 4 for its whole
-    # budget); the damped loop needs ~350
-    rng = np.random.default_rng(1011)
-    n = int(rng.integers(10, 80))
-    g = random_connected_graph(n, rng, r=1.0)
-    s = spectral_decompose(g)
-    for lam in (0.2, 0.5, 0.8, 0.95):
-        u = rng.uniform(0.0, 1.0, size=n)
-    params = SchemeParams.from_lambda(tau=0.4, lam=lam)
-    field = SimplexField(values=np.column_stack([u, 1.0 - u]), graph=g)
-    result = multiclass_mass_conserving_step(field, g, s, params)
-    assert result.converged
-    assert result.iterations <= 60
-    two_class = semi_discrete_step(u, g, s, params)
-    assert np.abs(result.u_next.values[:, 0] - two_class.u_next).max() <= 1e-10
-    damped = _damped(multiclass_mass_conserving_step, field, g, s, params)
-    assert damped.iterations > 300
+    # while the support still changes, Newton steps overshoot here: the
+    # first one, and on seed 1005 another, is rejected, and the plain step
+    # from its own image lands next to the fixed point, so the solves take
+    # 4 and 7 iterations (going back to the last accepted point instead
+    # cannot see that image; trying Newton again at once after a rejection
+    # cycles with period 4); the damped loop needs ~350
+    for seed in (1011, 1005):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 80))
+        g = random_connected_graph(n, rng, r=1.0)
+        s = spectral_decompose(g)
+        for lam in (0.2, 0.5, 0.8, 0.95):
+            u = rng.uniform(0.0, 1.0, size=n)
+        params = SchemeParams.from_lambda(tau=0.4, lam=lam)
+        field = SimplexField(values=np.column_stack([u, 1.0 - u]), graph=g)
+        result = multiclass_mass_conserving_step(field, g, s, params)
+        assert result.converged
+        assert result.iterations <= 10
+        two_class = semi_discrete_step(u, g, s, params)
+        assert np.abs(result.u_next.values[:, 0] - two_class.u_next).max() <= 1e-10
+        damped = _damped(multiclass_mass_conserving_step, field, g, s, params)
+        assert damped.iterations > 300
 
 
 def test_msd_trajectory_iterations_per_step():

@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,20 +14,37 @@ from graphphase import (
     DomainViolation,
     DuplicateEdge,
     GraphTooLarge,
+    InconsistentInputs,
     IndexOutOfRange,
     NegativeTime,
     NonPositiveWeight,
+    SchemeParams,
     SelfLoop,
+    SimplexField,
     average,
     build_graph,
+    converge_tau,
     diffuse,
     dirichlet_energy,
+    dual_certificate,
     inner_product,
     laplacian_apply,
+    lyapunov_energy,
+    lyapunov_gradient,
     mass,
+    mbo_is_unique,
+    mbo_oracle,
+    mbo_step,
+    multiclass_mass_conserving_step,
+    multiclass_step,
     norm,
     random_connected_graph,
+    run_multiclass_trajectory,
+    run_trajectory,
+    semi_discrete_step,
     spectral_decompose,
+    sweep_lambda,
+    variational_oracle,
 )
 from graphphase.graph_core import _apply_x, _chebyshev_interpolate, heat_remainder
 from references import DENSE_VERTEX_LIMIT, dense_diffuse, dense_spectrum
@@ -369,6 +387,47 @@ def test_spectrum_holds_the_graph_and_no_copy_of_its_edges():
     for mine, theirs in zip((s.graph.edge_i, s.graph.edge_j, s.graph.edge_w),
                             (g.edge_i, g.edge_j, g.edge_w)):
         assert np.shares_memory(mine, theirs)
+
+
+# every public function that takes a graph and a spectrum, called with the
+# spectrum s on the case c: state u, its two-class field U, graph g, params p
+# and the relaxed step from u
+SPECTRUM_USERS = {
+    "semi_discrete_step": lambda c, s: semi_discrete_step(c.u, c.g, s, c.p),
+    "mbo_step": lambda c, s: mbo_step(c.u, c.g, s, c.p.tau),
+    "mbo_is_unique": lambda c, s: mbo_is_unique(c.u, c.g, s, c.p.tau),
+    "lyapunov_energy": lambda c, s: lyapunov_energy(c.u, c.g, s, c.p),
+    "lyapunov_gradient": lambda c, s: lyapunov_gradient(c.u, c.g, s, c.p),
+    "dual_certificate": lambda c, s: dual_certificate(c.u, c.step, c.g, s, c.p),
+    "multiclass_step": lambda c, s: multiclass_step(c.U, c.g, s, c.p),
+    "multiclass_mass_conserving_step":
+        lambda c, s: multiclass_mass_conserving_step(c.U, c.g, s, c.p),
+    "mbo_oracle": lambda c, s: mbo_oracle(c.u, c.g, s, c.p.tau),
+    "variational_oracle": lambda c, s: variational_oracle(c.u, c.g, s, c.p),
+    "run_trajectory": lambda c, s: run_trajectory(c.u, c.g, s, c.p, 2),
+    "run_multiclass_trajectory":
+        lambda c, s: run_multiclass_trajectory(c.U, c.g, s, c.p, 2),
+    "sweep_lambda": lambda c, s: sweep_lambda(c.u, c.g, s, c.p.tau, [0.5]),
+    "converge_tau": lambda c, s: converge_tau(c.u, c.g, s, 0.4, 0.2, [0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_USERS))
+def test_a_spectrum_of_another_graph_is_refused(name):
+    # on two graphs of one size a diffusion with the other's spectrum runs
+    # and gives a wrong step; each function refuses it instead
+    rng = np.random.default_rng(29)
+    g, other = (random_connected_graph(8, rng, r=0.5) for _ in range(2))
+    u = rng.uniform(0.1, 0.9, size=8)
+    p = SchemeParams.from_lambda(tau=0.2, lam=0.5)
+    s = spectral_decompose(g)
+    case = SimpleNamespace(
+        u=u, U=SimplexField(values=np.column_stack([u, 1.0 - u]), graph=g),
+        g=g, p=p, step=semi_discrete_step(u, g, s, p),
+    )
+    SPECTRUM_USERS[name](case, s)
+    with pytest.raises(InconsistentInputs, match="another graph"):
+        SPECTRUM_USERS[name](case, spectral_decompose(other))
 
 
 def test_rescaled_laplacian_matches_laplacian_apply():

@@ -1,5 +1,7 @@
 """File format and command-line driver tests."""
 
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -833,24 +835,36 @@ def test_a_class_count_far_above_the_file_builds_no_table_that_wide(
 
 
 def test_cli_reads_the_state_file_once(tmp_path, monkeypatch):
-    # the class count comes from the first data line, not a pass of its own
+    # the class count comes from the first data line of the one text read,
+    # not a pass of its own: every way to open the path is counted
     graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
     init = _write(tmp_path, "u.txt",
                   "# state\n\n0 0.7 0.2 0.1\n1 0.3 0.4 0.3\n2 0.1 0.2 0.7\n")
     paths = []
-    read_text = io_cli._text
+    for module in (builtins, io, os):
+        def counted(path, *args, _open=module.open, **kwargs):
+            paths.append(str(path))
+            return _open(path, *args, **kwargs)
 
-    def counted(path):
-        paths.append(path)
-        return read_text(path)
-
-    monkeypatch.setattr(io_cli, "_text", counted)
+        monkeypatch.setattr(module, "open", counted)
     assert cli_main(["multiclass", "--graph", graph, "--init", init,
                      "--eps", "0.4", "--tau", "0.2", "--steps", "1",
                      "--out", str(tmp_path / "o")]) == 0
     assert paths.count(init) == 1
     final = (tmp_path / "o" / "final_state.txt").read_text().splitlines()
     assert [len(line.split()) for line in final] == [4, 4, 4]
+
+
+def test_cli_needs_a_data_line_to_count_the_classes(tmp_path, capsys):
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "# no rows\n\n")
+    assert cli_main(["multiclass", "--graph", graph, "--init", init,
+                     "--eps", "0.4", "--tau", "0.2", "--steps", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert _last_error(capsys) == {
+        "error": "ParseError", "message": "line 1: state file has no data lines"
+    }
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("classes", ["0", "1"])

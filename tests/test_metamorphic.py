@@ -8,7 +8,13 @@ value ``H`` by ``c**r``, the Ginzburg-Landau energy and ``H_tau`` by ``c``;
 the multiplier and the step change do not move.  Every factor here is a
 power of two, so each scaling is exact in floating point and bits are
 compared throughout.  Listing the edges in another order, each either way
-round, describes the same graph, so the run is the same too.
+round, describes the same graph, so the run is the same too.  Time scales
+with the Laplacian, so a step-size refinement whose ``epsilon``, ``t_final``
+and step sizes all shrink by ``c**(1 - r)`` compares the same states.
+
+Permuting the class columns of a multi-class state permutes every step.
+The force multiplies ``1 - U`` over the other classes in column order, so
+the permuted run rounds differently and agrees only to rounding.
 """
 
 import csv
@@ -18,8 +24,12 @@ import pytest
 
 from graphphase import (
     SchemeParams,
+    SimplexField,
     build_graph,
     cli_main,
+    converge_tau,
+    multiclass_mass_conserving_step,
+    multiclass_step,
     random_connected_graph,
     run_trajectory,
     spectral_decompose,
@@ -30,6 +40,7 @@ N = 300
 STEPS = 30
 SCALINGS = [(0.5, 4.0), (1.0, 2.0), (0.0, 2.0)]  # (r, c): c**(1 - r) is 2 or 1
 LAMBDAS = [0.1, 0.5, 0.9, 0.99, 1.0 - 2.0**-12, 1.0 - 2.0**-20]
+TIMES = (0.4, 0.4, (0.2, 0.1, 0.05))  # converge_tau's epsilon, t_final, taus
 
 
 def _instance(r, seed=21):
@@ -95,6 +106,61 @@ def test_weight_scaling_keeps_the_sweep_rows(r, c):
         u0, scaled, spectral_decompose(scaled), 0.1 / c ** (1.0 - r), LAMBDAS
     )
     assert again == rows
+
+
+@pytest.mark.parametrize("r,c", SCALINGS)
+def test_weight_scaling_keeps_the_tau_refinement(r, c):
+    # the distances between runs stay; the energies and the descent slack
+    # (GL against a squared weighted distance over a time) scale by c; the
+    # Lipschitz and Hoelder fields mix c**r norms with times and do not
+    # scale exactly at every (r, c), so they are left out
+    g, u0 = _instance(r)
+    scaled = _scaled(g, c)
+    shrink = c ** (1.0 - r)
+    epsilon, t_final, taus = TIMES
+    report = converge_tau(u0, g, spectral_decompose(g), epsilon, t_final, taus)
+    again = converge_tau(u0, scaled, spectral_decompose(scaled), epsilon / shrink,
+                         t_final / shrink, [tau / shrink for tau in taus])
+    assert again.grid_times == tuple(t / shrink for t in report.grid_times)
+    for name in ("step_counts", "matched_distance_matrix", "matched_distances",
+                 "distance_ratios"):
+        assert getattr(again, name) == getattr(report, name), name
+    for name in ("gl_grid_values", "energy_gaps", "energy_gap_bounds"):
+        assert getattr(again, name) == tuple(
+            c * value for value in getattr(report, name)
+        ), name
+    for name in ("gl_step_min_slack", "gl_max_rise"):
+        assert getattr(again, name) == c * getattr(report, name), name
+
+
+@pytest.mark.parametrize("order", [(1, 2, 0), (0, 2, 1)])
+@pytest.mark.parametrize(
+    "stepper", [multiclass_step, multiclass_mass_conserving_step]
+)
+def test_class_permutation_permutes_the_multiclass_steps(stepper, order):
+    # a 3-cycle and a swap of the columns; within rounding every step lands
+    # on the permuted state with the same fixed-point iteration count
+    rng = np.random.default_rng([31, 3])
+    n = 60
+    g = random_connected_graph(n, rng, r=0.5, extra_edges=3 * n)
+    s = spectral_decompose(g)
+    params = SchemeParams.from_epsilon(epsilon=0.4, tau=0.2)  # lam = 0.5
+    start = rng.dirichlet(np.ones(3), size=n)
+    back = np.argsort(order)
+    field = SimplexField(values=start, graph=g)
+    permuted = SimplexField(values=start[:, order], graph=g)
+    for _ in range(8):
+        step = stepper(field, g, s, params)
+        other = stepper(permuted, g, s, params)
+        assert step.converged and other.converged
+        assert other.iterations == step.iterations
+        for mine, theirs in ((step.u_next.values, other.u_next.values),
+                             (step.subgradient, other.subgradient)):
+            assert np.abs(theirs[:, back] - mine).max() <= 1e-13
+        assert np.abs(
+            other.class_masses_out[back] - step.class_masses_out
+        ).max() <= 1e-12
+        field, permuted = step.u_next, other.u_next
 
 
 def _write_graph(path, g, edges):
