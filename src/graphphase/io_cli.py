@@ -11,12 +11,12 @@ flags and that they have their types, and the library functions check the
 numerics.  The commands read the argparse namespace as it is; the two flag
 combinations argparse cannot refuse (``run --mode sd`` without ``--eps`` and
 ``oracle-check --instances`` below 1) are refused by the command that reads
-them, before any file is read.  ``multiclass --classes`` below 2, zero
-included, is refused by :func:`parse_field_file`.  The columns of
-``log.csv`` are the fields of ``LogEntry``, in order.
+them, before any file is read.  The columns of ``log.csv`` are the fields
+of ``LogEntry``, in order.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -41,7 +41,7 @@ from .graph_core import (
     inner_product,
     spectral_decompose,
 )
-from .multiclass import FP_TOL, MAX_ITER, SimplexField
+from .multiclass import SimplexField
 from .oracles import mbo_oracle, random_connected_graph, variational_oracle
 from .scheme import SchemeParams, dual_certificate, mbo_step, semi_discrete_step
 from .trajectory import (
@@ -111,45 +111,42 @@ def _table(numbers, counts, flat, ints, size, wrong_size, malformed):
     return np.array(values, dtype=float).reshape(-1, size)
 
 
-def _c_table(text, ints, size, header=False):
+def _c_table(text, lines, first, ints, size):
     """The table of :func:`_table`, read by numpy's C reader, or None.
 
-    Returns the first line not blank or ``#`` as ``(number, tokens)`` if it
-    is a ``header`` (else ``(0, None)``), and the lines after it as an
-    (E, size) float table, ``ints`` int64 columns and then float64 ones.
-    Returns None where the C reader refuses the file: a ``#`` line among
-    the data, syntax only ``int`` or ``float`` take (``1_0``, past int64), a
-    wrong token count, no data.  The C reader is asked for ``size`` columns
-    only if the first data line has them, so a wrong count there costs no
-    table that wide.  The exact reader then names the bad line or reads the
-    file.  Text that is not ASCII is not handed over, because
-    numpy's integer parser reads letters past ASCII as digits (U+01FE before
-    ``0`` as 4620) and crashes on some.  Where it accepts ASCII text, the C
-    reader reads the numbers ``int`` and ``float`` read.
+    ``lines`` is ``text`` split at line ends and ``first`` the
+    ``(number, tokens)`` of the table's first line (:func:`_first_line`);
+    the lines before it, blank, ``#`` or a header, are skipped.  Returns the
+    lines from ``first`` on as an (E, size) float table, ``ints`` int64
+    columns and then float64 ones.  Returns None where the C reader refuses
+    the file: no data, a ``#`` line among the data, syntax only ``int`` or
+    ``float`` take (``1_0``, past int64), a wrong token count.  The C reader
+    is asked for ``size`` columns only if the first data line has them, so
+    a wrong count there costs no table that wide.  The exact reader then
+    names the bad line or reads the file.  Text that is not ASCII is not
+    handed over, because numpy's integer parser reads letters past ASCII as
+    digits (U+01FE before ``0`` as 4620) and crashes on some.  Where it
+    accepts ASCII text, the C reader reads the numbers ``int`` and ``float``
+    read.
     """
-    if not text.isascii():
-        return None
-    lines = text.split("\n")
-    first = _first_line(lines) if header else (0, None)
-    if first is None:
-        return None
-    row = next(filter(None, map(str.split, lines[first[0]:])), None)
-    if row is None or len(row) != size:
+    if first is None or len(first[1]) != size or not text.isascii():
         return None  # no data, which np.loadtxt warns of, or the wrong width
     columns = [(f"c{c}", np.int64 if c < ints else np.float64)
                for c in range(size)]
     try:
         rows = np.loadtxt(lines, dtype=columns, comments=None, encoding="utf-8",
-                          skiprows=first[0], ndmin=1)
+                          skiprows=first[0] - 1, ndmin=1)
     except ValueError:
         return None
-    return first, np.column_stack([rows[name] for name, _ in columns])
+    return np.column_stack([rows[name] for name, _ in columns])
 
 
-def _first_line(lines):
-    """``(number, tokens)`` of the first line not blank or ``#``, or None."""
+def _first_line(lines, start=0):
+    """``(number, tokens)`` of the first line after line ``start`` that is
+    not blank or ``#``, or None."""
+    rest = map(str.split, itertools.islice(lines, start, None))
     return next(((number, tokens) for number, tokens
-                 in enumerate(map(str.split, lines), start=1)
+                 in enumerate(rest, start=start + 1)
                  if tokens and not tokens[0].startswith("#")), None)
 
 
@@ -166,14 +163,11 @@ def parse_graph_file(path: str) -> Graph:
     names its first bad line; it also gives the line numbers of a repeat.
     """
     text = _text(path)
-    fast = _c_table(text, 2, 3, header=True)
-    if fast is not None:
-        (number, tokens), edges = fast
-    else:
-        numbers, counts, flat = _tokens(text)
-        if not numbers:
-            raise ParseError("file has no header line", line=1)
-        number, tokens, edges = numbers[0], flat[:counts[0]], None
+    lines = text.split("\n")
+    header = _first_line(lines)
+    if header is None:
+        raise ParseError("file has no header line", line=1)
+    number, tokens = header
     if len(tokens) != 4 or tokens[0] != "vertices" or tokens[2] != "r":
         raise ParseError("expected header 'vertices N r R'", line=number)
     try:
@@ -182,7 +176,9 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(
             "header needs an integer count and a real exponent", line=number
         ) from None
+    edges = _c_table(text, lines, _first_line(lines, number), 2, 3)
     if edges is None:
+        numbers, counts, flat = _tokens(text)
         edges = _table(numbers[1:], counts[1:], flat[counts[0]:], 2, 3,
                        "expected 'i j w' edge line",
                        "edge needs two integer endpoints and a real weight")
@@ -206,19 +202,18 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
     names any failure and gives the line numbers of the checks that name one.
     """
     text = _text(path)
+    lines = text.split("\n")
+    head = _first_line(lines)
     if num_classes is _FROM_FILE:
-        first = _first_line(text.split("\n"))
-        if first is None:
+        if head is None:
             raise ParseError("state file has no data lines", line=1)
-        num_classes = len(first[1]) - 1
+        num_classes = len(head[1]) - 1
     if num_classes is not None and num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     width = 1 if num_classes is None else num_classes
     n = g.num_vertices
-    fast = _c_table(text, 1, 1 + width)
-    if fast is not None:
-        table = fast[1]
-    else:
+    table = _c_table(text, lines, head, 1, 1 + width)
+    if table is None:
         table = _table(*_tokens(text), 1, 1 + width,
                        f"expected a vertex index and {width} value(s)",
                        "malformed number")
@@ -348,8 +343,7 @@ def _cmd_run(args, report_params: dict) -> int:
 
 def _cmd_multiclass(args, report_params: dict) -> int:
     params = _scheme_params(args)
-    g, s, field = _load(args, _FROM_FILE if args.num_classes is None
-                        else args.num_classes)
+    g, s, field = _load(args, _FROM_FILE)
     trajectory = run_multiclass_trajectory(
         field,
         g,
@@ -357,8 +351,6 @@ def _cmd_multiclass(args, report_params: dict) -> int:
         params,
         max_steps=args.steps,
         conserve_masses=args.mode == "multiclass-msd",
-        max_iter=args.max_iter,
-        fp_tol=args.fp_tol,
     )
     write_outputs(trajectory, args.output_dir, args.mode, report_params)
     if not trajectory.converged:
@@ -392,7 +384,6 @@ def _cmd_converge(args, report_params: dict) -> int:
         epsilon=args.epsilon,
         t_final=args.t_final,
         taus=args.taus,
-        grid_points=args.grid_points,
     )
     # json writes the report's tuples as lists; epsilon and t_final are params
     rows = {
@@ -529,12 +520,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_eps(multi, required=True)
     multi.add_argument("--tau", type=float, required=True)
     multi.add_argument("--steps", type=int, required=True)
-    multi.add_argument(
-        "--classes", dest="num_classes", metavar="CLASSES", type=int,
-        help="class count (inferred)",
-    )
-    multi.add_argument("--fp-tol", type=float, default=FP_TOL)
-    multi.add_argument("--max-iter", type=int, default=MAX_ITER)
 
     sweep = commands.add_parser(
         "sweep-lambda", help="distance of the relaxed step to thresholding"
@@ -554,7 +539,6 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument(
         "--taus", type=_float_list, required=True, help="comma-separated"
     )
-    conv.add_argument("--grid-points", type=int, default=9)
 
     oracle = commands.add_parser(
         "oracle-check", help="run the built-in random oracle suite"

@@ -6,16 +6,17 @@ here have no closed-form solve, so both run safeguarded semismooth Newton
 steps on the fixed point around exact projections (the linear systems are
 invertible while lam < K / (2 (K - 1))) and are flagged experimental: every
 result reports its residual and a converged flag instead of assuming
-success.  The mass-conserving variant projects exactly onto the
-transportation polytope (simplex rows with prescribed class masses) by a
-semismooth Newton solve for its K multipliers on the monotone, piecewise-
-linear mass balance; they are the per-class constants of the update
-equation.  The tests check the projection against Dykstra's corrections and
-the Newton loop against the plain damped one (``tests/references.py``).
+success.  Each fixed point stops at a displacement of ``FP_TOL`` or after
+``MAX_ITER`` iterations; both are constants.  The mass-conserving variant
+projects exactly onto the transportation polytope (simplex rows with
+prescribed class masses) by a semismooth Newton solve for its K multipliers
+on the monotone, piecewise-linear mass balance; they are the per-class
+constants of the update equation.  The tests check the projection against
+Dykstra's corrections and the Newton loop against the plain damped one
+(``tests/references.py``).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,8 +44,8 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-10   # admissible defect of row sums on construction
 SIGMA_TOL = 1e-12     # admissible negative dust for simplex membership
-FP_TOL = 1e-10        # default fixed-point displacement tolerance
-MAX_ITER = 500        # default fixed-point iteration budget
+FP_TOL = 1e-10        # fixed-point displacement tolerance
+MAX_ITER = 500        # fixed-point iteration budget
 NEWTON_TOL = 1e-12    # class-mass defect of a projection, relative to 1 + max mass
 NEWTON_MAX_ITER = 50  # Newton steps per projection before NoConvergence
 RIDGE = 1e-9          # Jacobian ridge, relative to the total measure
@@ -324,7 +325,7 @@ def _step_length(matrix, weights, masses, mu, direction, x, balance):
     raise NoConvergence("mass projection line search did not settle")
 
 
-def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
+def _fixed_point(project, diffused, lam, weights):
     """Safeguarded semismooth Newton, shared by both multi-class steps.
 
     ``project`` maps a matrix to (feasible iterate, correction, constants,
@@ -336,9 +337,11 @@ def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
     ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue
     & Boyd 2020); otherwise the loop steps on to the rejected point's own
     image and takes plain steps, twice as many after each rejection, before
-    it tries Newton again; a singular system takes the plain step.  Every
-    returned iterate is an image of ``G``, so it is feasible; a
-    non-converged run hands back the image of least displacement.
+    it tries Newton again; a singular system takes the plain step.  The
+    loop ends at a displacement of ``FP_TOL`` or after ``MAX_ITER``
+    iterations, both read at each call.  Every returned iterate is an image
+    of ``G``, so it is feasible; a non-converged run hands back the image
+    of least displacement.
     """
     current, correction, constants, inner = project(diffused)
     best = (math.inf, current, correction, constants)
@@ -346,7 +349,7 @@ def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
     rejections = cooldown = 0
     newton = converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         target = diffused + lam * _force(current)
         image, correction, constants, spent = project(target)
         inner += spent
@@ -354,7 +357,7 @@ def _fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
         disp = float(np.abs(residual).max())
         if disp < best[0]:
             best = (disp, image, correction, constants)
-        if disp <= fp_tol:
+        if disp <= FP_TOL:
             converged = True
             break
         if newton and disp >= accepted:
@@ -428,30 +431,20 @@ def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
     return _row_center_exact(-correction / lam)
 
 
-def _check_settings(max_iter, fp_tol) -> None:
-    """Raise ``ValueError`` naming ``fp_tol`` unless it is finite and
-    positive, or ``max_iter`` unless it is an integer of at least 1."""
-    if not (math.isfinite(fp_tol) and fp_tol > 0):
-        raise ValueError(f"fp_tol must be finite and positive, got {fp_tol}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter}")
-
-
-def _solve_step(start, g, s, params, project, weights, max_iter, fp_tol, masses_in):
+def _solve_step(start, g, s, params, project, weights, masses_in):
     """Run the fixed point from ``start`` and certify the returned iterate.
 
     The residual is the sup-norm defect of the update equation at the
     returned iterate, subgradient and per-class constants included.
     ``weights`` go to the fixed point (``None`` when masses are free) and
     ``masses_in`` is reported as the step's ``class_masses_in``.  The
-    fixed-point settings and the spectrum are checked before any work.
+    spectrum is checked before any work.
     """
-    _check_settings(max_iter, fp_tol)
     g.check_spectrum(s)
     diffused = diffuse(start, params.tau, s)
     lam = params.lam
     final, correction, constants, iterations, converged, inner = _fixed_point(
-        project, diffused, lam, weights, max_iter, fp_tol
+        project, diffused, lam, weights
     )
     beta = _subgradient(correction, lam)
     defect = final - diffused - lam * _force(final) - lam * beta - constants
@@ -472,8 +465,6 @@ def multiclass_step(
     g: Graph,
     s: Spectrum,
     params,
-    max_iter: int = MAX_ITER,
-    fp_tol: float = FP_TOL,
 ) -> MultiClassStepResult:
     """One multi-class step: diffuse, then drift and re-project to the simplex.
 
@@ -488,9 +479,7 @@ def multiclass_step(
         return projected, matrix - projected, 0.0, 0
 
     start = _check_start(U_n, g)
-    return _solve_step(
-        start, g, s, params, project, None, max_iter, fp_tol, start.T @ g.degrees_r
-    )
+    return _solve_step(start, g, s, params, project, None, start.T @ g.degrees_r)
 
 
 def multiclass_mass_conserving_step(
@@ -498,8 +487,6 @@ def multiclass_mass_conserving_step(
     g: Graph,
     s: Spectrum,
     params,
-    max_iter: int = MAX_ITER,
-    fp_tol: float = FP_TOL,
     *,
     target_mass: np.ndarray | None = None,
 ) -> MultiClassStepResult:
@@ -542,6 +529,4 @@ def multiclass_mass_conserving_step(
         projected, mu, steps = _project_transport(matrix, g.degrees_r, masses_in, mu)
         return projected, matrix + mu - projected, mu - mu.sum() / mu.size, steps
 
-    return _solve_step(
-        start, g, s, params, project, g.degrees_r, max_iter, fp_tol, masses_in
-    )
+    return _solve_step(start, g, s, params, project, g.degrees_r, masses_in)

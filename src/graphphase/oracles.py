@@ -31,6 +31,8 @@ __all__ = [
 ENUMERATION_LIMIT = 12
 DESCENT_MAX_ITERS = 2000  # projected-gradient iterations before NoConvergence
 DESCENT_TOL = 1e-10       # weighted norm of the update that ends the descent
+PROJECTION_TOL = 1e-12    # drift and plane defect that end a box-plane projection
+PROJECTION_MAX_ROUNDS = 100_000  # Dykstra rounds before NoConvergence
 
 
 @dataclass(frozen=True)
@@ -107,25 +109,21 @@ def mbo_oracle(
     return best, argmax
 
 
-def _project_box_plane(
-    z: np.ndarray,
-    g: Graph,
-    target_mass: float,
-    tol: float = 1e-12,
-    max_rounds: int = 100_000,
-) -> np.ndarray:
+def _project_box_plane(z: np.ndarray, g: Graph, target_mass: float) -> np.ndarray:
     """Nearest point of ``[0,1]^V`` cut by the mass plane, weighted metric.
 
     Dykstra's scheme: alternate the plane shift and the box clamp, carrying
     the correction of the clamp only (the plane is affine, so its correction
     provably cancels).  Plain alternation without the correction converges
     into the intersection but not to the nearest point, which would bias the
-    oracle.
+    oracle.  Rounds stop once the drift falls to ``PROJECTION_TOL`` and the
+    plane defect to ``PROJECTION_TOL * (1 + |target_mass|)``.
     """
+    tol = PROJECTION_TOL
     total = float(g.degrees_r.sum())
     x = np.asarray(z, dtype=float)
     correction = np.zeros_like(x)
-    for _ in range(max_rounds):
+    for _ in range(PROJECTION_MAX_ROUNDS):
         shifted = x + (target_mass - float(np.dot(x, g.degrees_r))) / total
         relaxed = shifted + correction
         x_new = np.clip(relaxed, 0.0, 1.0)

@@ -27,10 +27,7 @@ from .graph_core import (
     norm,
 )
 from .multiclass import (
-    FP_TOL,
-    MAX_ITER,
     SimplexField,
-    _check_settings,
     multi_obstacle_energy,
     multiclass_mass_conserving_step,
     multiclass_step,
@@ -60,6 +57,7 @@ __all__ = [
 ]
 
 STATE_BUDGET = 10_000_000  # stored state entries before snapshot decimation
+GRID_POINTS = 9            # sample times asked of converge_tau, before merging
 
 
 class LogEntry(NamedTuple):
@@ -239,28 +237,23 @@ def run_multiclass_trajectory(
     params: SchemeParams,
     max_steps: int,
     conserve_masses: bool = True,
-    max_iter: int = MAX_ITER,
-    fp_tol: float = FP_TOL,
 ) -> Trajectory:
     """Iterate a multi-class step; Lyapunov columns stay empty in the log.
 
     The logged mass is the total over classes, the energy column carries the
     multi-class Ginzburg-Landau value, and ``converged`` goes false if any
-    inner fixed-point solve missed its tolerance (the run still continues
-    with the best iterate, which keeps the log honest).  A step whose
-    sup-norm change is at most 1e-12 ends the run.
+    inner fixed-point solve missed ``multiclass.FP_TOL`` within
+    ``multiclass.MAX_ITER`` iterations (the run still continues with the
+    best iterate, which keeps the log honest).  A step whose sup-norm
+    change is at most 1e-12 ends the run.
     """
-    # checked here too, so a run of zero steps refuses them as well
-    _check_settings(max_iter, fp_tol)
     stride = _choose_stride(g.num_vertices * U0.num_classes, max_steps)
     stepper = multiclass_mass_conserving_step if conserve_masses else multiclass_step
     # every step targets the starting class masses, as in run_trajectory
     targets = {"target_mass": U0.class_masses()} if conserve_masses else {}
 
     def advance(U, step):
-        result = stepper(
-            U, g, s, params, max_iter=max_iter, fp_tol=fp_tol, **targets
-        )
+        result = stepper(U, g, s, params, **targets)
         change = float(np.abs(result.u_next.values - U.values).max())
         _, GL = multi_obstacle_energy(result.u_next, g, params.epsilon)
         masses = float(result.class_masses_out.sum())
@@ -342,15 +335,15 @@ def converge_tau(
     epsilon: float,
     t_final: float,
     taus,
-    grid_points: int = 9,
 ) -> TauRefinementReport:
     """Refine the step size and measure self-convergence and regularity.
 
     Each tau runs ceil(t_final / tau) steps at lam = tau / epsilon.  The
-    report compares consecutive refinements at shared sample times, checks
-    the quadratic energy-descent inequality and plain monotonicity of the
-    energy along the finest run, and measures Lipschitz and Hoelder-1/2
-    quotients against their a-priori constants.
+    report compares consecutive refinements at up to ``GRID_POINTS`` shared
+    sample times (plus t_final), checks the quadratic energy-descent
+    inequality and plain monotonicity of the energy along the finest run,
+    and measures Lipschitz and Hoelder-1/2 quotients against their a-priori
+    constants.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -369,8 +362,6 @@ def converge_tau(
         raise TauExceedsEpsilon(
             f"step size {oversized[0]} exceeds interface width {epsilon}"
         )
-    if grid_points < 2:
-        raise ValueError(f"need at least two sample times, got {grid_points}")
 
     u0 = _check_box(u0, g)
     # the matched-time and Lipschitz checks index every state: none is dropped
@@ -393,7 +384,7 @@ def converge_tau(
     k_max = math.floor(t_final / coarse + 1e-12)
     # at most k_max + 1 distinct ticks: with spacing <= 1 rounding hits every
     # multiple from 0 to k_max, so more points add nothing
-    points = max(2, min(grid_points, k_max + 1))
+    points = max(2, min(GRID_POINTS, k_max + 1))
     ticks = sorted({round(j * k_max / (points - 1)) for j in range(points)})
     grid = [k * coarse for k in ticks]
     if grid[-1] < t_final - 1e-12 * t_final:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from graphphase import multiclass
 from graphphase.errors import (
     GraphTooLarge,
     InconsistentInputs,
@@ -152,7 +153,7 @@ def _project_masses(
     raise NoConvergence(f"mass projection did not settle in {max_rounds} rounds")
 
 
-def _damped_fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
+def _damped_fixed_point(project, diffused, lam, weights):
     """Damped fixed-point loop: the reference for the multi-class steps.
 
     Same contract as ``multiclass._fixed_point``, which accelerates it:
@@ -163,7 +164,8 @@ def _damped_fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
     force(x))``, halving ``omega`` for good after two consecutive rises of
     the displacement (oscillation).  Returns the image of least
     displacement with its correction and constants, the iteration count,
-    whether the displacement reached ``fp_tol``, and the inner iterations.
+    whether the displacement reached ``multiclass.FP_TOL`` within
+    ``multiclass.MAX_ITER`` iterations, and the inner iterations.
     """
     current, correction, constants, inner = project(diffused)
     omega = 1.0
@@ -172,14 +174,14 @@ def _damped_fixed_point(project, diffused, lam, weights, max_iter, fp_tol):
     best = (math.inf, current, correction, constants)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, multiclass.MAX_ITER + 1):
         target = diffused + lam * _force(current)
         proposed, correction, constants, spent = project(target)
         inner += spent
         disp = float(np.abs(proposed - current).max())
         if disp < best[0]:
             best = (disp, proposed, correction, constants)
-        if disp <= fp_tol:
+        if disp <= multiclass.FP_TOL:
             converged = True
             break
         if disp > previous_disp:

@@ -7,8 +7,9 @@ instances with one-hot rows, an empty class, K = 2 to 5 and lambda up to
 the simplex while lam < K / (2 (K - 1)); the linearisation is checked
 against a dense central-difference Jacobian of the map, and the plain-step
 fallback for a singular system against the damped loop.  Plus the instance
-on which Newton steps are rejected until the support settles, and iteration
-counts that guard the speed-up without timing anything.
+on which Newton steps are rejected until the support settles, iteration
+counts that guard the speed-up without timing anything, and the feasible
+image a step returns when its iteration budget runs out.
 """
 
 import math
@@ -277,20 +278,36 @@ def test_singular_newton_systems_fall_back_to_plain_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("stepper", STEPPERS)
-@pytest.mark.parametrize(
-    "settings",
-    [
-        {"fp_tol": math.nan},
-        {"fp_tol": -1.0},
-        {"fp_tol": 0.0},
-        {"fp_tol": math.inf},
-        {"max_iter": 0},
-        {"max_iter": 2.5},
-    ],
-)
-def test_fixed_point_settings_are_checked(p2, p2_spectrum, stepper, settings):
-    field = SimplexField(values=np.array([[0.7, 0.3], [0.2, 0.8]]), graph=p2)
+def test_a_spent_budget_returns_one_of_its_images(monkeypatch, stepper):
+    # three iterations cannot reach a displacement of 1e-16: the step comes
+    # back unconverged, and what it returns is one of the projection's images
+    monkeypatch.setattr(multiclass, "MAX_ITER", 3)
+    monkeypatch.setattr(multiclass, "FP_TOL", 1e-16)
+    images = []
+    fixed_point = multiclass._fixed_point
+
+    def recorded(project, *args):
+        def kept(matrix):
+            out = project(matrix)
+            images.append(out[0].copy())
+            return out
+
+        return fixed_point(kept, *args)
+
+    monkeypatch.setattr(multiclass, "_fixed_point", recorded)
+    rng = np.random.default_rng(23)
+    g = random_connected_graph(30, rng, r=0.5)
+    field = SimplexField(values=rng.dirichlet(np.ones(3), size=30), graph=g)
     params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
-    (name,) = settings
-    with pytest.raises(ValueError, match=name):
-        stepper(field, p2, p2_spectrum, params, **settings)
+    result = stepper(field, g, spectral_decompose(g), params)
+    assert result.converged is False
+    assert result.iterations == 3
+    values = result.u_next.values
+    assert values.min() >= 0.0
+    assert np.abs(values.sum(axis=1) - 1.0).max() <= 1e-12
+    if stepper is multiclass_mass_conserving_step:
+        masses = result.class_masses_in
+        drift = np.abs(result.class_masses_out - masses).max()
+        assert drift <= 1e-10 * (1.0 + masses.max())
+    assert len(images) == 4
+    assert any(np.array_equal(values, image) for image in images)

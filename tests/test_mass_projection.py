@@ -84,17 +84,17 @@ def test_projection_matches_dykstra():
         assert np.array_equal(x, multiclass._simplex_rows(matrix + mu))
 
 
-def test_two_class_projection_is_the_box_plane_projection():
+def test_two_class_projection_is_the_box_plane_projection(monkeypatch):
     # rows (u, 1-u): the nearest such matrix projects (z0 - z1 + 1) / 2 onto
     # the box cut by the mass plane of the first class
+    monkeypatch.setattr(oracles, "PROJECTION_TOL", 1e-15)
     rng = np.random.default_rng(77)
     for index in range(60):
         kind = KINDS[index % 4]
         g, matrix, masses = _instance(rng, (5, 20, 60)[index % 3], 2, kind)
         x, _, _ = _project(matrix, g, masses)
-        reference = oracles._project_box_plane(
-            0.5 * (matrix[:, 0] - matrix[:, 1] + 1.0), g, masses[0], tol=1e-15
-        )
+        z = 0.5 * (matrix[:, 0] - matrix[:, 1] + 1.0)
+        reference = oracles._project_box_plane(z, g, masses[0])
         assert np.abs(x[:, 0] - reference).max() <= 1e-12
 
 

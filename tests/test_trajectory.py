@@ -331,14 +331,18 @@ def test_converge_tau_validation(p2, p2_spectrum):
                          taus=taus)
 
 
-def test_converge_tau_grid_points_beyond_the_ticks_are_free(p2, p2_spectrum):
+def test_converge_tau_grid_points_beyond_the_ticks_are_free(
+    p2, p2_spectrum, monkeypatch
+):
     # t_final / tau_0 = 5 gives six distinct sample times however many grid
     # points are asked for; 1e8 of them took 25 s of set comprehension
     u0 = np.array([1.0, 0.0])
     kwargs = dict(epsilon=1.0, t_final=1.0, taus=[0.2, 0.1])
-    exact = converge_tau(u0, p2, p2_spectrum, grid_points=6, **kwargs)
+    monkeypatch.setattr(trajectory, "GRID_POINTS", 6)
+    exact = converge_tau(u0, p2, p2_spectrum, **kwargs)
+    monkeypatch.setattr(trajectory, "GRID_POINTS", 10**8)
     start = time.perf_counter()
-    many = converge_tau(u0, p2, p2_spectrum, grid_points=10**8, **kwargs)
+    many = converge_tau(u0, p2, p2_spectrum, **kwargs)
     elapsed = time.perf_counter() - start
     assert repr(many) == repr(exact)
     assert len(many.grid_times) == 6
