@@ -347,6 +347,15 @@ def diffuse(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
     stay inside ``[min u, max u]``, and for ``t > 0`` positivity spreads to
     every vertex of the connected graph.
     """
+    u = _check_heat_input(u, t, s)
+    if t == 0.0:
+        return u.copy()
+    return _chebyshev_series(u, _heat_coefficients(0.5 * t * s.bound), s)
+
+
+def _check_heat_input(u, t: float, s: Spectrum) -> np.ndarray:
+    """``u`` as floats, refused unless it is a finite vertex function or
+    (n, K) block on the graph of ``s``; ``t`` refused unless ``t >= 0``."""
     u = np.asarray(u, dtype=float)
     if u.shape[:1] != (s.num_vertices,) or u.ndim > 2:
         raise DimensionMismatch(
@@ -357,9 +366,7 @@ def diffuse(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
         raise DomainViolation("field has non-finite entries")
     if not t >= 0:
         raise NegativeTime(f"diffusion time must be >= 0, got {t}")
-    if t == 0.0:
-        return u.copy()
-    return _chebyshev_series(u, _heat_coefficients(0.5 * t * s.bound), s)
+    return u
 
 
 def _chebyshev_interpolate(f, degree: int) -> np.ndarray:
@@ -380,15 +387,17 @@ def _chebyshev_interpolate(f, degree: int) -> np.ndarray:
 
 
 def heat_remainder(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
-    """``(exp(-tL) - I + tL) u`` for ``t > 0``, without cancellation.
+    """``(exp(-tL) - I + tL) u`` for ``t >= 0``, without cancellation.
 
     The function ``expm1(-t lam) + t lam`` of the Laplacian is applied as
     its Chebyshev series in ``X``, interpolated at the degree of the heat
     series for the same ``t``: past degree 1 the two series have the same
     coefficients, so the cut is the same.  Small eigenvalues contribute
     ``O((t lam)**2)`` with full relative precision, where
-    ``diffuse(u) - u + t L u`` would lose it to the O(1) terms.
+    ``diffuse(u) - u + t L u`` would lose it to the O(1) terms.  ``u`` and
+    ``t`` are checked as :func:`diffuse` checks them.
     """
+    u = _check_heat_input(u, t, s)
     half = 0.5 * s.bound
 
     def weight(y):
@@ -397,4 +406,4 @@ def heat_remainder(u: np.ndarray, t: float, s: Spectrum) -> np.ndarray:
 
     degree = max(_heat_coefficients(t * half).size - 1, 2)
     coeffs = _chebyshev_interpolate(weight, degree)
-    return _chebyshev_series(np.asarray(u, dtype=float), coeffs, s)
+    return _chebyshev_series(u, coeffs, s)

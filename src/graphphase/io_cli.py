@@ -8,10 +8,11 @@ JSON line on stderr when it fails.
 
 Validation happens in two places: argparse checks that a command has its
 flags and that they have their types, and the library functions check the
-numerics.  The commands read the argparse namespace as it is; the two flag
-combinations argparse cannot refuse (``run --mode sd`` without ``--eps`` and
-``oracle-check --instances`` below 1) are refused by the command that reads
-them, before any file is read.  The columns of ``log.csv`` are the fields
+numerics.  The commands read the argparse namespace as it is; the three flag
+combinations argparse cannot refuse (``run --mode sd`` without ``--eps``,
+``sweep-lambda --lambdas`` with a repeated value and ``oracle-check
+--instances`` below 1) are refused by the command that reads them, before
+any file is read.  The columns of ``log.csv`` are the fields
 of ``LogEntry``, in order.
 """
 
@@ -365,6 +366,12 @@ def _cmd_multiclass(args, report_params: dict) -> int:
 
 
 def _cmd_sweep(args, report_params: dict) -> int:
+    # the report holds one row per lambda, keyed by its value
+    seen = set()
+    for lam in args.lambdas:
+        if lam in seen:
+            raise ValueError(f"lambda {_fmt(lam)} is repeated in --lambdas")
+        seen.add(lam)
     g, s, u0 = _load(args)
     rows = sweep_lambda(u0, g, s, args.tau, args.lambdas)
     table = {

@@ -107,11 +107,16 @@ class SchemeParams:
 class ThresholdLevels:
     """Distinct diffused values with their vertex measure.
 
-    ``values`` ascend strictly; ``weights[l]`` sums ``d_i**r`` over the
-    vertices of level ``l``; ``labels[i]`` is the level of vertex ``i``.
+    ``values`` ascend strictly; ``values[l]`` and ``tops[l]`` are the
+    smallest and the largest diffused value in level ``l``; ``weights[l]``
+    sums ``d_i**r`` over its vertices; ``labels[i]`` is the level of vertex
+    ``i``.  Every step's profile over the levels ascends with the level
+    index, and the vertices of a run of levels have their extreme diffused
+    values at its first level's ``values`` and its last level's ``tops``.
     """
 
     values: np.ndarray
+    tops: np.ndarray
     weights: np.ndarray
     labels: np.ndarray
 
@@ -141,8 +146,9 @@ class StepResult:
     """One accepted step with its optimality certificate.
 
     The certificate is ``multiplier`` (the mass multiplier), ``subgradient``
-    (the obstacle subgradient, checked against the sign pattern at
-    ``u_next``) and ``residual`` (the sup-norm defect of the update equation
+    (the obstacle subgradient, whose sign pattern at ``u_next`` is checked on
+    the ascending level profile by ``_check_profile`` before it is built)
+    and ``residual`` (the sup-norm defect of the update equation
     they satisfy).  ``mass_in`` is the mass the step conserves: the mass of
     its input, or the ``target_mass`` it was given.
     """
@@ -200,7 +206,8 @@ def threshold_levels(diffused: np.ndarray, g: Graph) -> ThresholdLevels:
 
     Values whose gap to the previous sorted value is at most ``GROUP_TOL``
     join the same level; the level value is the smallest member, so exact
-    ties (the symmetric case) keep their value bit for bit.
+    ties (the symmetric case) keep their value bit for bit; the largest
+    is the level's top.
     """
     diffused = g.check_field(diffused)
     order = np.argsort(diffused)
@@ -216,6 +223,7 @@ def threshold_levels(diffused: np.ndarray, g: Graph) -> ThresholdLevels:
     labels[order] = sorted_labels
     return ThresholdLevels(
         values=ordered[starts],
+        tops=ordered[np.append(starts[1:], True)],
         weights=np.bincount(sorted_labels, weights=g.degrees_r[order]),
         labels=labels,
     )
@@ -322,7 +330,8 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint
             nu = _clip_midpoint(lo, hi, lam)
         return nu, lo, hi, values
 
-    points = np.sort(np.concatenate([alphas - s, alphas]))
+    # two ascending runs, which the stable sort merges in one pass
+    points = np.sort(np.concatenate([alphas - s, alphas]), kind="stable")
 
     @functools.cache
     def balance(j: int) -> float:
@@ -359,24 +368,90 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint
     nu = _clip_midpoint(lo, hi, lam)
 
     values = np.clip((alphas - nu) / s, 0.0, 1.0)
-    near_zero = values <= SNAP_TOL
-    near_one = values >= 1.0 - SNAP_TOL
-    fractional = ~near_zero & ~near_one
-    if fractional.any():
+    # the values ascend: the levels snapped to 0 are a prefix, those snapped
+    # to 1 a suffix, and the fractional ones the slice between them
+    zeros = int(values.searchsorted(SNAP_TOL, side="right"))
+    ones = int(values.searchsorted(1.0 - SNAP_TOL, side="left"))
+    if zeros < ones:
         # snap boundary dust, then restore the mass on the fractional levels
-        values[near_zero] = 0.0
-        values[near_one] = 1.0
+        values[:zeros] = 0.0
+        values[ones:] = 1.0
         deficit = target_mass - float(values @ weights)
-        values[fractional] += deficit / float(weights[fractional].sum())
-        np.clip(values, 0.0, 1.0, out=values)
+        fractional = values[zeros:ones]
+        fractional += deficit / float(weights[zeros:ones].sum())
+        np.clip(fractional, 0.0, 1.0, out=fractional)
     return nu, lo, hi, values
 
 
-def _subgradient(diffused, u_next, multiplier, lam) -> np.ndarray:
-    """The step's subgradient, checked against the sign pattern at ``u_next``.
+def _beta_at(d, multiplier, lam, at_one=False) -> float:
+    """:func:`_subgradient` at a vertex with diffused value ``d`` and state
+    0, or 1 if ``at_one``, on Python floats: they overflow to inf without
+    a warning, as its quotients do under errstate."""
+    d = float(d)
+    if isinstance(multiplier, MboMultiplier):
+        return multiplier.threshold - d
+    nu = float(multiplier)
+    return (nu - d + (1.0 - lam)) / lam if at_one else (nu - d) / lam
 
-    The relaxed form is zero on strictly interior values.  Rounding-size sign
-    violations are zeroed; anything larger is refused.
+
+def _check_profile(levels, level_values, multiplier, lam) -> None:
+    """Refuse a step whose subgradient certificate fails, before it is built.
+
+    For ``0 < lam <= 1``, makes the refusals the sign pattern and bound of
+    :func:`_subgradient` call for on ``level_values[levels.labels]``, with
+    the same messages in the same order.  Every profile
+    :func:`_solve_profile` returns ascends with the level index inside
+    [0, 1]; one that does not is a solver fault, refused by the only O(L)
+    test here.  Then the levels at 0, the partly filled ones and those at 1
+    are a prefix, a slice and a suffix, and the subgradient does not rise
+    with the diffused value, in floating point too, so each test holds on
+    a set exactly when it holds at an end of it: two binary searches and
+    at most six scalars, O(log L).
+    """
+    count = level_values.size
+    if not (
+        level_values[0] >= 0.0
+        and level_values[-1] <= 1.0
+        and (level_values[1:] >= level_values[:-1]).all()
+    ):
+        raise InconsistentInputs("step profile does not ascend within [0, 1]")
+    zeros = int(level_values.searchsorted(0.0, side="right"))
+    ones = int(level_values.searchsorted(1.0, side="left"))
+    values, tops = levels.values, levels.tops
+    # a wrong sign within rounding is zeroed, so only values of the right
+    # sign can leave [-1, 1]: the largest at 0, the most negative at 1
+    wrong = leaves = False
+    if zeros:
+        # >= 0 at 0: least at the top of the prefix, greatest at its bottom
+        wrong = _beta_at(tops[zeros - 1], multiplier, lam) < -SIGN_TOL
+        leaves = _beta_at(values[0], multiplier, lam) > 1.0 + SIGN_TOL
+    if ones < count:
+        # <= 0 at 1: greatest at the bottom of the suffix, least at its top
+        bottom = _beta_at(values[ones], multiplier, lam, at_one=True)
+        top = _beta_at(tops[-1], multiplier, lam, at_one=True)
+        wrong = wrong or bottom > SIGN_TOL
+        leaves = leaves or -top > 1.0 + SIGN_TOL
+    if zeros < ones and isinstance(multiplier, MboMultiplier):
+        # 0 on partly filled threshold levels; the relaxed form is built 0
+        wrong = wrong or (
+            _beta_at(values[zeros], multiplier, lam) > SIGN_TOL
+            or _beta_at(tops[ones - 1], multiplier, lam) < -SIGN_TOL
+        )
+    if wrong:
+        raise InconsistentInputs(
+            "subgradient sign pattern violates the state beyond rounding"
+        )
+    if leaves:
+        raise InconsistentInputs("subgradient leaves [-1, 1]")
+
+
+def _subgradient(diffused, u_next, multiplier, lam) -> np.ndarray:
+    """The step's subgradient, the obstacle part of its certificate.
+
+    The relaxed form is zero on strictly interior values.  Its sign pattern
+    at ``u_next`` and its bound are checked on the ascending level profile
+    by :func:`_check_profile` first, so what is left is rounding: sign
+    violations are zeroed and the rest is clipped into [-1, 1].
     """
     at_zero = u_next == 0.0
     at_one = u_next == 1.0
@@ -384,7 +459,7 @@ def _subgradient(diffused, u_next, multiplier, lam) -> np.ndarray:
         beta = multiplier.threshold - diffused
     elif lam > 0.0:
         nu, s = float(multiplier), 1.0 - lam
-        # a quotient that overflows (lam near 0) is dropped or refused below
+        # a quotient that overflows (lam near 0) is zeroed or clipped below
         with np.errstate(over="ignore"):
             low, high = (nu - diffused) / lam, (nu - diffused + s) / lam
         beta = np.where(at_zero, low, np.where(at_one, high, 0.0))
@@ -394,13 +469,7 @@ def _subgradient(diffused, u_next, multiplier, lam) -> np.ndarray:
     if isinstance(multiplier, MboMultiplier):
         # the other forms are built exactly 0 off {0, 1}
         wrong |= (u_next > 0.0) & (u_next < 1.0) & (beta != 0.0)
-    if np.any(np.abs(beta[wrong]) > SIGN_TOL):
-        raise InconsistentInputs(
-            "subgradient sign pattern violates the state beyond rounding"
-        )
     beta[wrong] = 0.0
-    if np.abs(beta).max(initial=0.0) > 1.0 + SIGN_TOL:
-        raise InconsistentInputs("subgradient leaves [-1, 1]")
     return np.clip(beta, -1.0, 1.0, out=beta)
 
 
@@ -443,9 +512,12 @@ def _step_result(diffused, u_next, multiplier, mass_in, g, params) -> StepResult
 
 
 def _level_step(levels, mass_in, lam, hint=None):
-    """New state and multiplier for ``0 < lam <= 1`` from the grouped values.
+    """Certified new level values and multiplier for ``0 < lam <= 1``.
 
-    At ``lam = 1`` the multiplier is read off the threshold profile: the
+    Vertex ``i`` takes ``level_values[levels.labels[i]]``.  The values
+    ascend with the level index, and :func:`_check_profile` refuses the
+    step on them wherever its subgradient certificate would fail.  At
+    ``lam = 1`` the multiplier is read off the threshold profile: the
     lowest level not left empty, its value and its fill; the top level if
     all are empty, as no diffused value lies above its threshold.
     """
@@ -458,7 +530,8 @@ def _level_step(levels, mass_in, lam, hint=None):
         )
     else:
         multiplier = nu
-    return level_values[levels.labels], multiplier
+    _check_profile(levels, level_values, multiplier, lam)
+    return level_values, multiplier
 
 
 def _step(u_n, g, s, params, diffused, target_mass, hint=None) -> StepResult:
@@ -471,7 +544,8 @@ def _step(u_n, g, s, params, diffused, target_mass, hint=None) -> StepResult:
         u_next = np.clip(diffused, 0.0, 1.0)
         return _step_result(diffused, u_next, 0.0, mass_in, g, params)
     levels = threshold_levels(diffused, g)
-    u_next, multiplier = _level_step(levels, mass_in, params.lam, hint)
+    level_values, multiplier = _level_step(levels, mass_in, params.lam, hint)
+    u_next = level_values[levels.labels]
     return _step_result(diffused, u_next, multiplier, mass_in, g, params)
 
 

@@ -38,7 +38,6 @@ from .scheme import (
     _check_box,
     _diffused_state,
     _level_step,
-    _subgradient,
     ginzburg_landau,
     lyapunov_energy,
     mbo_step,
@@ -277,7 +276,11 @@ def sweep_lambda(
     Distances collapse to 0 once lambda passes an instance-dependent
     threshold below 1: the relaxed minimizer stops moving and equals the
     thresholding output exactly.  Rows keep the input order.  All steps
-    start from ``u0``, so its diffusion and level grouping are done once.
+    start from ``u0``, so its diffusion and level grouping are done once,
+    and each step stays on the levels: its ascending profile is certified
+    by ``scheme._check_profile`` in O(log L), refusing where the public
+    step refuses, and the distance is taken over the levels, which equals
+    the sup over the vertices bit for bit as every level holds a vertex.
     Each multiplier solve is seeded with the line through the previous two
     solved multipliers, which changes its cost and never its result.
     """
@@ -290,15 +293,9 @@ def sweep_lambda(
         if lam <= 0.0:
             raise ValueError(f"sweep requires lambda > 0, got {lam}")
         SchemeParams.from_lambda(tau=tau, lam=lam)  # refuses a NaN lam or a bad tau
-    u0, mass_in, diffused = _diffused_state(u0, g, s, tau)
+    _, mass_in, diffused = _diffused_state(u0, g, s, tau)
     levels = scheme.threshold_levels(diffused, g)
-
-    def step(lam, hint=None):
-        u_next, multiplier = _level_step(levels, mass_in, lam, hint)
-        _subgradient(diffused, u_next, multiplier, lam)  # refuses a bad step
-        return u_next, multiplier
-
-    reference, _ = step(1.0)
+    reference, _ = _level_step(levels, mass_in, 1.0)
     rows = []
     last = before = None  # (lam, nu) of the latest two solves
     for lam in lambdas:
@@ -307,9 +304,9 @@ def sweep_lambda(
             # plain floats: an overflow gives inf or NaN, still a valid hint
             slope = (last[1] - before[1]) / (last[0] - before[0])
             hint = last[1] + slope * (lam - last[0])
-        u_next, nu = step(lam, hint)
+        level_values, nu = _level_step(levels, mass_in, lam, hint)
         before, last = last, (lam, nu)
-        rows.append(SweepRow(lam, float(np.abs(u_next - reference).max())))
+        rows.append(SweepRow(lam, float(np.abs(level_values - reference).max())))
     return tuple(rows)
 
 

@@ -6,7 +6,8 @@ diffusion of :mod:`graphphase.graph_core`, Dykstra's alternating corrections
 between the row simplices and the class-mass planes (Boyle & Dykstra 1986)
 for the exact multi-class mass projection, the plain damped iteration for
 the accelerated multi-class fixed point, the boolean-masked subgradient for
-the mask-free certificate of the two-class steps, and a composed fine-step
+the mask-free certificate of the two-class steps and the refusals of its
+check on the level profile, and a composed fine-step
 flow for time-step refinement studies.  The package never calls them; they
 live here so that it ships only what it runs.
 """

@@ -1,7 +1,8 @@
 """The seeded multiplier search, the vectorised level grouping, the
-threshold step read off the relaxed profile and the mask-free certificate,
-against the full breakpoint scan, the per-vertex loop, the separate
-threshold fill and the boolean-masked subgradient they replaced.
+threshold step read off the relaxed profile, the mask-free certificate and
+its O(log L) check on the level profile, against the full breakpoint scan,
+the per-vertex loop, the separate threshold fill and the boolean-masked
+subgradient they replaced.
 
 Every fast path evaluates the same floating-point expressions as the code it
 replaced, so every output must match exactly, not to a tolerance.
@@ -38,18 +39,24 @@ def loop_threshold_levels(diffused, g):
     order = np.argsort(diffused, kind="stable")
     labels = np.empty(g.num_vertices, dtype=int)
     values = []
+    tops = []
     weights = []
     previous = None
     for idx in order:
         x = float(diffused[idx])
         if previous is None or x - previous > GROUP_TOL:
             values.append(x)
+            tops.append(x)
             weights.append(0.0)
         labels[idx] = len(values) - 1
+        tops[-1] = x
         weights[-1] += g.degrees_r[idx]
         previous = x
     return ThresholdLevels(
-        values=np.asarray(values), weights=np.asarray(weights), labels=labels
+        values=np.asarray(values),
+        tops=np.asarray(tops),
+        weights=np.asarray(weights),
+        labels=labels,
     )
 
 
@@ -245,6 +252,7 @@ def test_threshold_step_is_the_lambda_one_profile(instances, monkeypatch):
     monkeypatch.setattr(
         scheme, "_step_result", lambda diffused, u_next, mult, *rest: (u_next, mult)
     )
+    monkeypatch.setattr(scheme, "_check_profile", lambda *args: None)
     rng, cases = instances
     filled = clamped = underflow = 0
     for g, diffused, lam in cases:
@@ -254,11 +262,11 @@ def test_threshold_step_is_the_lambda_one_profile(instances, monkeypatch):
         # above 0, the clamp at the total and the running-sum gap, plus the
         # full budget
         for target in [*_targets(rng, levels, lam), total]:
-            u_next, multiplier = scheme._level_step(levels, target, 1.0)
+            level_values, multiplier = scheme._level_step(levels, target, 1.0)
             ref_u_next, ref_multiplier = fill_threshold_step(
                 diffused, levels, target, g, 0.5
             )
-            assert np.array_equal(u_next, ref_u_next)
+            assert np.array_equal(level_values[levels.labels], ref_u_next)
             assert multiplier == ref_multiplier
             assert type(multiplier.level) is int
             filled += 0.0 < multiplier.fill < 1.0
@@ -422,13 +430,48 @@ def _outcome(subgradient, diffused, u_next, multiplier, lam):
         return str(exc)
 
 
+def _solved(levels, target, lam):
+    """The solve's level profile and multiplier, read as the level step
+    reads them but not checked."""
+    nu, _, _, profile = scheme._solve_profile(levels, target, lam)
+    if lam < 1.0:
+        return profile, nu
+    filled = np.flatnonzero(profile)
+    k = int(filled[0]) if filled.size else levels.num_levels - 1
+    return profile, MboMultiplier(k, float(levels.values[k]), float(profile[k]))
+
+
+def _checked_outcome(levels, diffused, profile, multiplier, lam):
+    """The level check, then the subgradient of the gathered state, as a
+    step makes them: the subgradient's bits or the refusal's message."""
+    try:
+        if lam > 0.0:  # the plain diffusion of lam = 0 has nothing to check
+            scheme._check_profile(levels, profile, multiplier, lam)
+    except InconsistentInputs as exc:
+        return str(exc)
+    return _outcome(
+        scheme._subgradient, diffused, profile[levels.labels], multiplier, lam
+    )
+
+
+def _shifted(multiplier, shift):
+    if isinstance(multiplier, MboMultiplier):
+        return multiplier._replace(threshold=multiplier.threshold + shift)
+    return multiplier + shift
+
+
 def test_subgradient_matches_the_masked_reference():
-    # the mask-free certificate returns the masked one's bits, signed zeros
-    # included, and refuses what it refuses with the same message
+    # the level check and the mask-free subgradient return the masked
+    # subgradient's bits, signed zeros included, and refuse what it refuses
+    # with the same message, on ascending profiles: the solved one, one
+    # under a shifted multiplier and another target's.  A state that no
+    # solve makes, such as a profile with single vertices flipped, is
+    # outside the check's contract and no longer compared
     rng = np.random.default_rng(4411)
     certified = refused = signed = 0
     for _ in range(400):
         n = int(rng.integers(5, 40))
+        g = random_connected_graph(n, rng, r=0.5)
         lam = float(rng.choice([0.0, 0.25, 0.6, 0.9, 1.0 - 2.0**-30, 1.0]))
         s = 1.0 - lam
         if rng.random() < 0.5:
@@ -436,35 +479,33 @@ def test_subgradient_matches_the_masked_reference():
             # where diffused is +0.0 and u_next is 0
             nu = float(rng.choice([0.0, -0.0]))
             diffused = rng.choice([0.0, -0.0, 0.5 * s, s, s + 0.5 * lam], size=n)
+            levels = threshold_levels(diffused, g)
             if lam == 1.0:
-                u_next, multiplier = (diffused > 0.0) * 1.0, MboMultiplier(0, nu, 1.0)
+                profile = (levels.values > 0.0) * 1.0
+                multiplier = MboMultiplier(0, nu, 1.0)
             else:
-                u_next, multiplier = np.clip((diffused - nu) / s, 0.0, 1.0), nu
+                profile, multiplier = np.clip((levels.values - nu) / s, 0.0, 1.0), nu
         else:
-            g = random_connected_graph(n, rng, r=0.5)
             diffused = rng.uniform(0.0, 1.0, size=n)
             diffused[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            levels = threshold_levels(diffused, g)
             if lam == 0.0:
-                u_next, multiplier = np.clip(diffused, 0.0, 1.0), 0.0
+                profile, multiplier = np.clip(levels.values, 0.0, 1.0), 0.0
             else:
-                levels = threshold_levels(diffused, g)
                 total = float(levels.weights.sum())
-                u_next, multiplier = scheme._level_step(
-                    levels, total * rng.random(), lam
-                )
-        variants = [(u_next, multiplier)]
-        bad = u_next.copy()
-        flips = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
-        bad[flips] = rng.choice([0.0, 1.0, 0.5], size=flips.size)
-        variants.append((bad, multiplier))
-        if isinstance(multiplier, MboMultiplier):
-            shifted = multiplier._replace(threshold=multiplier.threshold + 0.3)
-        else:
-            shifted = multiplier + float(rng.choice([-0.3, 0.3]))
-        variants.append((u_next, shifted))
+                profile, multiplier = _solved(levels, total * rng.random(), lam)
+        total = float(levels.weights.sum())
+        other, _ = _solved(levels, total * rng.random(), lam)
+        variants = [
+            (profile, multiplier),
+            (profile, _shifted(multiplier, float(rng.choice([-0.3, 0.3])))),
+            (other, multiplier),
+        ]
         for state, mult in variants:
-            fast = _outcome(scheme._subgradient, diffused, state, mult, lam)
-            slow = _outcome(masked_subgradient, diffused, state, mult, lam)
+            fast = _checked_outcome(levels, diffused, state, mult, lam)
+            slow = _outcome(
+                masked_subgradient, diffused, state[levels.labels], mult, lam
+            )
             assert fast == slow
             if isinstance(fast, bytes):
                 certified += 1
@@ -475,3 +516,108 @@ def test_subgradient_matches_the_masked_reference():
     assert certified >= 400
     assert refused >= 200
     assert signed >= 20
+
+
+def _edge_multipliers(levels, profile, multiplier, lam):
+    """For each end the check reads, the multiplier that puts its test
+    halfway through the level it reads, between the level's smallest and
+    largest member: ``(level, state there, bound of the test)``."""
+    zeros = int(profile.searchsorted(0.0, side="right"))
+    ones = int(profile.searchsorted(1.0, side="left"))
+    count = profile.size
+    tol = scheme.SIGN_TOL
+    ends = []
+    if zeros:
+        ends += [(zeros - 1, 0.0, -tol), (0, 0.0, 1.0 + tol)]
+    if ones < count:
+        ends += [(ones, 1.0, tol), (count - 1, 1.0, -1.0 - tol)]
+    if zeros < ones:
+        ends += [(zeros, 0.0, tol), (ones - 1, 0.0, -tol)]
+    edges = []
+    for level, state, bound in ends:
+        middle = 0.5 * float(levels.values[level] + levels.tops[level])
+        if isinstance(multiplier, MboMultiplier):
+            edges.append(multiplier._replace(threshold=bound + middle))
+        else:
+            edges.append(bound * lam + middle - state * (1.0 - lam))
+    return edges
+
+
+def test_check_profile_refuses_where_the_masked_reference_does(instances):
+    # the O(log L) check reads the smallest member (the value) of a set's
+    # first level and the largest (the top) of its last.  Chains of
+    # sub-tolerance gaps from a signed zero and from 1 make levels whose two
+    # members differ, and the edge multipliers put each test the check
+    # makes between them, so reading one member where the other is needed
+    # is caught
+    rng = np.random.default_rng(20261020)
+    lams = (5e-324, 0.25, 0.9, 1.0 - 2.0**-30, 1.0)
+    graphs = [random_connected_graph(n, rng, r=0.5) for n in (8, 19, 35)]
+    messages = {}
+    profiles = 0
+    for index in range(120):
+        g = graphs[index % len(graphs)]
+        lam = lams[index // len(graphs) % len(lams)]
+        n = g.num_vertices
+        diffused = _diffused(rng, n, min(lam, 0.9999))
+        shape = index % 4  # unclipped with both chains, or clipped with
+        if shape:          # the low chain, the high one or both
+            diffused = np.clip(diffused, 0.0, 1.0)  # exact ties at 0 and 1
+        chain = GROUP_TOL * 0.999 * np.arange(4)
+        picks = rng.choice(n, size=8, replace=False)
+        if shape != 2:
+            diffused[picks[:4]] = chain
+            diffused[picks[0]] = rng.choice([0.0, -0.0])
+        if shape != 1:
+            diffused[picks[4:]] = 1.0 + chain
+        levels = threshold_levels(diffused, g)
+        weights, suffix = levels.weights, levels.suffix
+        # random targets, and the lowest and the highest level half filled
+        targets = [
+            *(float(weights.sum()) * rng.random(2)),
+            float(suffix[1] + 0.5 * weights[0]),
+            float(0.5 * weights[-1]),
+        ]
+        for target in targets:
+            profile, multiplier = _solved(levels, target, lam)
+            other, _ = _solved(levels, float(weights.sum()) * rng.random(), lam)
+            variants = [
+                (profile, multiplier),
+                (profile, _shifted(multiplier, float(rng.choice([-0.3, 0.3])))),
+                (other, multiplier),
+                *(
+                    (profile, edge)
+                    for edge in _edge_multipliers(levels, profile, multiplier, lam)
+                ),
+            ]
+            for state, mult in variants:
+                assert np.all(state[1:] >= state[:-1])
+                fast = _checked_outcome(levels, diffused, state, mult, lam)
+                with np.errstate(over="ignore"):  # the quotients at 5e-324
+                    slow = _outcome(
+                        masked_subgradient, diffused, state[levels.labels], mult, lam
+                    )
+                assert fast == slow, (index, lam, target)
+                profiles += 1
+                if isinstance(fast, str):
+                    messages[fast] = messages.get(fast, 0) + 1
+    assert profiles >= 400
+    assert len(messages) == 2
+    assert min(messages.values()) >= 50
+    assert profiles - sum(messages.values()) >= 200  # and many certified
+    # every profile a solve returns ascends inside [0, 1], which is what
+    # lets the check read only the ends of its sets
+    targets_rng = np.random.default_rng(20261021)
+    _, cases = instances
+    for g, diffused, lam in cases:
+        levels = threshold_levels(diffused, g)
+        for target in _targets(targets_rng, levels, lam):
+            values = scheme._solve_profile(levels, target, lam)[3]
+            assert 0.0 <= values[0] and values[-1] <= 1.0
+            assert np.all(values[1:] >= values[:-1])
+    # a profile that does not, a solver fault, is refused, never certified
+    levels = threshold_levels(diffused, g)
+    profile, multiplier = _solved(levels, 0.5 * float(levels.weights.sum()), lam)
+    for fault in (profile[::-1], profile - 0.5, profile + 0.5):
+        with pytest.raises(InconsistentInputs, match="does not ascend"):
+            scheme._check_profile(levels, fault, multiplier, lam)

@@ -564,6 +564,38 @@ def test_chebyshev_interpolation_matches_chebinterpolate(x):
         assert_allclose(got, expected, rtol=0, atol=1e-13 * abs(expected).max())
 
 
+@pytest.mark.parametrize(
+    "field, t, error",
+    [
+        ("ok", -1.0, NegativeTime),
+        ("ok", float("nan"), NegativeTime),
+        ("nan", 0.5, DomainViolation),
+        ("long", 0.5, DimensionMismatch),
+    ],
+    ids=["negative-time", "nan-time", "nan-field", "long-field"],
+)
+def test_heat_remainder_checks_its_inputs_as_diffuse_does(field, t, error):
+    # unchecked, a negative time returned values, a NaN field NaN, a long
+    # field numpy's broadcast error and a NaN time a conversion error
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(10, rng, r=0.5)
+    s = spectral_decompose(g)
+    u = {
+        "ok": rng.uniform(0.0, 1.0, size=10),
+        "nan": np.where(np.arange(10) == 3, np.nan, 0.5),
+        "long": rng.uniform(0.0, 1.0, size=11),
+    }[field]
+    for apply in (diffuse, heat_remainder):
+        with pytest.raises(error):
+            apply(u, t, s)
+
+
+def test_heat_remainder_at_zero_time_is_zero(random_graphs_with_spectra):
+    g, s = random_graphs_with_spectra[0]
+    u = np.linspace(0.0, 1.0, g.num_vertices)
+    assert np.array_equal(heat_remainder(u, 0.0, s), np.zeros(g.num_vertices))
+
+
 def test_heat_remainder_builds_no_square_matrix(p2, p2_spectrum):
     # t b / 2 = 1e5 needs degree 2,799, whose Vandermonde matrix is 63 MB
     t = 1e5

@@ -762,6 +762,21 @@ def test_cli_sweep_refuses_a_nan_lambda_and_a_bad_tau(tmp_path, capsys, tau,
     assert not out.exists()
 
 
+def test_cli_sweep_refuses_a_repeated_lambda(tmp_path, capsys):
+    # the report is keyed by lambda, so a repeat wrote one row fewer than
+    # the flag asked for: it is refused before any file is read, while the
+    # library's sweep_lambda still takes repeats
+    absent = str(tmp_path / "absent.txt")
+    out = tmp_path / "o"
+    args = ["sweep-lambda", "--graph", absent, "--init", absent, "--tau", "0.3",
+            "--lambdas", "0.25,0.5,0.9,0.50", "--out", str(out)]
+    assert cli_main(args) == 1
+    error = _last_error(capsys)
+    assert error["error"] == "ValueError"
+    assert "lambda 0.5 is repeated" in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, named",
     [("--t-final", "inf", "t_final"), ("--taus", "nan", "step sizes")],

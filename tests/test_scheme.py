@@ -544,9 +544,9 @@ def test_threshold_fill_clamps_running_sum_gap():
         in_gap += 1
         assert scheme._threshold_fill(levels, target) == (0, 1.0)
         full = np.ones(levels.num_levels)
-        u_next, multiplier = scheme._level_step(levels, target, 1.0)
-        scheme._subgradient(diffused, u_next, multiplier, 1.0)  # certifies it
-        assert np.array_equal(u_next, np.ones(g.num_vertices))
+        # the level step certifies its profile before returning it
+        level_values, multiplier = scheme._level_step(levels, target, 1.0)
+        assert np.array_equal(level_values, full)
         assert multiplier.level == 0 and multiplier.fill == 1.0
         for lam in (0.25, 0.9):
             _, lo, hi, values = scheme._solve_profile(levels, target, lam)

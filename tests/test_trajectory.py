@@ -12,6 +12,7 @@ from graphphase import (
     DomainViolation,
     Graph,
     GraphTooLarge,
+    InconsistentInputs,
     LambdaIsOne,
     SchemeParams,
     SimplexField,
@@ -214,6 +215,33 @@ def test_seeded_sweep_takes_any_lambda_order():
             params = SchemeParams.from_lambda(tau=0.1, lam=lam)
             out = semi_discrete_step(u0, g, s, params).u_next
             assert row == (lam, float(np.abs(out - reference).max()))
+
+
+def test_sweep_refuses_where_the_step_refuses(monkeypatch):
+    # a solve whose multiplier is off by 0.3 at one lambda: the sweep checks
+    # each lambda's step and refuses it with the public step's message
+    rng = np.random.default_rng(26)
+    g = random_connected_graph(60, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=60)
+    bad = 0.5
+    lambdas = [0.25, bad, 0.9]
+    sweep_lambda(u0, g, s, 0.1, lambdas)  # certified as solved
+    solve = scheme._solve_profile
+
+    def shifted(levels, target, lam, hint=None):
+        nu, lo, hi, values = solve(levels, target, lam, hint)
+        return (nu + 0.3 if lam == bad else nu), lo, hi, values
+
+    monkeypatch.setattr(scheme, "_solve_profile", shifted)
+    params = SchemeParams.from_lambda(tau=0.1, lam=bad)
+    with pytest.raises(InconsistentInputs) as step_error:
+        semi_discrete_step(u0, g, s, params)
+    with pytest.raises(InconsistentInputs) as sweep_error:
+        sweep_lambda(u0, g, s, 0.1, lambdas)
+    assert str(sweep_error.value) == str(step_error.value)
+    assert "subgradient" in str(step_error.value)
+    sweep_lambda(u0, g, s, 0.1, [lam for lam in lambdas if lam != bad])
 
 
 def test_multiplier_hint_never_changes_the_step():
