@@ -79,17 +79,8 @@ class SchemeParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        implied = self.tau / self.epsilon if math.isfinite(self.epsilon) else 0.0
-        if abs(implied - self.lam) > 1e-12:
-            raise ValueError(
-                f"inconsistent parameters: tau/epsilon = {implied}, lam = {self.lam}"
-            )
+        _check_tau(self.tau)
+        _check_lam(self.epsilon, self.tau, self.lam)
 
     @classmethod
     def from_epsilon(cls, epsilon: float, tau: float) -> "SchemeParams":
@@ -103,6 +94,24 @@ class SchemeParams:
         return cls(epsilon=epsilon, tau=tau, lam=lam)
 
 
+def _check_tau(tau) -> None:
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
+def _check_lam(epsilon, tau, lam) -> None:
+    """The checks of :class:`SchemeParams` after ``tau``'s."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    implied = tau / epsilon if math.isfinite(epsilon) else 0.0
+    if abs(implied - lam) > 1e-12:
+        raise ValueError(
+            f"inconsistent parameters: tau/epsilon = {implied}, lam = {lam}"
+        )
+
+
 @dataclass(frozen=True)
 class ThresholdLevels:
     """Distinct diffused values with their vertex measure.
@@ -113,6 +122,9 @@ class ThresholdLevels:
     ``i``.  Every step's profile over the levels ascends with the level
     index, and the vertices of a run of levels have their extreme diffused
     values at its first level's ``values`` and its last level's ``tops``.
+    The O(L) sums a solve needs, ``suffix`` (with its ascending
+    ``suffix_key``) and ``total``, are made once per level set and cached,
+    so every solve on the same levels finds its threshold fill in O(log L).
     """
 
     values: np.ndarray
@@ -131,6 +143,17 @@ class ThresholdLevels:
     def suffix(self) -> np.ndarray:
         """Weight of level ``l`` and all above it at ``l``, then a final 0."""
         return np.concatenate([np.cumsum(self.weights[::-1])[::-1], [0.0]])
+
+    @functools.cached_property
+    def suffix_key(self) -> np.ndarray:
+        """``-suffix[:-1]``: the suffix weights ascending, as ``searchsorted``
+        needs them."""
+        return -self.suffix[:-1]
+
+    @functools.cached_property
+    def total(self) -> float:
+        """The plain sum of the weights, against which targets are tested."""
+        return float(self.weights.sum())
 
 
 class MboMultiplier(NamedTuple):
@@ -235,16 +258,15 @@ def _threshold_fill(levels: ThresholdLevels, target_mass: float):
     Requires ``0 < target_mass <= total``.  Returns ``(k, fill)``: every
     level above ``k`` is full, every level below empty, and level ``k``
     carries ``fill`` in (0, 1].  ``(0, 1.0)`` is the all-full profile.
+    One binary search over the level set's cached ``suffix_key``: O(log L).
     """
-    weights = levels.weights
-    suffix = levels.suffix
     # last index whose suffix weight still covers the target
-    k = int(np.searchsorted(-suffix[:-1], -target_mass, side="right")) - 1
+    k = int(levels.suffix_key.searchsorted(-target_mass, side="right")) - 1
     if k < 0:
         # the running sum can end an ulp below weights.sum(); a target
         # between the two fills every level
         return 0, 1.0
-    fill = (target_mass - suffix[k + 1]) / weights[k]
+    fill = (target_mass - levels.suffix.item(k + 1)) / levels.weights.item(k)
     return k, min(fill, 1.0)
 
 
@@ -276,10 +298,98 @@ def _invert_segment(p0: float, p1: float, r0: float, r1: float, m: float) -> flo
 def _balance_at(alphas, weights, point, s) -> float:
     """``sum_l a_l clip((alpha_l - point)/s, 0, 1)``, non-increasing in
     ``point`` in floating point too: every clipped term is, and the dot
-    product sums them in the same order at every point."""
-    terms = (alphas - point) / s
+    product sums them in the same order at every point.  One L-length
+    buffer, worked in place."""
+    terms = alphas - point
+    terms /= s
     np.maximum(terms, 0.0, out=terms)
     return float(np.minimum(terms, 1.0, out=terms) @ weights)
+
+
+def _leading(holds, guess: int, count: int) -> int:
+    """How many of the indices ``0 .. count - 1`` lead with ``holds`` true,
+    for a predicate that is true and then false along them: a walk from
+    ``guess``, a ``searchsorted`` of the same bound in exact arithmetic,
+    which rounding puts at most a few distinct levels off."""
+    while guess > 0 and not holds(guess - 1):
+        guess -= 1
+    while guess < count and holds(guess):
+        guess += 1
+    return guess
+
+
+class _Breakpoints:
+    """The 2L breakpoints ``alphas - s`` and ``alphas`` of the balance, read
+    one position at a time in the order a stable sort of their concatenation
+    gives, without building it.
+
+    Both runs ascend, so the first ``j`` merged breakpoints are the first
+    ``cut(j)`` of the shifted run and the first ``j - cut(j)`` levels.  On
+    a tie the shifted run comes first, as the stable sort leaves it, +0.0
+    before a level at -0.0 included.  ``cut(j)`` is a binary search between
+    the cuts of the nearest positions already read, so a search that reads
+    O(log L) positions does O(log^2 L) scalar work and allocates nothing.
+    """
+
+    def __init__(self, alphas: np.ndarray, s: float):
+        self.alphas = alphas
+        self.s = s
+        self.count = count = alphas.size
+        self.marks = [0, 2 * count]   # ascending positions with a known cut
+        self.cuts = {0: 0, 2 * count: count}
+        self.read = {}                # breakpoints already read, by position
+
+    def shifted(self, i: int) -> float:
+        return self.alphas.item(i) - self.s
+
+    def seed(self, point: float) -> int:
+        """The position ``searchsorted`` gives ``point`` (not NaN) among the
+        merged breakpoints: the count of those below it, of which the
+        shifted ones are that position's cut."""
+        alphas = self.alphas
+        below = _leading(
+            lambda i: self.shifted(i) < point,
+            int(alphas.searchsorted(point + self.s)),
+            self.count,
+        )
+        j = below + int(alphas.searchsorted(point))
+        if j not in self.cuts:
+            self.cuts[j] = below
+            bisect.insort(self.marks, j)
+        return j
+
+    def cut(self, j: int) -> int:
+        """How many shifted breakpoints the first ``j`` merged ones hold."""
+        cut = self.cuts.get(j)
+        if cut is None:
+            k = bisect.bisect(self.marks, j)
+            below, above = self.marks[k - 1], self.marks[k]
+            low = max(self.cuts[below], self.cuts[above] - (above - j))
+            high = min(self.cuts[above], self.cuts[below] + (j - below))
+            # the largest i whose shifted breakpoint i - 1 is among the first
+            # j: no more than j - i levels lie strictly below it
+            alphas, count = self.alphas, self.count
+            while low < high:
+                i = (low + high + 1) // 2
+                if j - i == count or self.shifted(i - 1) <= alphas.item(j - i):
+                    low = i
+                else:
+                    high = i - 1
+            self.cuts[j] = cut = low
+            self.marks.insert(k, j)
+        return cut
+
+    def at(self, j: int) -> float:
+        """The breakpoint at merged position ``j``, ``0 <= j < 2L``."""
+        point = self.read.get(j)
+        if point is None:
+            i = self.cut(j)
+            level = j - i
+            point = self.alphas.item(level) if level < self.count else math.inf
+            if i < self.count and self.shifted(i) <= point:
+                point = self.shifted(i)
+            self.read[j] = point
+        return point
 
 
 def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint=None):
@@ -299,6 +409,15 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint
     non-increasing in the breakpoint index, so any hint, NaN included,
     gives the same result bit for bit.
 
+    Cost: each balance evaluation is O(L), and so are the new level values
+    and the mass repair's dot product, which fixes their bits.  All else is
+    scalar work on Python floats, O(log L) per item: the threshold fill,
+    each breakpoint read, in the stable merge's order, from the two
+    ascending runs by ``_Breakpoints`` without merging them, and each end
+    of the fractional slice, the only levels whose values are computed.
+    It holds one L-length array at a time: a balance's terms, then the new
+    values.
+
     At ``lam = 1`` the threshold profile is always consistent: level values
     rise strictly, so both gaps are at least ``0 = 1 - lam`` times the fill.
     The solve then returns the threshold fill, and the breakpoint search,
@@ -308,78 +427,99 @@ def _solve_profile(levels: ThresholdLevels, target_mass: float, lam: float, hint
     weights = levels.weights
     count = levels.num_levels
     s = 1.0 - lam
-    total = float(weights.sum())
 
     if target_mass <= 0.0:
-        lo, hi = float(alphas[-1]), math.inf
+        lo, hi = alphas.item(-1), math.inf
         return _clip_midpoint(lo, hi, lam), lo, hi, np.zeros(count)
-    if target_mass >= total:
-        lo, hi = -math.inf, float(alphas[0]) - s
+    if target_mass >= levels.total:
+        lo, hi = -math.inf, alphas.item(0) - s
         return _clip_midpoint(lo, hi, lam), lo, hi, np.ones(count)
 
     k, fill = _threshold_fill(levels, target_mass)
-    below_ok = k == 0 or alphas[k] - alphas[k - 1] >= s * fill
-    above_ok = k == count - 1 or alphas[k + 1] - alphas[k] >= s * (1.0 - fill)
+    below_ok = k == 0 or alphas.item(k) - alphas.item(k - 1) >= s * fill
+    above_ok = k == count - 1 or alphas.item(k + 1) - alphas.item(k) >= s * (1.0 - fill)
     if below_ok and above_ok:
         values = _fill_profile(count, k, fill)
         if fill < 1.0:
-            nu = lo = hi = float(alphas[k] - s * fill)
+            nu = lo = hi = alphas.item(k) - s * fill
         else:
-            lo = float(alphas[k - 1]) if k else -math.inf
-            hi = float(alphas[k] - s)
+            lo = alphas.item(k - 1) if k else -math.inf
+            hi = alphas.item(k) - s
             nu = _clip_midpoint(lo, hi, lam)
         return nu, lo, hi, values
 
-    # two ascending runs, which the stable sort merges in one pass
-    points = np.sort(np.concatenate([alphas - s, alphas]), kind="stable")
+    points = _Breakpoints(alphas, s)
+    size = 2 * count
+    balances = {}  # by breakpoint: +-0.0 share one, as their balances agree
 
-    @functools.cache
     def balance(j: int) -> float:
-        return _balance_at(alphas, weights, points[j], s)
+        point = points.at(j)
+        value = balances.get(point)
+        if value is None:
+            value = balances[point] = _balance_at(alphas, weights, point, s)
+        return value
 
     def first(predicate, start=None) -> int:
         # gallop from start, doubling the stride, until the predicate is
         # false at lo and true at hi, then bisect between them
-        lo, hi, near, stride = -1, points.size, start, 1
+        lo, hi, near, stride = -1, size, start, 1
         while near is not None and lo < near < hi:
             if predicate(near):
                 hi, near = near, near - stride
             else:
                 lo, near = near, near + stride
             stride *= 2
-        return bisect.bisect_left(range(points.size), True, lo + 1, hi, key=predicate)
+        return bisect.bisect_left(range(size), True, lo + 1, hi, key=predicate)
 
-    start = None if hint is None else int(np.searchsorted(points, hint))
+    # a NaN hint lies past the last breakpoint, where the gallop never starts
+    start = None if hint is None or math.isnan(hint) else points.seed(float(hint))
     above_end = first(lambda j: balance(j) <= target_mass, start)
     if above_end == 0:
         # rounding put the target at or past the balance of the first
         # breakpoint, below which every level is full
-        lo, hi = -math.inf, float(points[0])
+        lo, hi = -math.inf, points.at(0)
         return _clip_midpoint(lo, hi, lam), lo, hi, np.ones(count)
     j1 = above_end - 1                              # last balance above target
     j0 = first(lambda j: balance(j) < target_mass, above_end)  # first below it
     lo = _invert_segment(
-        points[j1], points[j1 + 1], balance(j1), balance(j1 + 1), target_mass
+        points.at(j1), points.at(j1 + 1), balance(j1), balance(j1 + 1), target_mass
     )
     hi = _invert_segment(
-        points[j0 - 1], points[j0], balance(j0 - 1), balance(j0), target_mass
+        points.at(j0 - 1), points.at(j0), balance(j0 - 1), balance(j0), target_mass
     )
     hi = max(hi, lo)
     nu = _clip_midpoint(lo, hi, lam)
 
-    values = np.clip((alphas - nu) / s, 0.0, 1.0)
-    # the values ascend: the levels snapped to 0 are a prefix, those snapped
-    # to 1 a suffix, and the fractional ones the slice between them
-    zeros = int(values.searchsorted(SNAP_TOL, side="right"))
-    ones = int(values.searchsorted(1.0 - SNAP_TOL, side="left"))
-    if zeros < ones:
-        # snap boundary dust, then restore the mass on the fractional levels
-        values[:zeros] = 0.0
-        values[ones:] = 1.0
-        deficit = target_mass - float(values @ weights)
-        fractional = values[zeros:ones]
-        fractional += deficit / float(weights[zeros:ones].sum())
-        np.clip(fractional, 0.0, 1.0, out=fractional)
+    # the values (alphas - nu) / s, clipped, ascend: the levels snapped to
+    # 0 are a prefix, those snapped to 1 a suffix, and the fractional ones
+    # the slice between them
+    zeros = _leading(
+        lambda level: (alphas.item(level) - nu) / s <= SNAP_TOL,
+        int(alphas.searchsorted(nu + SNAP_TOL * s, side="right")),
+        count,
+    )
+    ones = _leading(
+        lambda level: (alphas.item(level) - nu) / s < 1.0 - SNAP_TOL,
+        max(zeros, int(alphas.searchsorted(nu + (1.0 - SNAP_TOL) * s))),
+        count,
+    )
+    if zeros == ones:
+        # nothing to repair: the clipped values, dust at either end included
+        values = alphas - nu
+        values /= s
+        return nu, lo, hi, np.clip(values, 0.0, 1.0, out=values)
+    # snap boundary dust, then restore the mass on the fractional levels
+    values = np.zeros(count)
+    values[ones:] = 1.0
+    fractional = values[zeros:ones]
+    np.subtract(alphas[zeros:ones], nu, out=fractional)
+    fractional /= s
+    deficit = target_mass - float(values @ weights)
+    shift = deficit / float(weights[zeros:ones].sum())
+    fractional += shift
+    if abs(shift) > SNAP_TOL:
+        # within SNAP_TOL the fractional values cannot leave (0, 1)
+        fractional.clip(0.0, 1.0, out=fractional)
     return nu, lo, hi, values
 
 
@@ -609,7 +749,7 @@ def mbo_is_unique(u_n: np.ndarray, g: Graph, s: Spectrum, tau: float) -> bool:
     """
     _, mass_in, diffused = _diffused_state(u_n, g, s, tau)
     levels = threshold_levels(diffused, g)
-    if mass_in <= 0.0 or mass_in >= float(levels.weights.sum()):
+    if mass_in <= 0.0 or mass_in >= levels.total:
         return True
     k, fill = _threshold_fill(levels, mass_in)
     return fill >= 1.0 - 1e-12 or int(levels.level_sizes()[k]) == 1

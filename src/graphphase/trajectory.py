@@ -204,25 +204,29 @@ def run_trajectory(
         H, H_tau = lyapunov_energy(u, g, s, params, diffused=diffused)
         return diffused, H, H_tau, ginzburg_landau(u, g, params.epsilon)
 
-    diffused, H, H_tau, GL = diagnostics(current)
+    diagnosed = diagnostics(current)
     mass0 = float(mass(current, g))
     hint = None  # the last step's multiplier seeds the next relaxed solve
 
     def advance(u, step):
-        nonlocal diffused, hint
+        nonlocal diagnosed, hint
         # every step targets the starting mass: a settled run then repeats
         # its state bit for bit and stops
-        given = {"diffused": diffused, "target_mass": mass0}
+        given = {"diffused": diagnosed[0], "target_mass": mass0}
         if params.lam == 1.0:
             result = mbo_step(u, g, s, params.tau, **given)
         else:
             result = semi_discrete_step(u, g, s, params, multiplier_hint=hint, **given)
         change = float(np.abs(result.u_next - u).max())
-        diffused, H, H_tau, GL = diagnostics(result.u_next)
+        if result.u_next.tobytes() != u.tobytes():
+            # a repeated state keeps its diagnostics, bit for bit
+            diagnosed = diagnostics(result.u_next)
+        _, H, H_tau, GL = diagnosed
         multiplier = hint = _scalar_multiplier(result.multiplier)
         entry = LogEntry(step, result.mass_out, H, H_tau, GL, change, multiplier)
         return result.u_next, entry, True
 
+    _, H, H_tau, GL = diagnosed
     entry = LogEntry(0, mass0, H, H_tau, GL, None, None)
     return _iterate(
         current, entry, advance, params, max_steps, stride, fixed_point_tol
@@ -279,23 +283,36 @@ def sweep_lambda(
     start from ``u0``, so its diffusion and level grouping are done once,
     and each step stays on the levels: its ascending profile is certified
     by ``scheme._check_profile`` in O(log L), refusing where the public
-    step refuses, and the distance is taken over the levels, which equals
+    step refuses, and the distance is the sup over the levels, which equals
     the sup over the vertices bit for bit as every level holds a vertex.
     Each multiplier solve is seeded with the line through the previous two
     solved multipliers, which changes its cost and never its result.
+
+    Cost: one diffusion, one level grouping and the lambda = 1 reference,
+    then per lambda the solve's few O(L) balance evaluations (none once the
+    threshold profile is consistent), its O(L) new values and mass-repair
+    dot product and one O(L) ascent test in the check.  The rest is
+    O(log L), and the distance, read at the reference's threshold level and
+    its two neighbours, O(1).  Tau and each lambda are checked as floats, as
+    ``SchemeParams.from_lambda`` would check them, without building one.
     """
     lambdas = [float(lam) for lam in lambdas]
     if not lambdas:
         raise ValueError("need at least one lambda")
-    for lam in lambdas:
+    for index, lam in enumerate(lambdas):
         if lam >= 1.0:
             raise LambdaIsOne(f"sweep requires lambda < 1, got {lam}")
         if lam <= 0.0:
             raise ValueError(f"sweep requires lambda > 0, got {lam}")
-        SchemeParams.from_lambda(tau=tau, lam=lam)  # refuses a NaN lam or a bad tau
+        # what SchemeParams.from_lambda(tau, lam) refuses, a NaN lam or a bad
+        # tau, in its order, without building it; tau once, at the first lam
+        epsilon = tau / lam if lam > 0.0 else math.inf
+        if not index:
+            scheme._check_tau(tau)
+        scheme._check_lam(epsilon, tau, lam)
     _, mass_in, diffused = _diffused_state(u0, g, s, tau)
     levels = scheme.threshold_levels(diffused, g)
-    reference, _ = _level_step(levels, mass_in, 1.0)
+    _, reference = _level_step(levels, mass_in, 1.0)
     rows = []
     last = before = None  # (lam, nu) of the latest two solves
     for lam in lambdas:
@@ -306,8 +323,25 @@ def sweep_lambda(
             hint = last[1] + slope * (lam - last[0])
         level_values, nu = _level_step(levels, mass_in, lam, hint)
         before, last = last, (lam, nu)
-        rows.append(SweepRow(lam, float(np.abs(level_values - reference).max())))
+        rows.append(SweepRow(lam, _distance_to(reference, level_values)))
     return tuple(rows)
+
+
+def _distance_to(reference: MboMultiplier, level_values) -> float:
+    """``max|level_values - threshold|`` over the levels, for the threshold
+    profile ``reference`` names: 0 below its level, its fill there, 1 above.
+
+    ``level_values`` is a certified profile, ascending within [0, 1], so
+    below the level the largest term is the one next to it, and above it
+    too: three terms, each computed as the elementwise difference would be.
+    """
+    k, count = reference.level, level_values.size
+    terms = [abs(level_values.item(k) - reference.fill)]
+    if k > 0:
+        terms.append(abs(level_values.item(k - 1)))
+    if k + 1 < count:
+        terms.append(abs(level_values.item(k + 1) - 1.0))
+    return max(terms)
 
 
 def _state_at(trajectory: Trajectory, t: float, tau: float):

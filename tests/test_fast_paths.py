@@ -9,6 +9,7 @@ replaced, so every output must match exactly, not to a tolerance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,93 @@ def test_solve_profile_is_hint_neutral():
                 assert _bits(warm) == _bits(expected), (index, target, hint)
     assert searched >= 240
     assert signed >= 20
+
+
+def _dyadic_levels(rng, g, s):
+    """Levels on the grid of 1/64 around ``s``, itself on it, so that many
+    shifted breakpoints ``alpha_l - s`` equal a level exactly; one level is
+    -0.0 (its first member in input order) and one is ``s``, whose shifted
+    breakpoint is +0.0."""
+    n = g.num_vertices
+    diffused = rng.integers(-16, 80, size=n) / 64.0
+    picks = rng.choice(n, size=3, replace=False)
+    diffused[picks] = [-0.0, 0.0, s]
+    diffused[picks[1]:picks[0]] = np.where(  # keep -0.0 first of its ties
+        diffused[picks[1]:picks[0]] == 0.0, -0.0, diffused[picks[1]:picks[0]]
+    )
+    return threshold_levels(diffused, g)
+
+
+def test_breakpoints_read_the_stable_merge_on_ties():
+    # the 2L breakpoints are read from their two ascending runs without a
+    # merge: at every position, in any order of reading and from any seed,
+    # they are the stable merge's bit for bit, the shifted run first on a
+    # tie, +0.0 before a level at -0.0 included.  The solve on them returns
+    # the full scan's (nu, lo, hi, values) bit for bit from every hint
+    rng = np.random.default_rng(20261020)
+    graphs = [random_connected_graph(n, rng, r=0.5) for n in (9, 20, 41)]
+    ties = signed = searched = 0
+    for index in range(36):
+        g = graphs[index % len(graphs)]
+        s = int(rng.integers(1, 40)) / 64.0
+        lam = 1.0 - s
+        levels = _dyadic_levels(rng, g, s)
+        alphas = levels.values
+        merged = np.sort(np.concatenate([alphas - s, alphas]), kind="stable")
+        shifted = set((alphas - s).tolist())
+        ties += sum(value in shifted for value in alphas.tolist())
+        signed += bool(np.signbit(alphas[alphas == 0.0]).any()) and s in alphas
+        seeds = [-math.inf, math.inf, *merged.tolist()]  # on every breakpoint
+        for seed in seeds:
+            points = scheme._Breakpoints(alphas, s)
+            points.seed(seed)
+            order = rng.permutation(merged.size)
+            read = np.array([points.at(int(j)) for j in order])
+            assert read.tobytes() == merged[order].tobytes(), (index, seed)
+        exact = [
+            scheme._balance_at(alphas, levels.weights, p, s)
+            for p in rng.choice(merged, size=3)
+        ]
+        for target in [*_targets(rng, levels, lam), *exact]:
+            try:
+                expected, was_scan = scan_solve_profile(levels, target, lam)
+            except IndexError:  # every level full: the scan has no crossing
+                expected, was_scan = scheme._solve_profile(levels, target, lam), False
+            searched += was_scan
+            for hint in [None, math.nan, *seeds]:
+                solved = scheme._solve_profile(levels, target, lam, hint)
+                assert _bits(solved) == _bits(expected), (index, target, hint)
+    assert ties >= 120
+    assert signed >= 30
+    assert searched >= 100
+
+
+def test_searched_solve_allocates_no_merge():
+    # a searched solve at L = 2000 holds its new values and one balance's
+    # terms, never the 2L merged breakpoints: its peak stays below one
+    # 2L-float array, which the merge alone took twice
+    rng = np.random.default_rng(2000)
+    count = 2000
+    values = np.sort(rng.uniform(0.0, 1.0, size=count))
+    levels = ThresholdLevels(
+        values=values,
+        tops=values,
+        weights=rng.uniform(0.5, 2.0, size=count),
+        labels=np.arange(count),
+    )
+    target = 0.4 * levels.total
+    nu = scheme._solve_profile(levels, target, 0.3)[0]  # fills the caches
+    solves = [(0.5, None), (0.5, nu), (0.9, -math.inf)]
+    for lam, hint in solves:
+        tracemalloc.start()
+        try:
+            solved = scheme._solve_profile(levels, target, lam, hint)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * count * values.itemsize
+        fractional = (solved[3] > 0.0) & (solved[3] < 1.0)
+        assert np.count_nonzero(fractional) > 1  # not a threshold fill
 
 
 def _count_evaluations(monkeypatch):

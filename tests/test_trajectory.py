@@ -115,7 +115,11 @@ def test_trajectory_diffuses_each_state_once(monkeypatch, lam):
 
     monkeypatch.setattr(scheme, "diffuse", counted)
     traj = run_trajectory(u0, g, s, params, max_steps=5, fixed_point_tol=-1.0)
-    assert calls == [params.tau] * 6
+    # a state that repeats its predecessor bit for bit keeps its diffusion:
+    # the threshold run settles at once and repeats, the relaxed one moves
+    new = [a.tobytes() != b.tobytes() for a, b in zip(traj.states, traj.states[1:])]
+    assert len(new) == 5 and all(new) == (lam < 1.0)
+    assert calls == [params.tau] * (1 + sum(new))
     # the shared diffusion gives the steps exactly what their own would,
     # each step aiming at the starting mass
     monkeypatch.setattr(scheme, "diffuse", diffuse)
@@ -129,6 +133,41 @@ def test_trajectory_diffuses_each_state_once(monkeypatch, lam):
                 current, g, s, params, target_mass=target
             ).u_next
         assert np.array_equal(state, current)
+
+
+@pytest.mark.parametrize("seed, lam, repeats", [
+    (8, 1.0, True), (8, 0.6, True), (15, 0.6, False),
+])
+def test_run_ending_on_a_repeated_state_diffuses_it_once(monkeypatch, seed,
+                                                        lam, repeats):
+    # the last step of a run that stops on a fixed point returns its input
+    # bit for bit (unless the relaxed change is only below 1e-12): that state
+    # was diffused for its own log entry, and its diagnostics are reused
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(30, rng, r=0.5)
+    s = spectral_decompose(g)
+    u0 = rng.uniform(0.0, 1.0, size=30)
+    params = SchemeParams.from_lambda(tau=0.3, lam=lam)
+    calls = []
+    diffuse = scheme.diffuse
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return diffuse(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "diffuse", counted)
+    traj = run_trajectory(u0, g, s, params, max_steps=50)
+    monkeypatch.setattr(scheme, "diffuse", diffuse)
+    assert traj.terminated_reason == "fixed_point"
+    steps = traj.num_steps
+    assert steps >= 3
+    last, before = traj.states[-1], traj.states[-2]
+    assert (last.tobytes() == before.tobytes()) == repeats
+    assert len(calls) == steps + (not repeats)
+    # the reused entry is the one the state's own diagnostics give
+    H, H_tau = scheme.lyapunov_energy(last, g, s, params)
+    GL = scheme.ginzburg_landau(last, g, params.epsilon)
+    assert traj.log[-1][2:5] == (H, H_tau, GL)
 
 
 def test_sweep_locks_onto_threshold_step(p2, p2_spectrum):
@@ -195,6 +234,26 @@ def test_sweep_rows_are_the_public_steps_distances():
         assert row == (lam, float(np.abs(out - reference).max()))
         locked += row.sup_distance_to_mbo == 0.0
     assert 0 < locked < len(lambdas)
+
+
+@pytest.mark.parametrize("start", ["zero", "low", "high", "one"])
+def test_sweep_rows_with_the_threshold_level_at_an_end(start):
+    # a mass at or near 0 or the total puts the threshold level the sweep
+    # reads its distance around at the top or the bottom level, or makes one
+    # level: each row is still the public steps' distance bit for bit
+    rng = np.random.default_rng(27)
+    g = random_connected_graph(40, rng, r=0.5)
+    s = spectral_decompose(g)
+    scale = rng.uniform(0.0, 1.0, size=40)
+    u0 = {"zero": 0.0 * scale, "low": 1e-3 * scale, "high": 1.0 - 1e-3 * scale,
+          "one": 0.0 * scale + 1.0}[start]
+    lambdas = [0.2, 0.6, 0.95, 1.0 - 2.0**-30]
+    rows = sweep_lambda(u0, g, s, 0.2, lambdas)
+    reference = mbo_step(u0, g, s, 0.2).u_next
+    for lam, row in zip(lambdas, rows):
+        params = SchemeParams.from_lambda(tau=0.2, lam=lam)
+        out = semi_discrete_step(u0, g, s, params).u_next
+        assert row == (lam, float(np.abs(out - reference).max()))
 
 
 def test_seeded_sweep_takes_any_lambda_order():
