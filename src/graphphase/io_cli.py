@@ -470,15 +470,23 @@ def _float_list(raw: str) -> tuple:
     try:
         return tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
-        raise ValueError(f"expected comma-separated reals, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated reals, got {raw!r}"
+        ) from None
 
 
 class _Parser(argparse.ArgumentParser):
-    """Takes ``-1e-3`` and ``-.5`` for numbers, not flags; so do subparsers."""
+    """Takes ``-1e-3`` and ``-.5`` for numbers, not flags; so do subparsers.
+    A usage error prints the usage, then the JSON line of every failure."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _print_error(ValidationError(message))
+        self.exit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:

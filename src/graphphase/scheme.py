@@ -288,9 +288,8 @@ def _clip_midpoint(lo: float, hi: float, lam: float) -> float:
 
 
 def _invert_segment(p0: float, p1: float, r0: float, r1: float, m: float) -> float:
-    """Solve the affine piece of the balance between breakpoints ``p0 <= p1``."""
-    if r0 == r1 or p1 == p0:
-        return float(p1 if r0 > m else p0)
+    """Solve the affine piece of the balance between breakpoints ``p0 < p1``,
+    whose balances ``r0 > r1`` bracket ``m``."""
     t = (r0 - m) / (r0 - r1)
     return float(p0 + min(max(t, 0.0), 1.0) * (p1 - p0))
 

@@ -1,7 +1,9 @@
-"""The export lists: each module's ``__all__`` is real and re-exported."""
+"""The export lists: each module's ``__all__`` is real and re-exported,
+and the package exports nothing else."""
 
 import importlib
 import pkgutil
+import types
 
 import graphphase
 
@@ -25,3 +27,17 @@ def test_every_exported_name_is_a_package_attribute():
     absent = [f"{module.__name__}.{name}" for module, name in EXPORTS
               if getattr(graphphase, name, None) is not getattr(module, name, None)]
     assert absent == []
+
+
+def test_package_exports_exactly_the_declared_names():
+    # one declaration per name: a module's __all__, or an exception class
+    # of graphphase.errors, which has no __all__
+    declared = {name for _, name in EXPORTS} | {
+        name for name, value in vars(graphphase.errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    public = {
+        name for name, value in vars(graphphase).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == declared

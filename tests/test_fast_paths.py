@@ -94,8 +94,6 @@ def scan_solve_profile(levels, target_mass, lam):
         return (nu, lo, hi, values), False
 
     def invert(points, rhs, i, m):
-        if rhs[i] == rhs[i + 1] or points[i + 1] == points[i]:
-            return float(points[i + 1] if rhs[i] > m else points[i])
         t = (rhs[i] - m) / (rhs[i] - rhs[i + 1])
         return float(points[i] + min(max(t, 0.0), 1.0) * (points[i + 1] - points[i]))
 
@@ -358,6 +356,32 @@ def test_solve_profile_is_hint_neutral():
                 assert _bits(warm) == _bits(expected), (index, target, hint)
     assert searched >= 240
     assert signed >= 20
+
+
+def test_solve_profile_fills_every_level_below_the_first_breakpoint(monkeypatch):
+    # a target an ulp below levels.total that the balance of the first
+    # breakpoint, a dot product of the same weights, already meets: the
+    # threshold fill leaves the light first level almost full, its 2e-12
+    # gap to the next is inconsistent, and the search stops at breakpoint 0
+    rng = np.random.default_rng(4)
+    rest = np.sort(rng.uniform(0.0, 1.0, size=7))
+    values = np.concatenate([[rest[0] - 2e-12], rest])
+    weights = np.concatenate([[1e-6], 10.0 ** rng.uniform(0.0, 5.0, size=7)])
+    levels = ThresholdLevels(
+        values=values, tops=values.copy(), weights=weights, labels=np.arange(8)
+    )
+    lam = 0.7
+    s = 1.0 - lam
+    target = math.nextafter(levels.total, -math.inf)
+    evaluations = _count_evaluations(monkeypatch)
+    cold = scheme._solve_profile(levels, target, lam)
+    assert evaluations  # the breakpoint search ran
+    nu, lo, hi, profile = cold
+    assert lo == -math.inf and hi == values[0] - s
+    assert np.array_equal(profile, np.ones(8))
+    points = np.concatenate([values - s, values])
+    for hint in [*_hints(rng, levels, lam, nu), *(float(p) for p in points)]:
+        assert _bits(scheme._solve_profile(levels, target, lam, hint)) == _bits(cold)
 
 
 def _dyadic_levels(rng, g, s):

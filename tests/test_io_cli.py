@@ -1032,6 +1032,38 @@ def test_oracle_check_reports_pass_count(capsys):
     assert "oracle-check passed 12/12" in capsys.readouterr().out
 
 
+def test_oracle_check_exits_two_when_the_step_disagrees(capsys, monkeypatch):
+    oracle = io_cli.variational_oracle
+    monkeypatch.setattr(
+        io_cli, "variational_oracle", lambda *args: oracle(*args) + 1e-3
+    )
+    assert cli_main(["oracle-check", "--seed", "7", "--instances", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "oracle-check passed 4/6" in captured.out
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "NumericalError"
+    assert "instance 0: step disagrees with oracle" in error["message"]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("run", "--tau", "abc", "argument --tau: invalid float value: 'abc'"),
+    ("sweep-lambda", "--lambdas", "a,b",
+     "argument --lambdas: expected comma-separated reals, got 'a,b'"),
+])
+def test_cli_usage_error_ends_with_a_json_line(
+    tmp_path, capsys, command, flag, value, message
+):
+    graph, init = _p2_files(tmp_path)
+    code = cli_main([command, "--graph", graph, "--init", init,
+                     "--out", str(tmp_path / "o"), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: graphphase {command}")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "ValidationError", "message": message,
+    }
+
+
 def test_write_outputs_rejects_unwritable_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

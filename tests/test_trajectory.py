@@ -19,6 +19,7 @@ from graphphase import (
     TauExceedsEpsilon,
     build_graph,
     converge_tau,
+    ginzburg_landau,
     mbo_step,
     norm,
     run_multiclass_trajectory,
@@ -378,6 +379,29 @@ def test_converge_tau_edge_self_convergence(p2, p2_spectrum):
     for gap, bound in zip(report.energy_gaps, report.energy_gap_bounds):
         assert gap <= bound + 1e-12
     assert report.energy_gap_bounds[-1] <= 0.6 * report.energy_gap_bounds[0]
+
+
+def test_converge_tau_samples_a_t_final_off_the_coarse_grid(p2, p2_spectrum):
+    # 0.5 is no multiple of the coarsest step 0.2: the grid takes the
+    # multiples 0, 0.2 and 0.4, then t_final itself, where the coarse run,
+    # one step past it at 0.6, gives its last state
+    u0 = np.array([1.0, 0.0])
+    taus = (0.2, 0.1, 0.05)
+    report = converge_tau(u0, p2, p2_spectrum, epsilon=1.0, t_final=0.5,
+                          taus=taus)
+    assert report.grid_times == (0.0, 0.2, 0.4, 0.5)
+    assert report.step_counts == (3, 5, 10)
+    finals = [
+        run_trajectory(
+            u0, p2, p2_spectrum, SchemeParams.from_epsilon(epsilon=1.0, tau=tau),
+            max_steps=steps, fixed_point_tol=0.0,
+        ).states[steps]
+        for tau, steps in zip(taus, report.step_counts)
+    ]
+    assert [row[-1] for row in report.matched_distance_matrix] == [
+        float(np.abs(a - b).max()) for a, b in zip(finals, finals[1:])
+    ]
+    assert report.gl_grid_values[-1] == ginzburg_landau(finals[-1], p2, 1.0)
 
 
 def test_converge_tau_refuses_decimated_runs(monkeypatch):
