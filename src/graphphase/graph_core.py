@@ -121,7 +121,11 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
         raise ValueError(f"r must lie in [0, 1], got {r}")
 
     i, j, w = np.asarray(edges if len(edges) else np.empty((0, 3)), dtype=float).T
-    in_range = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < num_vertices)
+    try:
+        bound = float(num_vertices)
+    except OverflowError:  # a count past the float range is above every float
+        bound = math.inf
+    in_range = (np.minimum(i, j) >= 0) & (np.maximum(i, j) < bound)
     in_range &= (i == np.floor(i)) & (j == np.floor(j))
     for bad, error, message in (
         (~in_range, IndexOutOfRange, "edge ({i:.17g}, {j:.17g}) outside 0..{last}"),
@@ -133,16 +137,18 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
             k = int(bad.argmax())
             raise error(message.format(i=i[k], j=j[k], w=w[k], last=num_vertices - 1))
 
-    lo, hi = np.minimum(i, j).astype(np.int64), np.maximum(i, j).astype(np.int64)
-    order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first
-    repeat = (np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0)
-    if repeat.any():
-        k = int(order[1:][repeat].min())
-        error = DuplicateEdge(f"edge ({lo[k]}, {hi[k]}) listed twice")
-        error.positions = (int(np.argmax((lo == lo[k]) & (hi == hi[k]))), k)
-        raise error
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if num_vertices > len(lo) + 1:
+        # too few edges to connect: number the touched vertices compactly, so
+        # no array of the vertex count is made and endpoints past int64 stay
+        # exact; a repeat is still reported before the disconnection
+        labels, index = np.unique(np.concatenate([[0.0], lo, hi]), return_inverse=True)
+        a, b = np.split(index[1:], 2)  # vertex 0 is labels[0]
+        _canonical_order(a * len(labels) + b, lo, hi)
+        _check_connected(num_vertices, a, b, labels)  # raises
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    order = _canonical_order(lo * num_vertices + hi, lo, hi)
     lo, hi, w = lo[order], hi[order], w[order]
-
     _check_connected(num_vertices, lo, hi)
     degrees = np.bincount(
         np.concatenate([lo, hi]), np.concatenate([w, w]), num_vertices
@@ -162,20 +168,40 @@ def build_graph(num_vertices: int, edges, r: float = 0.0) -> Graph:
     return graph
 
 
-def _check_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+def _canonical_order(key, lo, hi) -> np.ndarray:
+    """The stable order of the edges by ``key``, one int64 per pair.
+
+    One sort serves the canonical order and the duplicate check: a repeat
+    sorts right after its first listing.  A repeat is a
+    :class:`DuplicateEdge` naming ``(lo, hi)`` of the first one in input
+    order, with the positions of its two listings.
+    """
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeat = ordered[1:] == ordered[:-1]
+    if repeat.any():
+        k = int(order[1:][repeat].min())
+        error = DuplicateEdge(f"edge ({int(lo[k])}, {int(hi[k])}) listed twice")
+        error.positions = (int(np.argmax(key == key[k])), k)
+        raise error
+    return order
+
+
+def _check_connected(n: int, a: np.ndarray, b: np.ndarray, labels=None) -> None:
     """Reachability from vertex 0, by hooking and pointer jumping.
 
     After Shiloach & Vishkin 1982: each round every root takes the smallest
     root across its edges, every vertex jumps to its root, and edges inside a
     component drop out.  A component that merges with none has a smaller
     neighbouring root in the next round, so O(log E) rounds of O(E) work.
-    Nothing of length n is made: a vertex count far above what the edges can
-    connect is refused without allocating for it.  The message lists the
-    first ten unreachable vertices and, if there are more, their count.
+    The edges ``(a, b)`` join vertex ids or, given ``labels``, the vertices
+    ``labels[a]`` and ``labels[b]``, with ``labels[0]`` vertex 0.
+    :func:`build_graph` hooks on ids when ``n <= E + 1``, so nothing longer
+    than O(E) is made, and relabels only a graph too sparse to connect.  The
+    message lists the first ten unreachable vertices and, if there are more,
+    their count.
     """
-    touched, index = np.unique(np.concatenate([[0], lo, hi]), return_inverse=True)
-    a, b = np.split(index[1:], 2)  # vertex 0 is touched[0] = index[0] = 0
-    root = np.arange(len(touched))
+    root = np.arange(n if labels is None else len(labels))
     while a.size:
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         jumped = root[root]
@@ -183,11 +209,13 @@ def _check_connected(n: int, lo: np.ndarray, hi: np.ndarray) -> None:
             root, jumped = jumped, jumped[jumped]
         a, b = root[a], root[b]
         a, b = a[a != b], b[a != b]
-    reached = touched[root == root[0]]
+    reached = np.flatnonzero(root == root[0])
+    if labels is not None:
+        reached = labels[reached]
     if reached.size < n:
         # the first ten unreached vertices lie below reached.size + 10
         first = np.arange(min(n, reached.size + 10))
-        missing = np.setdiff1d(first, reached)[:10].tolist()
+        missing = first[~np.isin(first, reached)][:10].tolist()
         total = n - reached.size
         more = f" ({total} in all)" if total > len(missing) else ""
         raise DisconnectedGraph(

@@ -201,6 +201,8 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
     and are renormalized to sum exactly 1.  As in :func:`parse_graph_file`,
     a well-formed file is read by numpy's C reader, and the exact reader
     names any failure and gives the line numbers of the checks that name one.
+    The rows of a well-formed file are placed by one scatter of their row
+    numbers; only a file it finds wrong is sorted, to name the failure.
     """
     text = _text(path)
     lines = text.split("\n")
@@ -219,21 +221,24 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
                        f"expected a vertex index and {width} value(s)",
                        "malformed number")
     vertex = table[:, 0]
-    # each value's first row, and for each row the first row of its value
-    present, first, same = np.unique(vertex, return_index=True,
-                                     return_inverse=True)
     outside = (vertex < 0) | (vertex >= n)
-    bad = outside | (first[same] != np.arange(len(vertex)))  # or a repeat
-    if bad.any():
-        k = int(bad.argmax())
-        numbers = _tokens(text)[0]
-        given = numbers[first[same[k]]]
-        raise ParseError(
-            f"vertex {int(vertex[k])} outside 0..{n - 1}" if outside[k]
-            else f"vertex {int(vertex[k])} already given on line {given}",
-            line=numbers[k],
-        )
-    if len(present) < n:
+    first = np.full(n, -1)  # each vertex's row: n rows in range hitting all
+    if len(vertex) == n and not outside.any():
+        first[vertex.astype(np.intp)] = np.arange(n)
+    if first.min() < 0:  # a vertex out of range, repeated or missing
+        # each value's first row, and for each row the first row of its value
+        present, first, same = np.unique(vertex, return_index=True,
+                                         return_inverse=True)
+        bad = outside | (first[same] != np.arange(len(vertex)))  # or a repeat
+        if bad.any():
+            k = int(bad.argmax())
+            numbers = _tokens(text)[0]
+            given = numbers[first[same[k]]]
+            raise ParseError(
+                f"vertex {int(vertex[k])} outside 0..{n - 1}" if outside[k]
+                else f"vertex {int(vertex[k])} already given on line {given}",
+                line=numbers[k],
+            )
         gap = np.append(present, n) != np.arange(len(present) + 1)
         raise MissingVertex(f"no value for vertex {int(gap.argmax())}")
     values = table[first, 1:]
@@ -268,9 +273,11 @@ def _fmt(value) -> str:
 
 
 def _state_lines(state) -> list:
+    """One line per vertex, its index and values; ``%.17g`` writes what
+    :func:`_fmt` writes, one format string per row."""
     rows = state.values if isinstance(state, SimplexField) else state[:, None]
-    return [" ".join([str(i)] + [_fmt(v) for v in row])
-            for i, row in enumerate(rows)]
+    line = "%d" + " %.17g" * rows.shape[1]
+    return list(map(line.__mod__, zip(range(len(rows)), *rows.T.tolist())))
 
 
 def _write_text(path: str, text: str):

@@ -224,6 +224,36 @@ def test_disconnection_is_found_without_vertex_arrays():
         build_graph(4, [(1, 2, 1.0), (2, 3, 1.0)])
 
 
+def test_a_repeat_is_named_before_a_count_the_edges_cannot_connect():
+    # five vertices need four edges; the repeated pair is still the error
+    with pytest.raises(DuplicateEdge) as caught:
+        build_graph(5, [(0, 1, 1.0), (1, 0, 1.0)])
+    assert str(caught.value) == "edge (0, 1) listed twice"
+    assert caught.value.positions == (0, 1)
+
+
+def test_build_graph_peaks_under_100_bytes_an_edge():
+    # one sort key and the edge arrays; the two-key lexsort and np.unique
+    # relabelling took 135 bytes an edge here
+    g = random_connected_graph(20_001, np.random.default_rng(3),
+                               extra_edges=60_003)
+    rng = np.random.default_rng(4)
+    edges = np.column_stack([g.edge_i, g.edge_j, g.edge_w])
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip, :2] = edges[flip, 1::-1]
+    tracemalloc.start()
+    try:
+        rebuilt = build_graph(g.num_vertices, edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * len(edges)
+    # the degrees are summed in the canonical order, so bit for bit
+    for name in ("edge_i", "edge_j", "edge_w", "degrees"):
+        assert getattr(rebuilt, name).tobytes() == getattr(g, name).tobytes()
+
+
 def test_dense_spectrum_refuses_large_graphs():
     g = build_graph(DENSE_VERTEX_LIMIT + 1, _path_edges(DENSE_VERTEX_LIMIT + 1))
     tracemalloc.start()

@@ -118,6 +118,21 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     assert str(info.value) == "line 6: edge (0, 1) already given on line 3"
 
 
+def test_a_repeat_is_named_before_a_count_the_edges_cannot_connect(tmp_path):
+    # 10**30 vertices need far more edges than listed, yet the repeat is the
+    # error, read by the C reader and, with a comment among the data, by the
+    # exact one
+    header = f"vertices {10**30} r 0\n"
+    for body, line, given in (("0 1 1.0\n1 2 1.0\n2 1 0.5\n", 4, 3),
+                              ("# c\n0 1 1.0\n1 2 1.0\n\n2 1 0.5\n", 6, 4)):
+        with pytest.raises(DuplicateEdge) as info:
+            parse_graph_file(_write(tmp_path, "g.txt", header + body))
+        assert info.value.line == line
+        assert str(info.value) == (
+            f"line {line}: edge (1, 2) already given on line {given}"
+        )
+
+
 def test_parse_graph_reports_build_graph_categories_first(tmp_path):
     # the edge checks run by category: a self loop anywhere is reported
     # before a repeated edge, though the repeat comes first in the file
@@ -282,6 +297,32 @@ def test_well_formed_files_skip_the_exact_reader(tmp_path, monkeypatch):
     assert parse_field_file(state, g).tolist() == [1.0, 0.0, 0.25]
     field = parse_field_file(classes, g, 2)
     assert field.values.tolist() == [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
+
+
+def test_well_formed_files_are_read_without_np_unique(tmp_path, monkeypatch):
+    # np.unique sorts and faults in sort code no other set-up needs: it may
+    # only name a failure.  A tree (n = E + 1) and a graph with a cycle,
+    # rows in any order, a comment line before the data
+    tree = _write(tmp_path, "t.txt", "vertices 4 r 0\n2 3 1\n1 0 1\n1 2 1\n")
+    graph = _write(tmp_path, "g.txt",
+                   "vertices 4 r 0.5\n# c\n2 3 1.0\n1 0 0.5\n1 2 2.0\n3 0 1.0\n")
+    state = _write(tmp_path, "u.txt", "# c\n3 0.25\n1 0\n0 1\n2 0.5\n")
+    classes = _write(tmp_path, "v.txt",
+                     "1 0.2 0.3 0.5\n0 1 0 0\n3 0 0 1\n2 0.5 0.5 0\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique was called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert parse_graph_file(tree).edges == (
+        (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)
+    )
+    g = parse_graph_file(graph)
+    assert g.edges == ((0, 1, 0.5), (0, 3, 1.0), (1, 2, 2.0), (2, 3, 1.0))
+    assert parse_field_file(state, g).tolist() == [1.0, 0.0, 0.5, 0.25]
+    assert parse_field_file(classes, g, 3).values.tolist() == [
+        [1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]
+    ]
 
 
 def test_leading_comments_keep_the_c_reader(tmp_path, monkeypatch):
@@ -490,6 +531,22 @@ def test_log_csv_header_and_step_rows(tmp_path):
     second = lines[2].split(",")
     assert second[0] == "1"
     assert float(second[6]) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_state_rows_write_what_fmt_writes():
+    # one format string per row; the bytes are those of _fmt per value
+    values = [-0.0, 0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2]
+    assert io_cli._state_lines(np.array(values)) == [
+        f"{i} {io_cli._fmt(v)}" for i, v in enumerate(values)
+    ]
+    rows = [[-0.0, 0.0, 1.0], [5e-324, 1e-300, 1.0], [0.1 + 0.2, 0.1, 0.6]]
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    lines = io_cli._state_lines(SimplexField(values=np.array(rows), graph=g))
+    assert lines == [
+        " ".join([str(i)] + [io_cli._fmt(v) for v in row])
+        for i, row in enumerate(rows)
+    ]
+    assert lines[2] == "2 0.30000000000000004 0.10000000000000001 0.59999999999999998"
 
 
 def test_two_class_round_trip_is_bitwise(tmp_path):
@@ -1023,6 +1080,33 @@ def test_cli_reports_a_vertex_count_the_edges_cannot_connect(tmp_path, capsys):
     ])
     assert code == 1
     assert _last_error(capsys)["error"] == "DisconnectedGraph"
+    assert not (tmp_path / "o").exists()
+
+
+def test_counts_and_endpoints_past_int64_are_named_exactly(tmp_path, capsys):
+    # a count past the float range ended in an OverflowError traceback, and
+    # an endpoint past int64 was cast to -2**63 in the repeat's message
+    init = _write(tmp_path, "u.txt", P2_INIT)
+    args = ["run", "--init", init, "--mode", "mbo", "--tau", "0.3",
+            "--steps", "1", "--out", str(tmp_path / "o")]
+    big = 10**400
+    graph = _write(tmp_path, "g.txt", f"vertices {big} r 0\n0 1 1.0\n")
+    assert cli_main(args + ["--graph", graph]) == 1
+    assert _last_error(capsys) == {
+        "error": "DisconnectedGraph",
+        "message": f"vertices [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] ({big - 2} in all)"
+                   " unreachable from vertex 0",
+    }
+    far = 10**20
+    graph = _write(tmp_path, "g.txt",
+                   f"vertices {10**30} r 0\n0 {far} 1.0\n{far} 0 2\n")
+    assert cli_main(args + ["--graph", graph]) == 1
+    assert _last_error(capsys) == {
+        "error": "DuplicateEdge",
+        "message": f"line 3: edge (0, {far}) already given on line 2",
+    }
+    with pytest.raises(DuplicateEdge, match=rf"edge \(0, {far}\) listed twice"):
+        build_graph(10**30, [(0, far, 1.0), (far, 0, 2.0)])
     assert not (tmp_path / "o").exists()
 
 

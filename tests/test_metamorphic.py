@@ -8,7 +8,8 @@ value ``H`` by ``c**r``, the Ginzburg-Landau energy and ``H_tau`` by ``c``;
 the multiplier and the step change do not move.  Every factor here is a
 power of two, so each scaling is exact in floating point and bits are
 compared throughout.  Listing the edges in another order, each either way
-round, describes the same graph, so the run is the same too.  Time scales
+round, describes the same graph, and listing a state file's rows in
+another order the same start, so the run is the same too.  Time scales
 with the Laplacian, so a step-size refinement whose ``epsilon``, ``t_final``
 and step sizes all shrink by ``c**(1 - r)`` compares the same states.
 
@@ -206,3 +207,37 @@ def test_cli_runs_agree_across_weight_scaling_and_edge_order(tmp_path):
                 assert float(other[name]) == float(text) * factors[name], name
             else:
                 assert other[name] == text, name
+
+
+def _write_state(path, rows, order, comment):
+    lines = [comment] if comment else []
+    lines += [" ".join([str(v)] + [format(x, ".17g") for x in rows[v]])
+              for v in order]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("classes", [None, 3])
+def test_cli_runs_agree_across_state_row_order(tmp_path, classes):
+    # rows are placed by their vertex index, so a state file with its rows
+    # shuffled and a leading comment line describes the same start
+    g, u0 = _instance(0.5, seed=25)
+    rng = np.random.default_rng(25)
+    rows = u0[:, None] if classes is None else rng.dirichlet(np.ones(3), N)
+    graph = _write_graph(tmp_path / "g.txt", g, g.edges)
+    if classes is None:
+        command = ["run", "--mode", "sd", "--eps", "0.4", "--tau", "0.1",
+                   "--steps", str(STEPS)]
+    else:
+        command = ["multiclass", "--mode", "multiclass-msd", "--eps", "0.4",
+                   "--tau", "0.2", "--steps", "5"]
+    outputs = []
+    for name, order, comment in (("sorted", range(N), None),
+                                 ("shuffled", rng.permutation(N), "# rows")):
+        init = _write_state(tmp_path / f"{name}.txt", rows, order, comment)
+        out = tmp_path / name
+        assert cli_main([*command, "--graph", graph, "--init", init,
+                         "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes()
+                        for f in ("log.csv", "final_state.txt")])
+    assert outputs[1] == outputs[0]
