@@ -17,6 +17,15 @@ onto [-1, 1] once per graph, by the Gershgorin bound on its spectrum, and
 term, the pass :func:`laplacian_apply` makes.  The series is cut where its
 coefficient tail drops below ``2**-60``, so it is exact to rounding; no
 n-by-n array and no second copy of the edges is made.
+
+The pass builds the edge flows ``w_ij (u_i - u_j)`` in one buffer and
+scatters them with two ``np.add.at`` calls, outflows then inflows, each
+onto a zeroed vector: every vertex sums its flows one at a time from +0.0
+in edge order, which is how ``np.bincount`` sums them, without its scan of
+the index array for its range.  The recurrence doubles each image and
+subtracts the term before it in place, and adds each term through one
+reused buffer.  Doubling is exact and every other operation is the product
+or difference the allocating form makes, so the bits are the same.
 """
 
 import functools
@@ -253,10 +262,20 @@ def laplacian_apply(u: np.ndarray, g: Graph) -> np.ndarray:
 
 
 def _outflow(u: np.ndarray, g: Graph) -> np.ndarray:
-    """``(D - W) u``: the net flow ``w_ij (u_i - u_j)`` out of each vertex."""
-    flow = g.edge_w * (u[g.edge_i] - u[g.edge_j])  # out of edge_i, into edge_j
-    n = g.num_vertices
-    return np.bincount(g.edge_i, flow, n) - np.bincount(g.edge_j, flow, n)
+    """``(D - W) u``: the net flow ``w_ij (u_i - u_j)`` out of each vertex.
+
+    Outflows and inflows are summed apart, from +0.0 in edge order, as
+    ``np.bincount`` sums them.
+    """
+    flow = u[g.edge_i]  # out of edge_i, into edge_j
+    flow -= u[g.edge_j]
+    flow *= g.edge_w
+    out = np.zeros(g.num_vertices)
+    np.add.at(out, g.edge_i, flow)
+    inflow = np.zeros(g.num_vertices)
+    np.add.at(inflow, g.edge_j, flow)
+    out -= inflow
+    return out
 
 
 def dirichlet_energy(u: np.ndarray, g: Graph) -> float:
@@ -306,20 +325,28 @@ def spectral_decompose(g: Graph) -> Spectrum:
 
 
 def _apply_x(y: np.ndarray, s: Spectrum) -> np.ndarray:
-    """``X y``, one column at a time for an (n, K) block."""
+    """``X y`` in a new array, one column at a time for an (n, K) block."""
     if y.ndim == 2:
         return np.column_stack([_apply_x(column, s) for column in y.T])
-    return s.scale * _outflow(y, s.graph) - y
+    out = _outflow(y, s.graph)
+    out *= s.scale
+    out -= y
+    return out
 
 
 def _chebyshev_series(u: np.ndarray, coeffs: np.ndarray, s: Spectrum) -> np.ndarray:
     """``sum_k coeffs[k] T_k(X) u`` by the three-term recurrence."""
     out = coeffs[0] * u
+    term = np.empty_like(out)
     previous, current = None, u
     for k in range(1, coeffs.size):
         image = _apply_x(current, s)
-        previous, current = current, image if k == 1 else 2.0 * image - previous
-        out += coeffs[k] * current
+        if k > 1:
+            image *= 2.0
+            image -= previous
+        previous, current = current, image
+        np.multiply(current, coeffs[k], out=term)
+        out += term
     return out
 
 

@@ -2,8 +2,10 @@
 
 Each shares no code with the fast path it checks: the dense
 eigendecomposition of the Laplacian is the reference for the Chebyshev heat
-diffusion of :mod:`graphphase.graph_core`, Dykstra's alternating corrections
-between the row simplices and the class-mass planes (Boyle & Dykstra 1986)
+diffusion of :mod:`graphphase.graph_core`, two ``np.bincount`` sums and a
+recurrence that allocates every term for the bits of its scattered edge
+flows and in-place series, Dykstra's alternating corrections between the
+row simplices and the class-mass planes (Boyle & Dykstra 1986)
 for the exact multi-class mass projection, the plain damped iteration for
 the accelerated multi-class fixed point, the boolean-masked subgradient for
 the mask-free certificate of the two-class steps and the refusals of its
@@ -89,6 +91,33 @@ def dense_diffuse(u: np.ndarray, t: float, ds: DenseSpectrum) -> np.ndarray:
     coeffs = ds.phi.T @ (ds.scale_fwd * np.asarray(u, dtype=float))
     coeffs *= np.exp(-t * ds.eigenvalues)
     return ds.scale_back * (ds.phi @ coeffs)
+
+
+def bincount_outflow(u: np.ndarray, g: Graph) -> np.ndarray:
+    """``(D - W) u`` as two ``np.bincount`` sums of the edge flows."""
+    flow = g.edge_w * (u[g.edge_i] - u[g.edge_j])
+    n = g.num_vertices
+    return np.bincount(g.edge_i, flow, n) - np.bincount(g.edge_j, flow, n)
+
+
+def allocating_series(u: np.ndarray, coeffs: np.ndarray, s: Spectrum) -> np.ndarray:
+    """``sum_k coeffs[k] T_k(X) u``, a new array for every product and term.
+
+    ``X y = scale (D - W) y - y`` goes through :func:`bincount_outflow`,
+    one column at a time for an (n, K) block.
+    """
+    def apply_x(y):
+        if y.ndim == 2:
+            return np.column_stack([apply_x(column) for column in y.T])
+        return s.scale * bincount_outflow(y, s.graph) - y
+
+    out = coeffs[0] * u
+    previous, current = None, u
+    for k in range(1, coeffs.size):
+        image = apply_x(current)
+        previous, current = current, image if k == 1 else 2.0 * image - previous
+        out += coeffs[k] * current
+    return out
 
 
 def masked_subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarray:

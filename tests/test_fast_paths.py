@@ -1,8 +1,10 @@
 """The seeded multiplier search, the vectorised level grouping, the
 threshold step read off the relaxed profile, the mask-free certificate and
-its O(log L) check on the level profile, against the full breakpoint scan,
-the per-vertex loop, the separate threshold fill and the boolean-masked
-subgradient they replaced.
+its O(log L) check on the level profile, and the scattered edge flows and
+in-place Chebyshev recurrence of the diffusion, against the full
+breakpoint scan, the per-vertex loop, the separate threshold fill, the
+boolean-masked subgradient, and the ``np.bincount`` kernel and allocating
+recurrence they replaced.
 
 Every fast path evaluates the same floating-point expressions as the code it
 replaced, so every output must match exactly, not to a tolerance.
@@ -21,7 +23,7 @@ from graphphase import (
     spectral_decompose,
     sweep_lambda,
 )
-from graphphase import scheme
+from graphphase import graph_core, scheme
 from graphphase.scheme import (
     GROUP_TOL,
     MboMultiplier,
@@ -29,7 +31,7 @@ from graphphase.scheme import (
     ThresholdLevels,
     threshold_levels,
 )
-from references import masked_subgradient
+from references import allocating_series, bincount_outflow, masked_subgradient
 
 LAMS = (0.25, 0.9, 0.99, 0.999, 0.9999)
 INSTANCES = 1200
@@ -733,3 +735,48 @@ def test_check_profile_refuses_where_the_masked_reference_does(instances):
     for fault in (profile[::-1], profile - 0.5, profile + 0.5):
         with pytest.raises(InconsistentInputs, match="does not ascend"):
             scheme._check_profile(levels, fault, multiplier, lam)
+
+
+def _signed_spread(rng, shape):
+    """Signs at random, magnitudes from 1e-300 to 1e100, and signed zeros."""
+    u = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 100, shape)
+    u.flat[::5] = 0.0
+    u.flat[2::7] = -0.0
+    return u
+
+
+def test_diffusion_keeps_the_bincount_bits(monkeypatch):
+    # every vertex sums its flows from +0.0 in edge order, as bincount does,
+    # and the in-place recurrence makes the allocating one's products and
+    # differences, so the three public operators keep their bits
+    rng = np.random.default_rng(20261020)
+    cases = []
+    for n in (2, 9, 60, 300):
+        for r in (0.0, 0.5, 1.0):
+            g = random_connected_graph(n, rng, r=r, extra_edges=2 * n)
+            fields = [
+                _signed_spread(rng, n),
+                _signed_spread(rng, (n, 3)),
+                rng.random((n, 3)),
+                np.full(n, -0.0),
+            ]
+            cases.append((g, spectral_decompose(g), fields))
+
+    def bits():
+        out = []
+        for g, s, fields in cases:
+            for u in fields:
+                if u.ndim == 1:
+                    out.append(graph_core.laplacian_apply(u, g).tobytes())
+                for t in (1e-6, 0.1, 2.0, 25.0):
+                    out.append(graph_core.diffuse(u, t, s).tobytes())
+                    out.append(graph_core.heat_remainder(u, t, s).tobytes())
+        return out
+
+    fast = bits()
+    monkeypatch.setattr(graph_core, "_outflow", bincount_outflow)
+    monkeypatch.setattr(graph_core, "_chebyshev_series", allocating_series)
+    reference = bits()
+    assert len(fast) == 12 * (2 + 4 * 8)  # 1-D fields also through laplacian_apply
+    mismatched = [k for k, (a, b) in enumerate(zip(fast, reference)) if a != b]
+    assert mismatched == []
