@@ -80,7 +80,22 @@ class SchemeParams:
 
     def __post_init__(self):
         _check_tau(self.tau)
-        _check_lam(self.epsilon, self.tau, self.lam)
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+        if math.isfinite(self.epsilon):
+            # |tau/epsilon - lam| <= 1e-12 scaled by epsilon: a subnormal
+            # tau / (tau / lam) need not round back to lam, but
+            # lam * (tau / lam) rounds back to tau
+            off = abs(self.lam * self.epsilon - self.tau) > 1e-12 * self.epsilon
+        else:
+            off = self.lam > 1e-12
+        if off:
+            raise ValueError(
+                "inconsistent parameters: "
+                f"tau/epsilon = {self.tau / self.epsilon}, lam = {self.lam}"
+            )
 
     @classmethod
     def from_epsilon(cls, epsilon: float, tau: float) -> "SchemeParams":
@@ -97,19 +112,6 @@ class SchemeParams:
 def _check_tau(tau) -> None:
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-
-
-def _check_lam(epsilon, tau, lam) -> None:
-    """The checks of :class:`SchemeParams` after ``tau``'s."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    implied = tau / epsilon if math.isfinite(epsilon) else 0.0
-    if abs(implied - lam) > 1e-12:
-        raise ValueError(
-            f"inconsistent parameters: tau/epsilon = {implied}, lam = {lam}"
-        )
 
 
 @dataclass(frozen=True)
@@ -289,9 +291,9 @@ def _clip_midpoint(lo: float, hi: float, lam: float) -> float:
 
 def _invert_segment(p0: float, p1: float, r0: float, r1: float, m: float) -> float:
     """Solve the affine piece of the balance between breakpoints ``p0 < p1``,
-    whose balances ``r0 > r1`` bracket ``m``."""
-    t = (r0 - m) / (r0 - r1)
-    return float(p0 + min(max(t, 0.0), 1.0) * (p1 - p0))
+    whose balances ``r0 > r1`` bracket ``m``: ``0 <= r0 - m <= r0 - r1``
+    holds exactly, and rounding is monotone, so the ratio lies in [0, 1]."""
+    return float(p0 + (r0 - m) / (r0 - r1) * (p1 - p0))
 
 
 def _balance_at(alphas, weights, point, s) -> float:

@@ -293,23 +293,20 @@ def sweep_lambda(
     threshold profile is consistent), its O(L) new values and mass-repair
     dot product and one O(L) ascent test in the check.  The rest is
     O(log L), and the distance, read at the reference's threshold level and
-    its two neighbours, O(1).  Tau and each lambda are checked as floats, as
-    ``SchemeParams.from_lambda`` would check them, without building one.
+    its two neighbours, O(1).  Tau is checked once, by the rule
+    ``SchemeParams`` applies, and each lambda against (0, 1) alone.  A tau
+    whose tau / lambda overflows meets diffusion's ``GraphTooLarge`` here,
+    where ``SchemeParams.from_lambda`` refuses it as inconsistent first.
     """
     lambdas = [float(lam) for lam in lambdas]
     if not lambdas:
         raise ValueError("need at least one lambda")
-    for index, lam in enumerate(lambdas):
+    scheme._check_tau(tau)
+    for lam in lambdas:
         if lam >= 1.0:
             raise LambdaIsOne(f"sweep requires lambda < 1, got {lam}")
-        if lam <= 0.0:
+        if not lam > 0.0:  # NaN too
             raise ValueError(f"sweep requires lambda > 0, got {lam}")
-        # what SchemeParams.from_lambda(tau, lam) refuses, a NaN lam or a bad
-        # tau, in its order, without building it; tau once, at the first lam
-        epsilon = tau / lam if lam > 0.0 else math.inf
-        if not index:
-            scheme._check_tau(tau)
-        scheme._check_lam(epsilon, tau, lam)
     _, mass_in, diffused = _diffused_state(u0, g, s, tau)
     levels = scheme.threshold_levels(diffused, g)
     _, reference = _level_step(levels, mass_in, 1.0)

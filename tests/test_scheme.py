@@ -73,6 +73,15 @@ def test_params_constructors():
     assert SchemeParams.from_lambda(tau=0.3, lam=lam).lam == lam
 
 
+@pytest.mark.parametrize("tau", [5e-324, 1.5e-323, 1e-310, 3e-308])
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.7, 0.9, 1.0 - 2.0**-40])
+def test_from_lambda_takes_a_subnormal_tau(tau, lam):
+    # tau / (tau / lam) can round far from lam down here, as at
+    # tau = 5e-324, lam = 0.9, where the interface width rounds back to tau
+    p = SchemeParams.from_lambda(tau=tau, lam=lam)
+    assert (p.tau, p.lam) == (tau, lam)
+
+
 def test_threshold_levels_groups_ties(triangle_r1):
     levels = threshold_levels(np.array([0.9, 0.9, 0.3]), triangle_r1)
     assert_allclose(levels.values, [0.3, 0.9])

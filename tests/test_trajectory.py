@@ -351,6 +351,46 @@ def test_sweep_validates_lambda(p2, p2_spectrum):
         sweep_lambda(u0, p2, p2_spectrum, 0.3, [])
 
 
+@pytest.mark.parametrize("tau", [0.0, -1e-3, math.inf, math.nan])
+def test_sweep_refuses_a_bad_tau(p2, p2_spectrum, tau):
+    with pytest.raises(ValueError, match="tau"):
+        sweep_lambda(np.array([1.0, 0.0]), p2, p2_spectrum, tau, [0.5])
+
+
+@pytest.mark.parametrize("lam", [math.nan, 0.0, -0.5])
+def test_sweep_refuses_a_lambda_at_or_below_zero(p2, p2_spectrum, lam):
+    # NaN fails every comparison, so it is refused by "not lam > 0"
+    with pytest.raises(ValueError, match="lambda"):
+        sweep_lambda(np.array([1.0, 0.0]), p2, p2_spectrum, 0.3, [0.5, lam])
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, math.inf])
+def test_sweep_refuses_a_lambda_at_or_above_one(p2, p2_spectrum, lam):
+    with pytest.raises(LambdaIsOne):
+        sweep_lambda(np.array([1.0, 0.0]), p2, p2_spectrum, 0.3, [0.5, lam])
+
+
+def test_sweep_takes_a_tau_whose_interface_width_rounds(p2, p2_spectrum):
+    # tau / 0.9 rounds back to tau at the smallest subnormal, so tau divided
+    # by that interface width reads lambda 1; the row is still the public
+    # step's distance
+    u0 = np.array([1.0, 0.0])
+    rows = sweep_lambda(u0, p2, p2_spectrum, 5e-324, [0.9])
+    assert len(rows) == 1
+    assert rows[0].lam == 0.9
+    assert math.isfinite(rows[0].sup_distance_to_mbo)
+    params = SchemeParams.from_lambda(tau=5e-324, lam=0.9)
+    out = semi_discrete_step(u0, p2, p2_spectrum, params).u_next
+    reference = mbo_step(u0, p2, p2_spectrum, 5e-324).u_next
+    assert rows[0].sup_distance_to_mbo == float(np.abs(out - reference).max())
+
+
+def test_sweep_leaves_an_overflowing_tau_to_diffusion(p2, p2_spectrum):
+    # tau / 0.5 overflows, but the limit the sweep meets is diffusion's
+    with pytest.raises(GraphTooLarge):
+        sweep_lambda(np.array([1.0, 0.0]), p2, p2_spectrum, 1.7e308, [0.5])
+
+
 def test_converge_tau_constant_state(triangle):
     s = spectral_decompose(triangle)
     report = converge_tau(
