@@ -48,7 +48,7 @@ class NegativeTime(ValidationError):
 
 
 class DomainViolation(ValidationError):
-    """Field values outside the admissible box or simplex."""
+    """Field values outside the box or simplex, or a step's lambda off its range."""
 
 
 class MassOutOfRange(ValidationError):

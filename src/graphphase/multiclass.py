@@ -1,18 +1,21 @@
 """Multi-class phase fields on the probability simplex.
 
 States are |V| x K matrices whose rows live on the simplex; the obstacle
-well rewards rows that sit on a vertex of it.  The implicit stepping schemes
-here have no closed-form solve, so both run safeguarded semismooth Newton
-steps on the fixed point around exact projections (the linear systems are
-invertible while lam < K / (2 (K - 1))) and are flagged experimental: every
-result reports its residual and a converged flag instead of assuming
-success.  Each fixed point stops at a displacement of ``FP_TOL`` or after
-``MAX_ITER`` iterations; both are constants.  The mass-conserving variant
-projects exactly onto the transportation polytope (simplex rows with
-prescribed class masses) by a semismooth Newton solve for its K multipliers
-on the monotone, piecewise-linear mass balance; they are the per-class
-constants of the update equation.  The tests check the projection against
-Dykstra's corrections and the Newton loop against the plain damped one
+well rewards rows that sit on a vertex of it.  Both implicit stepping
+schemes are defined only for lam < K / (2 (K - 1)), where their fixed
+point is unique, and raise ``DomainViolation`` on or above that bound.
+With no closed-form solve, both run semismooth Newton steps on the fixed
+point around exact projections, a Newton step only from an iterate of
+least displacement so far and the plain step from any other, and are
+flagged experimental: every result reports its residual and a converged
+flag instead of assuming success.  Each fixed point stops at a
+displacement of ``FP_TOL`` or after ``MAX_ITER`` iterations; both are
+constants.  The mass-conserving variant projects exactly onto the
+transportation polytope (simplex rows with prescribed class masses) by a
+semismooth Newton solve for its K multipliers on the monotone,
+piecewise-linear mass balance; they are the per-class constants of the
+update equation.  The tests check the projection against Dykstra's
+corrections and the Newton loop against the plain damped one
 (``tests/references.py``).
 """
 
@@ -326,57 +329,44 @@ def _step_length(matrix, weights, masses, mu, direction, x, balance):
 
 
 def _fixed_point(project, diffused, lam, weights):
-    """Safeguarded semismooth Newton, shared by both multi-class steps.
+    """Semismooth Newton with one safeguard, shared by both multi-class steps.
 
     ``project`` maps a matrix to (feasible iterate, correction, constants,
     inner iterations); the step is a fixed point of the map
-    ``G(x) = project(diffused + lam * force(x))``.  From the second
-    iteration on, the loop takes the Newton step of ``x - G(x)``
-    (:func:`_newton_step`; ``weights`` are the mass weights, ``None`` when
-    masses are free).  A Newton point stands only if its displacement
-    ``|G(x) - x|`` falls below the last accepted one's (Zhang, O'Donoghue
-    & Boyd 2020); otherwise the loop steps on to the rejected point's own
-    image and takes plain steps, twice as many after each rejection, before
-    it tries Newton again; a singular system takes the plain step.  The
-    loop ends at a displacement of ``FP_TOL`` or after ``MAX_ITER``
-    iterations, both read at each call.  Every returned iterate is an image
-    of ``G``, so it is feasible; a non-converged run hands back the image
-    of least displacement.
+    ``G(x) = project(diffused + lam * force(x))``, a contraction on the
+    steps' domain ``lam < K / (2 (K - 1))``.  From the second iteration on,
+    an iterate whose displacement ``|G(x) - x|`` is below every earlier
+    one's takes the Newton step of ``x - G(x)`` (:func:`_newton_step`;
+    ``weights`` are the mass weights, ``None`` when masses are free); any
+    other iterate, or a singular Newton system, takes the plain step
+    ``x <- G(x)``.  The loop ends at a displacement of ``FP_TOL`` or after
+    ``MAX_ITER`` iterations, both read at each call.  Every returned
+    iterate is an image of ``G``, so it is feasible; a non-converged run
+    hands back the image of least displacement.
     """
     current, correction, constants, inner = project(diffused)
     best = (math.inf, current, correction, constants)
-    accepted = math.inf  # displacement of the last accepted point
-    rejections = cooldown = 0
-    newton = converged = False
+    converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         target = diffused + lam * _force(current)
         image, correction, constants, spent = project(target)
         inner += spent
-        residual = image - current
-        disp = float(np.abs(residual).max())
+        step = image - current
+        disp = float(np.abs(step).max())
         if disp < best[0]:
+            # a displacement within FP_TOL is always a new best
             best = (disp, image, correction, constants)
-        if disp <= FP_TOL:
-            converged = True
-            break
-        if newton and disp >= accepted:
-            # trying Newton again at once from the rejected point can cycle;
-            # step on from its image and wait longer after each rejection
-            rejections += 1
-            cooldown = 2**rejections
-        else:
-            accepted = disp
-        # from the projection of the bare diffusion a Newton step overshoots
-        newton = cooldown == 0 and iterations > 1
-        if newton:
-            try:
-                current = current + _newton_step(current, image, lam, weights)
-            except np.linalg.LinAlgError:
-                newton = False
-        if not newton:
-            cooldown = max(cooldown - 1, 0)
-            current = current + residual
+            if disp <= FP_TOL:
+                converged = True
+                break
+            # from the projection of the bare diffusion a Newton step overshoots
+            if iterations > 1:
+                try:
+                    step = _newton_step(current, image, lam, weights)
+                except np.linalg.LinAlgError:
+                    pass
+        current = current + step
     _, final, correction, constants = best
     return final, correction, constants, iterations, converged, inner
 
@@ -438,11 +428,18 @@ def _solve_step(start, g, s, params, project, weights, masses_in):
     returned iterate, subgradient and per-class constants included.
     ``weights`` go to the fixed point (``None`` when masses are free) and
     ``masses_in`` is reported as the step's ``class_masses_in``.  The
-    spectrum is checked before any work.
+    spectrum and the domain ``lam < K / (2 (K - 1))`` (else
+    :class:`~graphphase.errors.DomainViolation`) are checked before any work.
     """
     g.check_spectrum(s)
+    lam, num_classes = params.lam, start.shape[1]
+    bound = num_classes / (2 * (num_classes - 1))
+    if lam >= bound:
+        raise DomainViolation(
+            f"multi-class steps need lambda < K / (2 (K - 1)) = {bound!r} "
+            f"for K = {num_classes}, got {lam!r}"
+        )
     diffused = diffuse(start, params.tau, s)
-    lam = params.lam
     final, correction, constants, iterations, converged, inner = _fixed_point(
         project, diffused, lam, weights
     )

@@ -1,24 +1,28 @@
 """The multi-class fixed point and its safeguarded Newton steps.
 
-Checked against the plain damped iteration in ``references``, which shares
-the map (force and projections) but none of the Newton steps, on seeded
-instances with one-hot rows, an empty class, K = 2 to 5 and lambda up to
-0.95.  Each Newton system ``M_i = I - lam P_i H_i`` is invertible for rows on
-the simplex while lam < K / (2 (K - 1)); the linearisation is checked
-against a dense central-difference Jacobian of the map, and the plain-step
-fallback for a singular system against the damped loop.  Plus the instance
-on which Newton steps are rejected until the support settles, iteration
-counts that guard the speed-up without timing anything, and the feasible
-image a step returns when its iteration budget runs out.
+Both steps are defined only for lambda < K / (2 (K - 1)): below that bound
+the plain map contracts and each Newton system ``M_i = I - lam P_i H_i`` is
+invertible for rows on the simplex; on or above it a row can have two
+fixed points, and the steps refuse.  Checked against the plain damped
+iteration in ``references``, which shares the map (force and projections)
+but none of the Newton steps, on seeded instances with one-hot rows, an
+empty class, K = 2 to 5 and lambda up to 0.95 of the bound.  The
+linearisation is checked against a dense central-difference Jacobian of
+the map, and the plain-step fallback for a singular system against the
+damped loop.  Plus the instance on which Newton steps overshoot until the
+support settles, iteration counts that guard the speed-up without timing
+anything, the feasible image a step returns when its iteration budget runs
+out, a row with two fixed points above the bound, and the refusal.
 """
 
-import math
 import statistics
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from graphphase import (
+    DomainViolation,
     SchemeParams,
     SimplexField,
     multiclass_mass_conserving_step,
@@ -45,13 +49,17 @@ def _damped(stepper, *args, **kwargs):
 def _instances(seed):
     """One instance per class count, lambda and start kind.
 
-    ``one_hot`` starts every row on a simplex vertex; ``empty`` moves the
-    last class onto the first, so it starts with no mass at all.
+    Lambda takes 0.2 and 0.5, both below every bound K / (2 (K - 1)) here,
+    and 0.8 and 0.95 times that bound, which for K = 2 is 1.  ``one_hot``
+    starts every row on a simplex vertex; ``empty`` moves the last class
+    onto the first, so it starts with no mass at all.
     """
     rng = np.random.default_rng(seed)
     for kind in KINDS:
-        for lam in (0.2, 0.5, 0.8, 0.95):
+        for share in (0.2, 0.5, 0.8, 0.95):
             for num_classes in (2, 3, 4, 5):
+                bound = num_classes / (2 * (num_classes - 1))
+                lam = share if share <= 0.5 else share * bound
                 n = int(rng.integers(5, 40))
                 g = random_connected_graph(n, rng, r=float(rng.choice([0.0, 0.5, 1.0])))
                 if kind == "one_hot":
@@ -81,42 +89,37 @@ def test_accelerated_matches_damped_reference():
         for stepper in STEPPERS:
             fast = stepper(field, g, s, params)
             reference = _damped(stepper, field, g, s, params)
-            if reference.converged:
-                assert fast.converged
-            if not (fast.converged and reference.converged):
-                continue
+            assert fast.converged and reference.converged
             gap = np.abs(fast.u_next.values - reference.u_next.values).max()
             assert gap <= 10.0 * FP_TOL / (1.0 - params.lam)
             assert fast.residual <= 1e-8
             assert fast.u_next.values.min() >= 0.0
             agreed += 1
-    assert agreed >= 80
+    assert agreed == 96
 
 
 def test_well_posed_iterations_stay_few():
     # below lam = K / (2 (K - 1)) the plain map contracts at rate
-    # lam * 2 (K - 1) / K and every Newton system is invertible: the 60
-    # plain and mass-conserving solves there take 237 iterations in all
+    # lam * 2 (K - 1) / K and every Newton system is invertible: the 96
+    # plain and mass-conserving solves take 422 iterations in all
     iterations = []
     for g, s, field, params in _instances(seed=2609):
-        num_classes = field.num_classes
-        if params.lam >= num_classes / (2 * (num_classes - 1)):
-            continue
         for stepper in STEPPERS:
             result = stepper(field, g, s, params)
             assert result.converged
             iterations.append(result.iterations)
-    assert len(iterations) == 60
-    assert sum(iterations) <= 300
+    assert len(iterations) == 96
+    assert sum(iterations) <= 540
 
 
 def test_naive_safeguard_cycle_instance_converges():
     # while the support still changes, Newton steps overshoot here: the
-    # first one, and on seed 1005 another, is rejected, and the plain step
-    # from its own image lands next to the fixed point, so the solves take
-    # 4 and 7 iterations (going back to the last accepted point instead
-    # cannot see that image; trying Newton again at once after a rejection
-    # cycles with period 4); the damped loop needs ~350
+    # first one, and on seed 1005 another, lands on a point that is no new
+    # best, and the plain step from it to its own image lands next to the
+    # fixed point, so the solves take 4 and 6 iterations (going back to the
+    # best point instead cannot see that image; trying Newton again at once
+    # from the overshot point cycles with period 4); the damped loop needs
+    # ~350
     for seed in (1011, 1005):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 80))
@@ -257,15 +260,6 @@ def test_singular_newton_systems_fall_back_to_plain_steps(monkeypatch):
     monkeypatch.setattr(multiclass, "_newton_step", singular)
     checked = 0
     for g, s, field, params in _instances(seed=2609):
-        num_classes = field.num_classes
-        if num_classes == 3:
-            # above lam*(3) = 0.75 plain steps need not converge, but they return
-            above = SchemeParams.from_lambda(tau=params.tau, lam=0.9)
-            for stepper in STEPPERS:
-                result = stepper(field, g, s, above)
-                assert math.isfinite(result.residual) and result.u_next.in_sigma()
-        if params.lam >= num_classes / (2 * (num_classes - 1)):
-            continue
         for stepper in STEPPERS:
             plain = stepper(field, g, s, params)
             reference = _damped(stepper, field, g, s, params)
@@ -273,8 +267,14 @@ def test_singular_newton_systems_fall_back_to_plain_steps(monkeypatch):
             gap = np.abs(plain.u_next.values - reference.u_next.values).max()
             assert gap <= 10.0 * FP_TOL / (1.0 - params.lam)
             checked += 1
-    assert checked == 60
-    assert len(calls) >= 60
+        if field.num_classes == 3:
+            # above lam*(3) = 0.75 the steps refuse before any solve
+            above = SchemeParams.from_lambda(tau=params.tau, lam=0.9)
+            for stepper in STEPPERS:
+                with pytest.raises(DomainViolation):
+                    stepper(field, g, s, above)
+    assert checked == 96
+    assert len(calls) >= 96
 
 
 @pytest.mark.parametrize("stepper", STEPPERS)
@@ -311,3 +311,62 @@ def test_a_spent_budget_returns_one_of_its_images(monkeypatch, stepper):
         assert drift <= 1e-10 * (1.0 + masses.max())
     assert len(images) == 4
     assert any(np.array_equal(values, image) for image in images)
+
+
+def _settle(z, lam, start):
+    """Where the damped plain map ``x <- (x + P(z + lam force(x))) / 2``,
+    row by row, settles from ``start``."""
+    x = start
+    for _ in range(20_000):
+        image = multiclass._simplex_rows(z + lam * multiclass._force(x))
+        if np.abs(image - x).max() <= 1e-13:
+            return image
+        x = 0.5 * (x + image)
+    raise AssertionError("the damped loop did not settle")
+
+
+def test_above_the_bound_a_row_can_have_two_fixed_points():
+    # why the steps refuse lam >= K / (2 (K - 1)): below that bound the
+    # plain map contracts, above it the well's curvature wins and a row can
+    # keep a vertex of the simplex as a second fixed point, so the answer
+    # depends on where the loop starts; 400 fresh K = 3 rows per lambda,
+    # each settled from the three vertices and from the row itself
+    rng = np.random.default_rng(0)
+    for lam, expected in ((0.9, 2), (0.95, 8), (0.74, 0)):
+        z = rng.dirichlet(np.ones(3), size=400)
+        starts = [np.tile(vertex, (400, 1)) for vertex in np.eye(3)] + [z]
+        ends = np.stack([_settle(z, lam, start) for start in starts])
+        apart = np.ptp(ends, axis=0).max(axis=1) > 1e-6
+        assert apart.sum() == expected
+        if lam == 0.9:
+            row = np.flatnonzero(apart)[0]
+            assert_allclose(z[row], [0.308, 0.274, 0.419], atol=1e-3)
+            assert np.array_equal(ends[2, row], [0.0, 0.0, 1.0])
+            assert_allclose(ends[3, row], [0.181, 0.134, 0.685], atol=1e-3)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 4, 5])
+@pytest.mark.parametrize("stepper", STEPPERS)
+def test_steps_refuse_lambda_on_the_bound(monkeypatch, stepper, num_classes):
+    # lam*(K) = K / (2 (K - 1)) is refused before the diffusion runs; the
+    # float just below it is accepted, converged or not
+    bound = num_classes / (2 * (num_classes - 1))
+    rng = np.random.default_rng(40 + num_classes)
+    g = random_connected_graph(8, rng, r=0.5)
+    s = spectral_decompose(g)
+    field = SimplexField(values=rng.dirichlet(np.ones(num_classes), size=8), graph=g)
+    diffused = []
+    diffuse = multiclass.diffuse
+
+    def counted(*args):
+        diffused.append(args)
+        return diffuse(*args)
+
+    monkeypatch.setattr(multiclass, "diffuse", counted)
+    with pytest.raises(DomainViolation, match=f"K = {num_classes}"):
+        stepper(field, g, s, SchemeParams.from_lambda(tau=0.3, lam=bound))
+    assert diffused == []
+    below = SchemeParams.from_lambda(tau=0.3, lam=float(np.nextafter(bound, 0.0)))
+    result = stepper(field, g, s, below)
+    assert len(diffused) == 1
+    assert result.u_next.in_sigma()

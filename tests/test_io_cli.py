@@ -759,6 +759,12 @@ def _last_error(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+def _only_error(capsys):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 @pytest.mark.parametrize("group_tol", ["1e-12", "nan", "inf", "-0.001"])
 def test_cli_refuses_group_tol_flag(tmp_path, capsys, group_tol):
     # the tie tolerance is the constant GROUP_TOL: the flag is unknown,
@@ -836,20 +842,24 @@ def test_cli_sweep_refuses_a_repeated_lambda(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, named",
-    [("--t-final", "inf", "t_final"), ("--taus", "nan", "step sizes")],
+    [
+        ("--t-final", "inf", "t_final"),
+        ("--taus", "nan", "step sizes"),
+        ("--eps", "inf", "epsilon must be positive and finite, got inf"),
+    ],
 )
 def test_cli_refuses_non_finite_converge_times(tmp_path, capsys, flag, value,
                                                named):
     # an infinite --t-final died in math.ceil with a traceback and a NaN
-    # --taus with a message that named neither
+    # --taus with a message that named neither; --eps has a check of its own
     graph, init = _p2_files(tmp_path)
-    times = {"--t-final": "0.4", "--taus": "0.2,0.1", flag: value}
-    args = ["converge-tau", "--graph", graph, "--init", init, "--eps", "1.0",
+    times = {"--eps": "1.0", "--t-final": "0.4", "--taus": "0.2,0.1", flag: value}
+    args = ["converge-tau", "--graph", graph, "--init", init,
             "--out", str(tmp_path / "o")]
     for name, text in times.items():
         args += [name, text]
     assert cli_main(args) == 1
-    error = _last_error(capsys)
+    error = _only_error(capsys)
     assert error["error"] == "ValueError"
     assert named in error["message"]
     assert not (tmp_path / "o").exists()
@@ -1036,6 +1046,39 @@ def test_cli_unconverged_solve_exits_two_with_outputs(
     # best iterates are still written for inspection
     assert (out / "log.csv").exists()
     assert (out / "final_state.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "rows, tau",
+    [
+        # K = 3 at lambda 0.32 / 0.4 = 0.8, above K / (2 (K - 1)) = 0.75
+        ("0 0.7 0.2 0.1\n1 0.3 0.4 0.3\n2 0.1 0.2 0.7\n", "0.32"),
+        # K = 2 at lambda 1, the bound itself
+        ("0 0.7 0.3\n1 0.4 0.6\n2 0.1 0.9\n", "0.4"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["multiclass-sd", "multiclass-msd"])
+def test_cli_refuses_multiclass_lambda_on_the_bound(tmp_path, capsys, rows, tau,
+                                                    mode):
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", rows)
+    out = tmp_path / "o"
+    assert cli_main(["multiclass", "--graph", graph, "--init", init,
+                     "--mode", mode, "--eps", "0.4", "--tau", tau,
+                     "--steps", "1", "--out", str(out)]) == 1
+    assert _only_error(capsys)["error"] == "DomainViolation"
+    assert not (out / "log.csv").exists()
+
+
+def test_cli_unwritable_output_exits_one(tmp_path, capsys):
+    graph, init = _p2_files(tmp_path)
+    out = tmp_path / "o"
+    (out / "log.csv").mkdir(parents=True)
+    assert cli_main(["run", "--graph", graph, "--init", init, "--eps", "1.0",
+                     "--tau", "0.5", "--steps", "1", "--out", str(out)]) == 1
+    error = _only_error(capsys)
+    assert error["error"] == "IoError"
+    assert error["message"].startswith(f"cannot write {out / 'log.csv'}")
 
 
 def test_cli_repeated_runs_are_byte_identical(tmp_path):

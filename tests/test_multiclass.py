@@ -238,7 +238,8 @@ def test_lambda_zero_reduces_to_diffusion(triangle_r1, stepper):
 @pytest.mark.parametrize("stepper", [multiclass_step, multiclass_mass_conserving_step])
 @pytest.mark.parametrize("num_classes", [2, 3, 4])
 def test_rows_stay_on_simplex(stepper, num_classes):
-    params = SchemeParams.from_lambda(tau=0.5, lam=0.7)
+    # each lambda lies below the steps' bound K / (2 (K - 1)), 2/3 at K = 4
+    params = SchemeParams.from_lambda(tau=0.5, lam=0.6 if num_classes == 4 else 0.7)
     for g, s, field in _random_instances(6, num_classes, seed=2_000 + num_classes):
         result = stepper(field, g, s, params)
         assert result.u_next.values.min() >= 0.0
@@ -366,6 +367,12 @@ def test_graph_mismatch_rejected(p2, p2_spectrum, triangle):
         multiclass_step(field, p2, p2_spectrum, params)
     with pytest.raises(InconsistentInputs):
         multi_obstacle_energy(field, p2, 1.0)
+
+
+def test_bare_matrix_rejected(p2, p2_spectrum):
+    params = SchemeParams.from_lambda(tau=0.3, lam=0.5)
+    with pytest.raises(InconsistentInputs, match="expected a SimplexField"):
+        multiclass_step(np.full((2, 2), 0.5), p2, p2_spectrum, params)
 
 
 def test_negative_start_rejected(p2, p2_spectrum):
