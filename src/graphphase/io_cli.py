@@ -80,56 +80,56 @@ def _text(path):
     return text
 
 
-def _tokens(text):
-    """Numbers, token counts and tokens of the lines not blank or ``#``."""
-    numbers, counts, flat = [], [], []
-    lines = text.split("\n")
-    for number, tokens in enumerate(map(str.split, lines), start=1):
-        if tokens and not tokens[0].startswith("#"):
-            numbers.append(number)
-            counts.append(len(tokens))
-            flat += tokens
-    return numbers, counts, flat
+def _data_lines(lines, start=0):
+    """``(number, tokens)`` of each line after line ``start`` that is not
+    blank or ``#``, one line at a time: the only place that rule is applied."""
+    rest = map(str.split, itertools.islice(lines, start, None))
+    return ((number, tokens) for number, tokens
+            in enumerate(rest, start=start + 1)
+            if tokens and not tokens[0].startswith("#"))
 
 
-def _table(numbers, counts, flat, ints, size, wrong_size, malformed):
-    """The lines of :func:`_tokens` as an (E, size) float table: ``ints``
-    integers, then reals.  On failure the first bad line is named:
-    ``wrong_size`` for a wrong token count, ``malformed`` for a token ``int``
-    or ``float`` refuses.
+def _line_of(lines, start, row):
+    """The line number of data row ``row`` (from 0) after line ``start``."""
+    return next(itertools.islice(_data_lines(lines, start), row, None))[0]
+
+
+def _table(rows, ints, size, wrong_size, malformed):
+    """The ``(number, tokens)`` rows of :func:`_data_lines` as an (E, size)
+    float table: ``ints`` integers, then reals, a row at a time.  The first
+    bad row is named: ``wrong_size`` for a wrong token count, ``malformed``
+    for a token ``int`` or ``float`` refuses.
     """
     values = []
-    end = 0
-    for number, count in zip(numbers, counts):
-        start, end = end, end + count
-        if count != size:
+    for number, tokens in rows:
+        if len(tokens) != size:
             raise ParseError(wrong_size, line=number)
         try:  # Python ints: past int64 is a float, past the float range malformed
-            values += map(float, map(int, flat[start:start + ints]))
-            values += map(float, flat[start + ints:end])
+            values += map(float, map(int, tokens[:ints]))
+            values += map(float, tokens[ints:])
         except (ValueError, OverflowError):
             raise ParseError(malformed, line=number) from None
     return np.array(values, dtype=float).reshape(-1, size)
 
 
-def _c_table(text, lines, first, ints, size):
+def _c_table(text, lines, start, ints, size):
     """The table of :func:`_table`, read by numpy's C reader, or None.
 
-    ``lines`` is ``text`` split at line ends and ``first`` the
-    ``(number, tokens)`` of the table's first line (:func:`_first_line`);
-    the lines before it, blank, ``#`` or a header, are skipped.  Returns the
-    lines from ``first`` on as an (E, size) float table, ``ints`` int64
-    columns and then float64 ones.  Returns None where the C reader refuses
-    the file: no data, a ``#`` line among the data, syntax only ``int`` or
-    ``float`` take (``1_0``, past int64), a wrong token count.  The C reader
-    is asked for ``size`` columns only if the first data line has them, so
-    a wrong count there costs no table that wide.  The exact reader then
-    names the bad line or reads the file.  Text that is not ASCII is not
-    handed over, because numpy's integer parser reads letters past ASCII as
-    digits (U+01FE before ``0`` as 4620) and crashes on some.  Where it
-    accepts ASCII text, the C reader reads the numbers ``int`` and ``float``
-    read.
+    ``lines`` is ``text`` split at line ends.  The lines up to the first
+    data line after line ``start`` (:func:`_data_lines`), blank, ``#`` or a
+    header, are skipped, and the lines from it on are returned as an
+    (E, size) float table, ``ints`` int64 columns and then float64 ones.
+    Returns None where the C reader refuses the file: no data, a ``#`` line
+    among the data, syntax only ``int`` or ``float`` take (``1_0``, past
+    int64), a wrong token count.  The C reader is asked for ``size``
+    columns only if the first data line has them, so a wrong count there
+    costs no table that wide.  The exact reader then names the bad line or
+    reads the file.  Text that is not ASCII is not handed over, because
+    numpy's integer parser reads letters past ASCII as digits (U+01FE
+    before ``0`` as 4620) and crashes on some.  Where it accepts ASCII
+    text, the C reader reads the numbers ``int`` and ``float`` read.
     """
+    first = next(_data_lines(lines, start), None)
     if first is None or len(first[1]) != size or not text.isascii():
         return None  # no data, which np.loadtxt warns of, or the wrong width
     columns = [(f"c{c}", np.int64 if c < ints else np.float64)
@@ -142,15 +142,6 @@ def _c_table(text, lines, first, ints, size):
     return np.column_stack([rows[name] for name, _ in columns])
 
 
-def _first_line(lines, start=0):
-    """``(number, tokens)`` of the first line after line ``start`` that is
-    not blank or ``#``, or None."""
-    rest = map(str.split, itertools.islice(lines, start, None))
-    return next(((number, tokens) for number, tokens
-                 in enumerate(rest, start=start + 1)
-                 if tokens and not tokens[0].startswith("#")), None)
-
-
 def parse_graph_file(path: str) -> Graph:
     """Read a graph file: header ``vertices N r R``, then ``i j w`` lines.
 
@@ -160,12 +151,13 @@ def parse_graph_file(path: str) -> Graph:
     loops and weights name the edge, a repeat its line and the line of its
     first listing, and connectivity the unreachable vertices.  A well-formed
     file is read by numpy's C reader.  The exact reader, ``str.split`` and
-    ``int`` or ``float`` per token, reads a file the C reader refuses and
-    names its first bad line; it also gives the line numbers of a repeat.
+    ``int`` or ``float`` per token, reads a file the C reader refuses a line
+    at a time and stops at its first bad line.  A repeat's lines are
+    numbered by the same walk over the data lines, :func:`_data_lines`.
     """
     text = _text(path)
     lines = text.split("\n")
-    header = _first_line(lines)
+    header = next(_data_lines(lines), None)
     if header is None:
         raise ParseError("file has no header line", line=1)
     number, tokens = header
@@ -177,20 +169,19 @@ def parse_graph_file(path: str) -> Graph:
         raise ParseError(
             "header needs an integer count and a real exponent", line=number
         ) from None
-    edges = _c_table(text, lines, _first_line(lines, number), 2, 3)
+    edges = _c_table(text, lines, number, 2, 3)
     if edges is None:
-        numbers, counts, flat = _tokens(text)
-        edges = _table(numbers[1:], counts[1:], flat[counts[0]:], 2, 3,
+        edges = _table(_data_lines(lines, number), 2, 3,
                        "expected 'i j w' edge line",
                        "edge needs two integer endpoints and a real weight")
     try:
         return build_graph(num_vertices, edges, r=r)
     except DuplicateEdge as exc:
         first, repeat = exc.positions
-        numbers = _tokens(text)[0][1:]
         pair = tuple(sorted(int(end) for end in edges[repeat, :2]))
         raise DuplicateEdge(f"edge {pair} already given on line "
-                            f"{numbers[first]}", line=numbers[repeat]) from None
+                            f"{_line_of(lines, number, first)}",
+                            line=_line_of(lines, number, repeat)) from None
 
 
 def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
@@ -199,15 +190,15 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
     Every vertex must appear exactly once.  Two-class values must lie in
     [0, 1], which NaN does not; multi-class rows must sum to 1 within 1e-8
     and are renormalized to sum exactly 1.  As in :func:`parse_graph_file`,
-    a well-formed file is read by numpy's C reader, and the exact reader
-    names any failure and gives the line numbers of the checks that name one.
+    a well-formed file is read by numpy's C reader, the exact reader names
+    a syntax failure, and :func:`_data_lines` numbers the later ones.
     The rows of a well-formed file are placed by one scatter of their row
     numbers; only a file it finds wrong is sorted, to name the failure.
     """
     text = _text(path)
     lines = text.split("\n")
-    head = _first_line(lines)
     if num_classes is _FROM_FILE:
+        head = next(_data_lines(lines), None)
         if head is None:
             raise ParseError("state file has no data lines", line=1)
         num_classes = len(head[1]) - 1
@@ -215,9 +206,9 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     width = 1 if num_classes is None else num_classes
     n = g.num_vertices
-    table = _c_table(text, lines, head, 1, 1 + width)
+    table = _c_table(text, lines, 0, 1, 1 + width)
     if table is None:
-        table = _table(*_tokens(text), 1, 1 + width,
+        table = _table(_data_lines(lines), 1, 1 + width,
                        f"expected a vertex index and {width} value(s)",
                        "malformed number")
     vertex = table[:, 0]
@@ -232,12 +223,11 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
         bad = outside | (first[same] != np.arange(len(vertex)))  # or a repeat
         if bad.any():
             k = int(bad.argmax())
-            numbers = _tokens(text)[0]
-            given = numbers[first[same[k]]]
             raise ParseError(
                 f"vertex {int(vertex[k])} outside 0..{n - 1}" if outside[k]
-                else f"vertex {int(vertex[k])} already given on line {given}",
-                line=numbers[k],
+                else f"vertex {int(vertex[k])} already given on line "
+                f"{_line_of(lines, 0, first[same[k]])}",
+                line=_line_of(lines, 0, k),
             )
         gap = np.append(present, n) != np.arange(len(present) + 1)
         raise MissingVertex(f"no value for vertex {int(gap.argmax())}")
@@ -257,7 +247,7 @@ def parse_field_file(path: str, g: Graph, num_classes: int | None = None):
         bad = int(off.argmax())
         raise ParseError(
             f"row for vertex {bad} sums to {sums[bad]}, expected 1",
-            line=_tokens(text)[0][first[bad]],
+            line=_line_of(lines, 0, first[bad]),
         )
     values = values / sums[:, None]
     values[:, -1] = 1.0 - values[:, :-1].sum(axis=1)

@@ -421,6 +421,16 @@ def _subgradient(correction: np.ndarray, lam: float) -> np.ndarray:
     return _row_center_exact(-correction / lam)
 
 
+def _check_domain(lam, num_classes):
+    """Refuse ``lam >= K / (2 (K - 1))`` with ``DomainViolation``."""
+    bound = num_classes / (2 * (num_classes - 1))
+    if lam >= bound:
+        raise DomainViolation(
+            f"multi-class steps need lambda < K / (2 (K - 1)) = {bound!r} "
+            f"for K = {num_classes}, got {lam!r}"
+        )
+
+
 def _solve_step(start, g, s, params, project, weights, masses_in):
     """Run the fixed point from ``start`` and certify the returned iterate.
 
@@ -432,13 +442,8 @@ def _solve_step(start, g, s, params, project, weights, masses_in):
     :class:`~graphphase.errors.DomainViolation`) are checked before any work.
     """
     g.check_spectrum(s)
-    lam, num_classes = params.lam, start.shape[1]
-    bound = num_classes / (2 * (num_classes - 1))
-    if lam >= bound:
-        raise DomainViolation(
-            f"multi-class steps need lambda < K / (2 (K - 1)) = {bound!r} "
-            f"for K = {num_classes}, got {lam!r}"
-        )
+    lam = params.lam
+    _check_domain(lam, start.shape[1])
     diffused = diffuse(start, params.tau, s)
     final, correction, constants, iterations, converged, inner = _fixed_point(
         project, diffused, lam, weights

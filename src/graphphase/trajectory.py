@@ -28,6 +28,7 @@ from .graph_core import (
 )
 from .multiclass import (
     SimplexField,
+    _check_domain,
     multi_obstacle_energy,
     multiclass_mass_conserving_step,
     multiclass_step,
@@ -248,9 +249,11 @@ def run_multiclass_trajectory(
     inner fixed-point solve missed ``multiclass.FP_TOL`` within
     ``multiclass.MAX_ITER`` iterations (the run still continues with the
     best iterate, which keeps the log honest).  A step whose sup-norm
-    change is at most 1e-12 ends the run.
+    change is at most 1e-12 ends the run.  A ``lam`` the steps refuse
+    (``DomainViolation``) is refused before step 0, so with no steps too.
     """
     stride = _choose_stride(g.num_vertices * U0.num_classes, max_steps)
+    _check_domain(params.lam, U0.num_classes)
     stepper = multiclass_mass_conserving_step if conserve_masses else multiclass_step
     # every step targets the starting class masses, as in run_trajectory
     targets = {"target_mass": U0.class_masses()} if conserve_masses else {}

@@ -288,10 +288,10 @@ def test_well_formed_files_skip_the_exact_reader(tmp_path, monkeypatch):
     state = _write(tmp_path, "u.txt", "2 0.25\n\n0 1\n1 0.0\n")
     classes = _write(tmp_path, "v.txt", "0 0.5 0.5\n1 1 0\n2 0.25 0.75\n")
 
-    def refuse(path):
-        raise AssertionError(f"the exact reader read {path}")
+    def refuse(rows, *args):
+        raise AssertionError(f"the exact reader read {next(rows)}")
 
-    monkeypatch.setattr(io_cli, "_tokens", refuse)
+    monkeypatch.setattr(io_cli, "_table", refuse)
     g = parse_graph_file(graph)
     assert g.edges == ((0, 1, 1.0), (1, 2, 2.5)) and g.r == 0.5
     assert parse_field_file(state, g).tolist() == [1.0, 0.0, 0.25]
@@ -338,13 +338,13 @@ def test_leading_comments_keep_the_c_reader(tmp_path, monkeypatch):
     plain = [parse_field_file(_write(tmp_path, "a.txt", two), g),
              parse_field_file(_write(tmp_path, "b.txt", three), g, 3).values]
     calls = []
-    tokens = io_cli._tokens
+    table = io_cli._table
 
-    def spy(text):
-        calls.append(text)
-        return tokens(text)
+    def spy(*args):
+        calls.append(args)
+        return table(*args)
 
-    monkeypatch.setattr(io_cli, "_tokens", spy)
+    monkeypatch.setattr(io_cli, "_table", spy)
     commented = parse_graph_file(_write(
         tmp_path, "h.txt", lead + graph.replace("\n", "\n# edges\n\n", 1)))
     assert (commented.edges, commented.r) == (g.edges, g.r)
@@ -938,6 +938,53 @@ def test_a_class_count_far_above_the_file_builds_no_table_that_wide(tmp_path):
     assert peak < 1_000_000
 
 
+def _traced_peaks(tmp_path, texts, read):
+    """Bytes ``tracemalloc`` saw at the peak of ``read`` of each text; the
+    text named ``good`` must be read, the others refused."""
+    peaks = {}
+    for name, text in texts.items():
+        path = _write(tmp_path, f"{name}.txt", text)
+        tracemalloc.start()
+        try:
+            if name == "good":
+                read(path)
+            else:
+                with pytest.raises(ParseError):
+                    read(path)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_a_bad_file_costs_no_more_memory_than_a_good_one(tmp_path):
+    # the failure sits on the last line, so the C reader refuses the file or
+    # a check fails after the whole table is read; the exact reader and the
+    # line numbers of a failure hold one line's tokens at a time
+    n = 5000  # a path and every other second-neighbour chord: 7,498 edges
+    edges = [f"{i} {i + 1} 1.5" for i in range(n - 1)]
+    edges += [f"{i} {i + 2} 0.5" for i in range(0, n - 2, 2)]
+    good = f"vertices {n} r 0.5\n" + "\n".join(edges) + "\n"
+    peaks = _traced_peaks(tmp_path, {
+        "good": good,
+        "weight": good[:good.rindex(" ")] + " 1_0x\n",
+        "repeat": good + edges[0] + "\n",
+    }, parse_graph_file)
+    assert peaks["weight"] <= 1.25 * peaks["good"]
+    assert peaks["repeat"] <= 1.25 * peaks["good"]
+
+    n = 10_000
+    g = build_graph(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    rows = "".join(f"{v} 0.{v % 9 + 1}\n" for v in range(n - 1))
+    peaks = _traced_peaks(tmp_path, {
+        "good": rows + f"{n - 1} 0.5\n",
+        "vertex": rows + "0 0.5\n",
+        "value": rows + f"{n - 1} 0.5x\n",
+    }, lambda path: parse_field_file(path, g))
+    assert peaks["vertex"] <= 1.5 * peaks["good"]
+    assert peaks["value"] <= 1.5 * peaks["good"]
+
+
 def test_cli_reads_the_state_file_once(tmp_path, monkeypatch):
     # the class count comes from the first data line of the one text read,
     # not a pass of its own: every way to open the path is counted
@@ -1060,14 +1107,16 @@ def test_cli_unconverged_solve_exits_two_with_outputs(
 @pytest.mark.parametrize("mode", ["multiclass-sd", "multiclass-msd"])
 def test_cli_refuses_multiclass_lambda_on_the_bound(tmp_path, capsys, rows, tau,
                                                     mode):
+    # a run of no steps is refused as well as a run of one
     graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
     init = _write(tmp_path, "u.txt", rows)
-    out = tmp_path / "o"
-    assert cli_main(["multiclass", "--graph", graph, "--init", init,
-                     "--mode", mode, "--eps", "0.4", "--tau", tau,
-                     "--steps", "1", "--out", str(out)]) == 1
-    assert _only_error(capsys)["error"] == "DomainViolation"
-    assert not (out / "log.csv").exists()
+    for steps in ("1", "0"):
+        out = tmp_path / f"o{steps}"
+        assert cli_main(["multiclass", "--graph", graph, "--init", init,
+                         "--mode", mode, "--eps", "0.4", "--tau", tau,
+                         "--steps", steps, "--out", str(out)]) == 1
+        assert _only_error(capsys)["error"] == "DomainViolation"
+        assert not (out / "log.csv").exists()
 
 
 def test_cli_unwritable_output_exits_one(tmp_path, capsys):
@@ -1246,3 +1295,35 @@ def test_commands_do_not_import_numpy_random(tmp_path):
     )
     assert proc.stderr == ""
     assert proc.stdout == "0 [False, False]\n"
+
+
+def test_commands_run_with_numpy_alone(tmp_path):
+    # scipy, hypothesis and pytest-benchmark may be installed but are not
+    # dependencies: with each import made to fail, every command still runs
+    graph = _write(tmp_path, "g.txt", "vertices 3 r 0\n0 1 1.0\n1 2 1.0\n")
+    init = _write(tmp_path, "u.txt", "0 1.0\n1 0.0\n2 0.5\n")
+    classes = _write(tmp_path, "v.txt", "0 0.7 0.2 0.1\n1 0.3 0.4 0.3\n2 0.1 0.2 0.7\n")
+    files = ["--graph", graph, "--out", str(tmp_path / "o")]
+    commands = [
+        ["oracle-check", "--instances", "2"],
+        ["run", "--init", init, "--eps", "1.0", "--tau", "0.3", "--steps", "2"]
+        + files,
+        ["multiclass", "--init", classes, "--eps", "1.0", "--tau", "0.3",
+         "--steps", "2"] + files,
+        ["sweep-lambda", "--init", init, "--tau", "0.3", "--lambdas", "0.2,0.6"]
+        + files,
+    ]
+    script = (
+        "import json, sys\n"
+        "for name in ('scipy', 'hypothesis', 'pytest_benchmark'):\n"
+        "    sys.modules[name] = None\n"
+        "import graphphase\n"
+        "print([graphphase.cli_main(argv) for argv in json.loads(sys.argv[1])])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        cwd=tmp_path, env=_package_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]"

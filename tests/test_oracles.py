@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 
 from graphphase import (
     GraphTooLarge,
+    LambdaIsOne,
     MassOutOfRange,
+    NoConvergence,
     SchemeParams,
     build_graph,
     diffuse,
@@ -21,6 +23,7 @@ from graphphase import (
     spectral_decompose,
     variational_oracle,
 )
+from graphphase import oracles
 from graphphase.oracles import _project_box_plane
 from references import reference_flow
 
@@ -129,6 +132,25 @@ def test_variational_oracle_edge_graph(p2, p2_spectrum):
         out, diffused, p2
     )
     assert_allclose(objective, -1.0, atol=1e-8)
+
+
+def test_projection_out_of_rounds_raises(triangle, monkeypatch):
+    # a start outside the box takes more than one round to settle
+    monkeypatch.setattr(oracles, "PROJECTION_MAX_ROUNDS", 1)
+    with pytest.raises(NoConvergence, match="feasibility projection"):
+        _project_box_plane(np.array([1.2, 0.9, -2.0]), triangle, 1.0)
+
+
+def test_variational_oracle_refuses_lambda_one_and_runs_out(p2, p2_spectrum,
+                                                            monkeypatch):
+    u0 = np.array([0.9, 0.3])
+    with pytest.raises(LambdaIsOne):
+        variational_oracle(u0, p2, p2_spectrum,
+                           SchemeParams.from_lambda(tau=TAU_P2, lam=1.0))
+    monkeypatch.setattr(oracles, "DESCENT_MAX_ITERS", 1)
+    with pytest.raises(NoConvergence, match="projected gradient did not settle"):
+        variational_oracle(u0, p2, p2_spectrum,
+                           SchemeParams.from_lambda(tau=TAU_P2, lam=0.1))
 
 
 def test_relaxed_step_matches_variational_oracle():
