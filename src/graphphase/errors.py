@@ -59,10 +59,6 @@ class LambdaIsOne(ValidationError):
     """Operation defined only for lambda < 1 was called with lambda = 1."""
 
 
-class BoundaryState(ValidationError):
-    """State touches the box boundary where an interior point is required."""
-
-
 class InconsistentInputs(ValidationError):
     """Multiplier, state, and parameters do not describe the same step."""
 

@@ -39,7 +39,6 @@ __all__ = [
     "SimplexField",
     "MultiClassStepResult",
     "multi_obstacle_energy",
-    "well_force",
     "project_rows_to_simplex",
     "multiclass_step",
     "multiclass_mass_conserving_step",
@@ -95,9 +94,9 @@ class SimplexField:
     def num_classes(self) -> int:
         return self.values.shape[1]
 
-    def in_sigma(self, tol: float = SIGMA_TOL) -> bool:
-        """Whether all entries are nonnegative up to ``tol`` dust."""
-        return bool(self.values.min() >= -tol)
+    def in_sigma(self) -> bool:
+        """Whether all entries are nonnegative up to ``SIGMA_TOL`` dust."""
+        return bool(self.values.min() >= -SIGMA_TOL)
 
     def class_masses(self) -> np.ndarray:
         """Weighted vertex measure carried by each class."""
@@ -150,7 +149,7 @@ def multi_obstacle_energy(
     smooth = sum(
         dirichlet_energy(values[:, k], g) for k in range(U.num_classes)
     )
-    return well, smooth + (0.0 if math.isinf(epsilon) else well / epsilon)
+    return well, smooth + well / epsilon
 
 
 def _force(values: np.ndarray) -> np.ndarray:
@@ -161,16 +160,6 @@ def _force(values: np.ndarray) -> np.ndarray:
     np.cumprod(one_minus[:, :-1], axis=1, out=before[:, 1:])
     np.cumprod(one_minus[:, :0:-1], axis=1, out=after[:, -2::-1])
     return _row_center_exact(before * after)
-
-
-def well_force(U: SimplexField, g: Graph) -> np.ndarray:
-    """Downhill direction of the obstacle well, centered per row.
-
-    Entry ``(i, k)`` is the product of ``1 - U`` over the other classes
-    minus the class average of those products; every row sums to zero
-    exactly, so the force moves rows along the simplex, never off it.
-    """
-    return _force(_field_values(U, g))
 
 
 def project_rows_to_simplex(matrix: np.ndarray) -> np.ndarray:
@@ -320,10 +309,10 @@ def _step_length(matrix, weights, masses, mu, direction, x, balance):
             continue
         t = 0.5 * (lo.t + hi.t)
         if not lo.t < t < hi.t:
-            # the bracket has shrunk to rounding: keep the rise reached so far
-            if lo.t > 0.0:
-                return lo
-            break
+            # the bracket has shrunk to rounding: keep the rise reached so
+            # far; lo has left 0 by then, since from [0, 1] it takes 1074
+            # halvings, more than MAX_LINE_SEARCH, to shrink to rounding
+            return lo
         here = probe(t)
     raise NoConvergence("mass projection line search did not settle")
 

@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BoundaryState,
     DomainViolation,
     InconsistentInputs,
     LambdaIsOne,
@@ -52,10 +51,8 @@ __all__ = [
     "threshold_levels",
     "semi_discrete_step",
     "mbo_step",
-    "mbo_is_unique",
     "lyapunov_energy",
     "ginzburg_landau",
-    "lyapunov_gradient",
     "dual_certificate",
 ]
 
@@ -99,8 +96,7 @@ class SchemeParams:
 
     @classmethod
     def from_epsilon(cls, epsilon: float, tau: float) -> "SchemeParams":
-        lam = tau / epsilon if math.isfinite(epsilon) else 0.0
-        return cls(epsilon=epsilon, tau=tau, lam=lam)
+        return cls(epsilon=epsilon, tau=tau, lam=tau / epsilon)
 
     @classmethod
     def from_lambda(cls, tau: float, lam: float) -> "SchemeParams":
@@ -137,9 +133,6 @@ class ThresholdLevels:
     @property
     def num_levels(self) -> int:
         return self.values.size
-
-    def level_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_levels)
 
     @functools.cached_property
     def suffix(self) -> np.ndarray:
@@ -740,22 +733,6 @@ def mbo_step(
     return _step(u_n, g, s, params, diffused, target_mass)
 
 
-def mbo_is_unique(u_n: np.ndarray, g: Graph, s: Spectrum, tau: float) -> bool:
-    """Whether the threshold step from ``u_n`` has a single minimizer.
-
-    True when the mass budget closes exactly at a level boundary or when the
-    partially filled level holds a single vertex; otherwise the level set
-    admits a continuum of equally good fills and :func:`mbo_step` returns the
-    uniform one.
-    """
-    _, mass_in, diffused = _diffused_state(u_n, g, s, tau)
-    levels = threshold_levels(diffused, g)
-    if mass_in <= 0.0 or mass_in >= levels.total:
-        return True
-    k, fill = _threshold_fill(levels, mass_in)
-    return fill >= 1.0 - 1e-12 or int(levels.level_sizes()[k]) == 1
-
-
 def lyapunov_energy(
     u: np.ndarray,
     g: Graph,
@@ -792,30 +769,7 @@ def ginzburg_landau(u: np.ndarray, g: Graph, epsilon: float) -> float:
     u = np.clip(u, 0.0, 1.0)
     smooth = _dirichlet_energy(u, g)
     well = 0.5 * float(np.dot(g.degrees_r, u * (1.0 - u)))
-    if math.isinf(epsilon):
-        return smooth
     return smooth + well / epsilon
-
-
-def lyapunov_gradient(
-    u: np.ndarray, g: Graph, s: Spectrum, params: SchemeParams
-) -> np.ndarray:
-    """Gradient of the descent functional along the fixed-mass plane.
-
-    Defined for strictly interior states only; the result is orthogonal to
-    constants in the weighted inner product, so fixed points of the dynamics
-    inside the box are exactly its zeros.
-    """
-    u = g.check_field(u)
-    g.check_spectrum(s)
-    if u.min() <= 0.0 or u.max() >= 1.0:
-        raise BoundaryState("gradient needs a strictly interior state")
-    avg = mass(u, g) / _ones_mass(g)
-    return (
-        2.0 * (u - diffuse(u, params.tau, s))
-        - 2.0 * params.lam * u
-        + 2.0 * params.lam * avg
-    )
 
 
 def dual_certificate(

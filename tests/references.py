@@ -10,8 +10,10 @@ for the exact multi-class mass projection, the plain damped iteration for
 the accelerated multi-class fixed point, the boolean-masked subgradient for
 the mask-free certificate of the two-class steps and the refusals of its
 check on the level profile, and a composed fine-step
-flow for time-step refinement studies.  The package never calls them; they
-live here so that it ships only what it runs.
+flow for time-step refinement studies.  Beside them,
+:func:`mbo_is_unique` reads the package's own levels to decide when the
+enumeration oracle must single out the threshold step.  The package never
+calls them; they live here so that it ships only what it runs.
 """
 
 import math
@@ -28,7 +30,14 @@ from graphphase.errors import (
 )
 from graphphase.graph_core import Graph, Spectrum
 from graphphase.multiclass import _force, project_rows_to_simplex
-from graphphase.scheme import MboMultiplier, SchemeParams, semi_discrete_step
+from graphphase.scheme import (
+    MboMultiplier,
+    SchemeParams,
+    _diffused_state,
+    _threshold_fill,
+    semi_discrete_step,
+    threshold_levels,
+)
 
 # The dense eigendecomposition holds about five n-by-n float64 arrays at once
 # (the symmetric conjugate, the eigensolver's copy and workspace, and the
@@ -150,6 +159,22 @@ def masked_subgradient(diffused, u_next, multiplier, lam, snap=1e-8) -> np.ndarr
     if np.abs(beta).max(initial=0.0) > 1.0 + snap:
         raise InconsistentInputs("subgradient leaves [-1, 1]")
     return np.clip(beta, -1.0, 1.0, out=beta)
+
+
+def mbo_is_unique(u_n: np.ndarray, g: Graph, s: Spectrum, tau: float) -> bool:
+    """Whether the threshold step from ``u_n`` has a single minimizer.
+
+    True when the mass budget closes exactly at a level boundary or when the
+    partially filled level holds a single vertex; otherwise the level set
+    admits a continuum of equally good fills and ``mbo_step`` returns the
+    uniform one.
+    """
+    _, mass_in, diffused = _diffused_state(u_n, g, s, tau)
+    levels = threshold_levels(diffused, g)
+    if mass_in <= 0.0 or mass_in >= levels.total:
+        return True
+    k, fill = _threshold_fill(levels, mass_in)
+    return fill >= 1.0 - 1e-12 or int(np.count_nonzero(levels.labels == k)) == 1
 
 
 def _project_masses(

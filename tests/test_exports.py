@@ -1,8 +1,11 @@
 """The export lists: each module's ``__all__`` is real and re-exported,
-and the package exports nothing else."""
+the package exports nothing else, and each exported name earns its place."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 import types
 
 import graphphase
@@ -41,3 +44,19 @@ def test_package_exports_exactly_the_declared_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == declared
+
+
+def test_every_exported_name_is_read_by_the_package_or_named_in_readme():
+    # a public name that only tests call belongs in tests/references.py
+    read = set()
+    for path in pathlib.Path(graphphase.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    named = set(re.findall(r"`(\w+)`", readme.read_text()))
+    idle = sorted(f"{module.__name__}.{name}" for module, name in EXPORTS
+                  if name not in read | named)
+    assert idle == []

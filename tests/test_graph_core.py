@@ -30,9 +30,7 @@ from graphphase import (
     inner_product,
     laplacian_apply,
     lyapunov_energy,
-    lyapunov_gradient,
     mass,
-    mbo_is_unique,
     mbo_oracle,
     mbo_step,
     multiclass_mass_conserving_step,
@@ -425,9 +423,7 @@ def test_spectrum_holds_the_graph_and_no_copy_of_its_edges():
 SPECTRUM_USERS = {
     "semi_discrete_step": lambda c, s: semi_discrete_step(c.u, c.g, s, c.p),
     "mbo_step": lambda c, s: mbo_step(c.u, c.g, s, c.p.tau),
-    "mbo_is_unique": lambda c, s: mbo_is_unique(c.u, c.g, s, c.p.tau),
     "lyapunov_energy": lambda c, s: lyapunov_energy(c.u, c.g, s, c.p),
-    "lyapunov_gradient": lambda c, s: lyapunov_gradient(c.u, c.g, s, c.p),
     "dual_certificate": lambda c, s: dual_certificate(c.u, c.step, c.g, s, c.p),
     "multiclass_step": lambda c, s: multiclass_step(c.U, c.g, s, c.p),
     "multiclass_mass_conserving_step":

@@ -203,10 +203,18 @@ def test_projection_converges_on_hard_instances():
         assert np.array_equal(x, multiclass._simplex_rows(matrix + mu))
 
 
-def test_step_length_lands_in_the_band(monkeypatch):
-    # every step is the full one, one whose slope lies in the acceptance
-    # band, or the last point before a bracket shrunk to adjacent floats;
-    # steps shorter than the full one were bisected out of [0, 1]
+def _hard_instances(count):
+    rng = np.random.default_rng(13)
+    for index in range(count):
+        num_classes = (2, 3, 4, 5)[index % 4]
+        n = (5, 20, 60)[index // 4 % 3]
+        kind = HARD_KINDS[index // 12 % 3]
+        yield _instance(rng, n, num_classes, kind)
+
+
+def _checked_step_lengths(monkeypatch):
+    """Spy on the line search: each step's ``(t, rounded)`` is appended to
+    the returned list, ``rounded`` for a step ended by a shrunk bracket."""
     steps = []
     search = multiclass._step_length
 
@@ -224,18 +232,51 @@ def test_step_length_lands_in_the_band(monkeypatch):
             return multiclass._simplex_rows(matrix + (mu + t * direction))
 
         assert np.array_equal(rows, reach(t))
-        if t != 1.0 and not 0.0 <= slope(rows) <= multiclass.CURVATURE * slope(x):
+        rounded = t != 1.0 and not (
+            0.0 <= slope(rows) <= multiclass.CURVATURE * slope(x)
+        )
+        if rounded:
             assert t > 0.0
             assert slope(reach(np.nextafter(t, np.inf))) < 0.0
-        steps.append(t)
+        steps.append((t, rounded))
         return reached
 
     monkeypatch.setattr(multiclass, "_step_length", checked)
-    rng = np.random.default_rng(13)
-    for index in range(360):
-        num_classes = (2, 3, 4, 5)[index % 4]
-        n = (5, 20, 60)[index // 4 % 3]
-        kind = HARD_KINDS[index // 12 % 3]
-        g, matrix, masses = _instance(rng, n, num_classes, kind)
+    return steps
+
+
+def test_step_length_lands_in_the_band(monkeypatch):
+    # every step is the full one, one whose slope lies in the acceptance
+    # band, or the last point before a bracket shrunk to adjacent floats;
+    # steps shorter than the full one were bisected out of [0, 1]
+    steps = _checked_step_lengths(monkeypatch)
+    for g, matrix, masses in _hard_instances(360):
         _project(matrix, g, masses)
-    assert sum(t < 1.0 for t in steps) >= 100
+    assert sum(t < 1.0 for t, _ in steps) >= 100
+
+
+def test_a_bracket_shrunk_to_rounding_keeps_the_rise_reached(monkeypatch):
+    # with no slack the band is a slope of exactly 0, which a bisection in
+    # floats seldom meets: the bracket shrinks to adjacent floats first, and
+    # its lower end, of positive slope, is the step
+    monkeypatch.setattr(multiclass, "CURVATURE", 0.0)
+    steps = _checked_step_lengths(monkeypatch)
+    for g, matrix, masses in _hard_instances(120):
+        x, _, _ = _project(matrix, g, masses)
+        assert np.abs(x.T @ g.degrees_r - masses).max() <= 1e-12 * (
+            1.0 + masses.max()
+        )
+    assert sum(rounded for _, rounded in steps) > 0
+    # a bracket [0, hi] takes 1074 halvings of [0, 1] to shrink to rounding,
+    # so within the budget the lower end has always left 0
+    assert multiclass.MAX_LINE_SEARCH < 1074
+
+
+def test_line_search_budget_exhaustion_raises(monkeypatch):
+    # the second hard instance ties two classes in every row; its full
+    # Newton step is refused, and one slope evaluation settles no search
+    _, (g, matrix, masses) = _hard_instances(2)
+    _project(matrix, g, masses)
+    monkeypatch.setattr(multiclass, "MAX_LINE_SEARCH", 1)
+    with pytest.raises(NoConvergence, match="line search"):
+        _project(matrix, g, masses)

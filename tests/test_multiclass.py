@@ -15,6 +15,7 @@ from graphphase import (
     SchemeParams,
     SimplexField,
     build_graph,
+    dirichlet_energy,
     ginzburg_landau,
     mass,
     multi_obstacle_energy,
@@ -23,8 +24,8 @@ from graphphase import (
     project_rows_to_simplex,
     semi_discrete_step,
     spectral_decompose,
-    well_force,
 )
+from graphphase.multiclass import _force
 from graphphase.oracles import random_connected_graph
 
 
@@ -117,18 +118,24 @@ def test_obstacle_epsilon_validation(p2):
     well, total = multi_obstacle_energy(field, p2, math.inf)
     assert well > 0.0
     assert total == 0.0
+    # the well over an infinite width adds +0.0: the columns' Dirichlet bits
+    values = np.array([[0.8, 0.2], [0.3, 0.7]])
+    field = SimplexField(values=values, graph=p2)
+    _, total = multi_obstacle_energy(field, p2, math.inf)
+    assert total > 0.0
+    assert total == sum(dirichlet_energy(values[:, k], p2) for k in range(2))
 
 
 def test_well_force_frozen(p2, triangle):
     one_hot = SimplexField(
         values=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), graph=p2
     )
-    force = well_force(one_hot, p2)
+    force = _force(one_hot.values)
     assert_allclose(force, [[2 / 3, -1 / 3, -1 / 3]] * 2, rtol=1e-14)
-    assert_allclose(well_force(_uniform(triangle, 3), triangle), 0.0, atol=1e-15)
+    assert_allclose(_force(_uniform(triangle, 3).values), 0.0, atol=1e-15)
     s = np.array([0.1, 0.5, 0.9])
     pairs = SimplexField(values=np.column_stack([s, 1.0 - s]), graph=triangle)
-    force = well_force(pairs, triangle)
+    force = _force(pairs.values)
     assert_allclose(force[:, 0], s - 0.5, atol=1e-15)
     assert_allclose(force[:, 1], 0.5 - s, atol=1e-15)
 
@@ -138,7 +145,7 @@ def test_well_force_rows_sum_to_zero_exactly(triangle_r1, num_classes):
     rng = np.random.default_rng(100 + num_classes)
     for _ in range(20):
         field = _random_field(triangle_r1, num_classes, rng)
-        sums = well_force(field, triangle_r1).sum(axis=1)
+        sums = _force(field.values).sum(axis=1)
         assert np.all(sums == 0.0)
 
 
@@ -301,7 +308,7 @@ def test_mass_conserving_constants_identity():
         diffused = np.column_stack(
             [diffuse(field.values[:, k], params.tau, s) for k in range(3)]
         )
-        force = well_force(result.u_next, g)
+        force = _force(result.u_next.values)
         total = g.degrees_r.sum()
         avg = (force + result.subgradient).T @ g.degrees_r / total
         constants = -params.lam * avg

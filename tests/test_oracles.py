@@ -15,7 +15,6 @@ from graphphase import (
     enumerate_extreme_points,
     inner_product,
     mass,
-    mbo_is_unique,
     mbo_oracle,
     mbo_step,
     random_connected_graph,
@@ -25,7 +24,7 @@ from graphphase import (
 )
 from graphphase import oracles
 from graphphase.oracles import _project_box_plane
-from references import reference_flow
+from references import mbo_is_unique, reference_flow
 
 TAU_P2 = 0.5 * math.log(2.0)
 
